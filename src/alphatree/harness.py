@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from .binary import hu_tucker
 from .core import is_alphabetic, leaf_levels, tree_cost, validate_weights
 from .oracle import dp_optimal
-from .ternary import general_solve, is_pair_pcn_free
+from .ternary import _solve_pure_ternary, general_solve, is_pair_pcn_free
 
 PAPER_FAMILY = (
     (4, 2, 3, 4),
@@ -250,7 +250,7 @@ def bench_growth(
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter_ns()
             if engine == "ternary":
-                report, stats = _timed_ternary(ws)
+                report, stats = _solve_pure_ternary(ws)
                 steps = len(report.trace.steps)
                 candidates = stats["candidates"]
             else:
@@ -262,16 +262,3 @@ def bench_growth(
     slope = _loglog_slope([(r.n, r.median_ns) for r in rows])
     return BenchReport(engine, tuple(rows), slope)
 
-
-def _timed_ternary(ws):
-    from .core import CombinationTrace, SolveReport
-    from .levels import MODE_PURE, reconstruct_from_levels, signed_levels
-    from .ternary import EngineState, Unit
-
-    state = EngineState([Unit(w, i, True, i, i) for i, w in enumerate(ws)])
-    state.run()
-    trace = CombinationTrace(len(ws), state.trace_steps())
-    levels = signed_levels(trace)
-    tree = reconstruct_from_levels(levels, ws, MODE_PURE)
-    report = SolveReport("pure-ternary", tuple(ws), trace.total(), levels, tree, trace)
-    return report, state.stats

@@ -83,7 +83,7 @@ def _reconstruct(levels, weights, mode, pair_hints=frozenset()):
 
     def cascade(lookahead: int):
         while True:
-            if mode != MODE_BINARY and hint_pair_on_top():
+            if hints and mode != MODE_BINARY and hint_pair_on_top():
                 b = stack.pop()
                 a = stack.pop()
                 nid = builder.internal((a[0], b[0]))

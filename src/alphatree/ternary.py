@@ -62,7 +62,12 @@ class PcnNode:
 def detect_pcns(weights: Sequence[int]) -> tuple:
     """Hierarchical forest of all permanent runs (length >= 2, proper
     subspans only).  The sequence ends count as infinitely heavy neighbours,
-    so boundary runs qualify; the full sequence itself never does."""
+    so boundary runs qualify; the full sequence itself never does.
+
+    Ends are heavy here because a run at an end has nothing on that side to
+    combine with: it is forced together exactly like an interior run, so the
+    solver must resolve it as a subproblem.  ``is_pair_pcn_free`` takes the
+    opposite convention."""
     ws = validate_weights(weights)
     n = len(ws)
     spans = []
@@ -95,7 +100,14 @@ def detect_pcns(weights: Sequence[int]) -> tuple:
 
 def is_pair_pcn_free(weights: Sequence[int]) -> bool:
     """True when no adjacent pair is lighter than both its neighbours, with
-    the sequence ends treated as infinitely light (boundary pairs pass)."""
+    the sequence ends treated as infinitely light (boundary pairs pass).
+
+    This is an instance filter (``InstanceSpec(pcn_free=True)``, ``fuzz
+    --pcn-free``), not a solver step: it rejects only a pair with a real,
+    heavier leaf on each side, so ends are light and never count against a
+    pair.  ``detect_pcns`` treats ends as infinitely heavy instead, so an
+    input that passes this filter can still hold boundary permanent runs,
+    which ``general_solve`` resolves as subproblems."""
     ws = validate_weights(weights)
     n = len(ws)
     for i in range(n - 1):
@@ -259,32 +271,30 @@ class EngineState:
     # -- candidate search ---------------------------------------------------
 
     def _choose_candidate(self) -> Candidate:
-        best_w = self._fast_min_weight()
-        cands = self._candidates_at(best_w)
-        if not cands:
-            raise EngineError("no candidate found at the computed minimum weight")
-        return min(cands, key=lambda c: c.key)
+        return min(self._scan(best_only=True), key=lambda c: c.key)
 
     def _window_arrays(self):
-        """Units (leaves and opaque subproblem roots) block compatibility;
-        only combination circles are transparent."""
+        """Per live index i: ``cap[i]``, the last index a window starting at
+        i may reach (the first unit after i, or the end), and
+        ``min_to_blk[i]``, the minimum weight from i through the first unit
+        at or after i (or the end).  Units (leaves and opaque subproblem
+        roots) block compatibility; only combination circles are
+        transparent."""
         live = self.live
         m = len(live)
-        blk_after = [m] * m
-        nxt = m
-        for i in range(m - 1, -1, -1):
-            blk_after[i] = nxt
-            if live[i].pos is not None:
-                nxt = i
-        # min weight over [i .. first blocker at or after i], capped at the end
+        cap = [m - 1] * m
         min_to_blk = [0] * m
+        nxt = m - 1
         for i in range(m - 1, -1, -1):
-            w = live[i].weight
-            if live[i].pos is not None or i == m - 1:
-                min_to_blk[i] = w
+            nd = live[i]
+            cap[i] = nxt
+            if nd.pos is not None or i == m - 1:
+                min_to_blk[i] = nd.weight
             else:
-                min_to_blk[i] = w if w < min_to_blk[i + 1] else min_to_blk[i + 1]
-        return blk_after, min_to_blk
+                min_to_blk[i] = min(nd.weight, min_to_blk[i + 1])
+            if nd.pos is not None:
+                nxt = i
+        return cap, min_to_blk
 
     def _merged_elements(self):
         """Live squares (sign +1), available negatives (sign -1), and live
@@ -363,87 +373,69 @@ class EngineState:
                     right_bucket[b].append(nd)
         return left_bucket, right_bucket
 
-    def _fast_min_weight(self) -> int:
+    def _scan(self, best_only: bool) -> List[Candidate]:
+        """One pass over every plain window (i, j) and accordion slice
+        (a, b), with the forest realised once.
+
+        With ``best_only`` it keeps the windows and slices whose cheapest
+        completion reaches the running minimum, counts what it scanned in
+        ``stats``, and builds only the candidates at the minimum weight;
+        otherwise it returns every candidate and leaves ``stats`` alone.
+        A window (i, j) takes any third member k in j+1 .. cap[j], so its
+        cheapest completion is ``pair[j] = w_j + min_to_blk[j + 1]``."""
         live = self.live
         m = len(live)
-        blk_after, min_to_blk = self._window_arrays()
+        cap, min_to_blk = self._window_arrays()
+        elems = self._merged_elements()
+        pair = [live[j].weight + min_to_blk[j + 1] for j in range(m - 1)]
         best = None
+        windows = []  # (i, j), scan order
+        hits = []  # (a, b, accordion weight), scan order
         scanned = 0
         for i in range(m - 2):
-            wi = live[i].weight
-            e_i = min(blk_after[i], m - 1)
-            for j in range(i + 1, e_i + 1):
-                if j + 1 > min(blk_after[j], m - 1):
-                    continue
-                scanned += 1
-                w = wi + live[j].weight + min_to_blk[j + 1]
-                if best is None or w < best:
-                    best = w
-        elems = self._merged_elements()
-        slices = self._accordion_slices(elems)
-        if slices:
-            left_bucket, right_bucket = self._gap_buckets(elems)
-            lmin = [min((nd.weight for nd in bucket), default=None) for bucket in left_bucket]
-            rmin = [min((nd.weight for nd in bucket), default=None) for bucket in right_bucket]
-            for a, b, acc in slices:
-                scanned += 1
-                if lmin[a] is None or rmin[b] is None:
-                    continue
-                w = lmin[a] + acc + rmin[b]
-                if best is None or w < best:
-                    best = w
-        self.stats["candidates"] += scanned
-        if best is None:
-            raise EngineError("no compatible triple available")
-        return best
-
-    def _candidates_at(self, target: Optional[int]) -> List[Candidate]:
-        """All candidates, restricted to total weight == target when given.
-
-        With a target (always the global minimum), a window can only match
-        through its minimum-weight third member, so whole windows are skipped
-        in O(1); the unrestricted form is quadratic-ish and meant for small
-        states."""
-        live = self.live
-        m = len(live)
-        blk_after, min_to_blk = self._window_arrays()
-        out = []
-        for i in range(m - 2):
-            wi = live[i].weight
-            e_i = min(blk_after[i], m - 1)
-            for j in range(i + 1, e_i + 1):
-                wj = live[j].weight
-                e_j = min(blk_after[j], m - 1)
-                if j + 1 > e_j:
-                    continue
-                if target is not None and wi + wj + min_to_blk[j + 1] != target:
-                    continue
-                need = None if target is None else min_to_blk[j + 1]
-                for k in range(j + 1, e_j + 1):
-                    if need is not None and live[k].weight != need:
-                        continue
-                    w = wi + wj + live[k].weight
-                    out.append(self._plain_candidate(live[i], live[j], live[k], w))
-        elems = self._merged_elements()
+            # j runs to cap[i], but j = m - 1 leaves no room for a third
+            stop = min(cap[i], m - 2) + 1
+            scanned += stop - i - 1
+            if not best_only:
+                windows.extend((i, j) for j in range(i + 1, stop))
+                continue
+            need = min(pair[i + 1 : stop])
+            w = live[i].weight + need
+            if best is None or w < best:
+                best, windows = w, []
+            if w == best:
+                windows.extend((i, j) for j in range(i + 1, stop) if pair[j] == need)
         slices = self._accordion_slices(elems)
         if slices:
             left_bucket, right_bucket = self._gap_buckets(elems)
             lmin = [min((nd.weight for nd in b), default=None) for b in left_bucket]
             rmin = [min((nd.weight for nd in b), default=None) for b in right_bucket]
             for a, b, acc in slices:
+                scanned += 1
                 if lmin[a] is None or rmin[b] is None:
                     continue
-                if target is not None and lmin[a] + acc + rmin[b] != target:
-                    continue
-                for left in left_bucket[a]:
-                    if target is not None and left.weight != lmin[a]:
-                        continue
-                    for right in right_bucket[b]:
-                        w = left.weight + acc + right.weight
-                        if target is None or w == target:
-                            out.append(
-                                self._accordion_candidate(left, right, elems[a : b + 1], w)
-                            )
+                w = lmin[a] + acc + rmin[b]
+                if best_only and (best is None or w < best):
+                    best, windows, hits = w, [], []
+                if not best_only or w == best:
+                    hits.append((a, b, acc))
+        if best_only:
+            self.stats["candidates"] += scanned
+            if best is None:
+                raise EngineError("no compatible triple available")
+        out = []
+        for i, j in windows:
+            a, b = live[i], live[j]
+            for k in range(j + 1, cap[j] + 1):
+                c = live[k]
+                if not best_only or c.weight == min_to_blk[j + 1]:
+                    out.append(self._plain_candidate(a, b, c, a.weight + b.weight + c.weight))
+        for a, b, acc in hits:
+            for left in left_bucket[a]:
+                for right in right_bucket[b]:
+                    w = left.weight + acc + right.weight
+                    if not best_only or w == best:
+                        out.append(self._accordion_candidate(left, right, elems[a : b + 1], w))
         return out
 
     def _plain_candidate(self, a: _Live, b: _Live, c: _Live, w: int) -> Candidate:
@@ -562,11 +554,18 @@ def enumerate_candidates(state: EngineState) -> List[Candidate]:
         return []
     if not any(nd.pos is not None for nd in state.live):
         return [state._queue_candidate()]
-    return sorted(state._candidates_at(None), key=lambda c: c.key)
+    return sorted(state._scan(best_only=False), key=lambda c: c.key)
 
 
 # ---------------------------------------------------------------------------
 # Entry points over raw leaves
+
+
+def _pure_ternary_run(weights: Sequence[int]) -> Tuple[CombinationTrace, dict]:
+    ws = validate_weights(weights)
+    state = EngineState([Unit(w, i, True, i, i) for i, w in enumerate(ws)])
+    state.run()
+    return CombinationTrace(len(ws), state.trace_steps()), state.stats
 
 
 def pure_ternary_phase1(weights: Sequence[int]) -> CombinationTrace:
@@ -576,15 +575,13 @@ def pure_ternary_phase1(weights: Sequence[int]) -> CombinationTrace:
     then smallest accordion); once only circles remain they are combined
     three at a time in creation order.
     """
-    ws = validate_weights(weights)
-    state = EngineState([Unit(w, i, True, i, i) for i, w in enumerate(ws)])
-    state.run()
-    return CombinationTrace(len(ws), state.trace_steps())
+    return _pure_ternary_run(weights)[0]
 
 
-def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
+def _solve_pure_ternary(weights: Sequence[int]) -> Tuple[SolveReport, dict]:
+    """``solve_pure_ternary`` plus the engine's ``stats`` counters."""
     ws = validate_weights(weights)
-    trace = pure_ternary_phase1(ws)
+    trace, stats = _pure_ternary_run(ws)
     levels = signed_levels(trace)
     tree = reconstruct_from_levels(levels, ws, MODE_PURE)
     cost = tree_cost(tree, ws)
@@ -592,7 +589,7 @@ def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
         raise EngineError(
             f"tree cost {cost} disagrees with combination increments {trace.total()}"
         )
-    return SolveReport(
+    report = SolveReport(
         algorithm="pure-ternary",
         weights=ws,
         cost=cost,
@@ -600,6 +597,11 @@ def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
         tree=tree,
         trace=trace,
     )
+    return report, stats
+
+
+def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
+    return _solve_pure_ternary(weights)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,11 @@ class TestBenchGrowth:
         assert lines[0] == "n,median_ns,steps,candidates"
         assert len(lines) == 4
 
+    def test_pinned_steps_and_candidate_counts(self):
+        report = bench_growth([101, 201, 401], seed=909, repeats=1)
+        assert tuple(r.steps for r in report.rows) == (50, 100, 200)
+        assert tuple(r.candidates for r in report.rows) == (3819, 15514, 64404)
+
     def test_binary_engine(self):
         report = bench_growth([50, 100], seed=3, engine="binary", repeats=1)
         assert [r.steps for r in report.rows] == [49, 99]

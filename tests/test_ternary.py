@@ -158,6 +158,31 @@ class TestEnumerateCandidates:
                 chosen = state.advance()
                 assert chosen.key == expected.key
 
+    def test_chosen_step_is_first_candidate_accordion_heavy(self):
+        # Blocks shaped like the worked examples: a moderate pair, then light
+        # leaves alternating with heavier ones (m, m, l, h, l, h, l ...), so
+        # light-heavy-light triples close first and their centres come back
+        # as negatives.  The step's one-pass minimum must pick the head of
+        # the full enumeration whenever accordions compete with plain windows.
+        rng = random.Random(37)
+        accordions = multi_negative = 0
+        for _ in range(60):
+            n = rng.choice(range(11, 42, 2))
+            ws = []
+            while len(ws) < n:
+                m = rng.randint(4, 10)
+                ws += [m, m, rng.randint(0, 2)]
+                for _ in range(rng.randint(1, 3)):
+                    ws += [rng.randint(m + 1, 2 * m - 1), rng.randint(0, 2)]
+            state = engine_for(ws[:n])
+            while not state.done:
+                expected = enumerate_candidates(state)[0]
+                chosen = state.advance()
+                assert chosen.key == expected.key
+                accordions += chosen.accordion_size > 0
+                multi_negative += chosen.accordion_size > 3
+        assert accordions >= 30 and multi_negative >= 1
+
 
 class TestPureTernaryPhase1:
     def test_seven_node_increments(self, seven_trace):
