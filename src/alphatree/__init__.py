@@ -10,8 +10,6 @@ from .core import (
     CombinationStep,
     CombinationTrace,
     Infeasible,
-    MINUS_INF,
-    PLUS_INF,
     Participant,
     SolveReport,
     StructureError,
@@ -43,7 +41,6 @@ from .ternary import (
     enumerate_candidates,
     general_solve,
     is_pair_pcn_free,
-    parity_plan,
     pure_ternary_phase1,
     solve_pure_ternary,
 )

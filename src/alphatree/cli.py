@@ -4,8 +4,8 @@ Subcommands: solve (one weight sequence, several emit formats), verify
 (engine vs oracle), fuzz (random comparison runs, JSONL records), and bench
 (growth measurement, CSV).
 
-Input format: one sequence of nonnegative integers, whitespace or comma
-separated, inline or via --input FILE.
+Input format: one sequence of nonnegative decimal integers (digits only),
+whitespace or comma separated, inline or via --input FILE.
 
 Emit schemas
     json    {"algorithm", "weights", "cost", "levels", "tree", "trace", ...}
@@ -28,11 +28,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
 from .binary import hu_tucker
-from .core import AlphaTree, Infeasible, SolveReport, StructureError
+from .core import (
+    AlphaTree,
+    CombinationTrace,
+    Infeasible,
+    SolveReport,
+    StructureError,
+    leaf_levels,
+    validate_weights,
+)
 from .harness import InstanceSpec, bench_growth, fuzz_compare
 from .oracle import RefusedSize, dp_optimal, exhaustive_optimal
 from .ternary import general_solve, solve_pure_ternary
@@ -43,9 +52,13 @@ EXIT_DIVERGENCE = 2
 EXIT_INFEASIBLE = 3
 
 _ARITY_SETS = {"binary": (2,), "ternary": (2, 3), "pure-ternary": (3,)}
+# A sign is let through so that validate_weights reports negative weights.
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _read_weights(args) -> tuple:
+    """Tokenise the weights (whitespace or commas, plain decimal integers)
+    and check them with ``validate_weights``."""
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -54,18 +67,10 @@ def _read_weights(args) -> tuple:
     else:
         raise StructureError("no weights given (inline argument or --input FILE)")
     tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise StructureError("empty weight sequence")
-    ws = []
     for tok in tokens:
-        try:
-            value = int(tok)
-        except ValueError:
-            raise StructureError(f"{tok!r} is not an integer") from None
-        if value < 0:
-            raise StructureError(f"weight {value} is negative")
-        ws.append(value)
-    return tuple(ws)
+        if not _DECIMAL.fullmatch(tok):
+            raise StructureError(f"{tok!r} is not a decimal integer")
+    return validate_weights(int(tok) for tok in tokens)
 
 
 def tree_to_dot(tree: AlphaTree) -> str:
@@ -111,10 +116,11 @@ def trace_to_pretty(report: SolveReport) -> str:
     return "\n".join(lines)
 
 
-def _solve_report(args) -> SolveReport:
-    ws = _read_weights(args)
-    algo = args.algo
-    arity = args.arity
+def _solve(ws: tuple, algo: str, arity: Optional[str]) -> SolveReport:
+    if algo == "dp":
+        cost, tree = dp_optimal(ws, _ARITY_SETS[arity or "ternary"])
+        trace = CombinationTrace(len(ws), ())
+        return SolveReport("dp", ws, cost, leaf_levels(tree), tree, trace)
     if algo == "hu-tucker":
         if arity not in (None, "binary"):
             raise StructureError("hu-tucker builds binary trees; use --arity binary")
@@ -130,21 +136,7 @@ def _solve_report(args) -> SolveReport:
 
 def cmd_solve(args) -> int:
     try:
-        ws = _read_weights(args)
-        if args.algo == "dp":
-            from .core import CombinationTrace, leaf_levels
-
-            cost, tree = dp_optimal(ws, _ARITY_SETS[args.arity or "ternary"])
-            report = SolveReport(
-                algorithm="dp",
-                weights=ws,
-                cost=cost,
-                levels=leaf_levels(tree),
-                tree=tree,
-                trace=CombinationTrace(len(ws), ()),
-            )
-        else:
-            report = _solve_report(args)
+        report = _solve(_read_weights(args), args.algo, args.arity)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

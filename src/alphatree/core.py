@@ -1,15 +1,14 @@
 """Core domain types shared by every solver.
 
-Exact integer weights (with symbolic infinities for sentinel use),
-ordered leaf-labelled trees, per-leaf level sequences, and combination
-traces.  Everything here is immutable and float-free.
+Exact nonnegative integer weights, ordered leaf-labelled trees, per-leaf
+level sequences, and combination traces.  Everything here is immutable and
+float-free.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -26,70 +25,6 @@ class Infeasible(ValueError):
 
 # ---------------------------------------------------------------------------
 # Weights
-
-
-class _Infinity:
-    """Symbolic infinite weight.  Compares against ints and other infinities;
-    sums with finite values absorb them.  Never appears inside a tree."""
-
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __repr__(self):
-        return "+inf" if self.sign > 0 else "-inf"
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity) and other.sign == self.sign
-
-    def __hash__(self):
-        return hash(("alphatree-inf", self.sign))
-
-    def __lt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign < other.sign
-        if isinstance(other, int):
-            return self.sign < 0
-        return NotImplemented
-
-    def __le__(self, other):
-        eq = self.__eq__(other)
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return eq or lt
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign > other.sign
-        if isinstance(other, int):
-            return self.sign > 0
-        return NotImplemented
-
-    def __ge__(self, other):
-        eq = self.__eq__(other)
-        gt = self.__gt__(other)
-        if gt is NotImplemented:
-            return NotImplemented
-        return eq or gt
-
-    def __add__(self, other):
-        if isinstance(other, _Infinity):
-            if other.sign != self.sign:
-                raise StructureError("cannot add infinities of opposite sign")
-            return self
-        if isinstance(other, int):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-
-PLUS_INF = _Infinity(+1)
-MINUS_INF = _Infinity(-1)
-
-Weight = Union[int, _Infinity]
 
 
 def validate_weights(weights: Iterable[int]) -> tuple:
@@ -403,7 +338,7 @@ class CombinationTrace:
 
 
 # ---------------------------------------------------------------------------
-# Solve reports and JSON helpers
+# Solve reports
 
 
 @dataclass(frozen=True)
@@ -416,16 +351,9 @@ class SolveReport:
     levels: tuple
     tree: AlphaTree
     trace: CombinationTrace
-    oracle_cost: Optional[int] = None
-
-    @property
-    def oracle_gap(self) -> Optional[int]:
-        if self.oracle_cost is None:
-            return None
-        return self.cost - self.oracle_cost
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "algorithm": self.algorithm,
             "weights": list(self.weights),
             "cost": self.cost,
@@ -433,15 +361,3 @@ class SolveReport:
             "tree": self.tree.to_nested(),
             "trace": self.trace.to_json_obj(),
         }
-        if self.oracle_cost is not None:
-            obj["oracle_cost"] = self.oracle_cost
-            obj["oracle_gap"] = self.oracle_gap
-        return obj
-
-
-def tree_to_json(tree: AlphaTree) -> str:
-    return json.dumps(tree.to_nested())
-
-
-def tree_from_json(text: str) -> AlphaTree:
-    return AlphaTree.from_nested(json.loads(text))

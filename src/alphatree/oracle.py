@@ -1,24 +1,16 @@
 """Independent ground-truth optima.
 
 ``dp_optimal`` is an interval dynamic program over the allowed arities;
-``exhaustive_optimal`` literally enumerates every tree shape (as leaf-level
-vectors) for tiny inputs and is used to check the DP itself.
+``exhaustive_optimal`` literally enumerates every tree shape for tiny inputs,
+keeping the cost of each shape over each span, and is used to check the DP
+itself.  Both work in exact integers only.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence, Tuple
 
-import numpy as np
-
-from .core import (
-    AlphaTree,
-    Infeasible,
-    PLUS_INF,
-    TreeBuilder,
-    validate_weights,
-)
+from .core import AlphaTree, Infeasible, TreeBuilder, validate_weights
 
 EXHAUSTIVE_MAX_N = 11
 
@@ -54,10 +46,14 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
 
     cost = [[0] * n for _ in range(n)]
     choice = [[None] * n for _ in range(n)]
-    for length in range(2, n + 1):
+    above_any_cost = prefix[n] * n + 1
+    # Pure-ternary trees exist only over odd spans, and odd spans split only
+    # into odd spans, so even spans are skipped and never read.
+    step = 2 if pure else 1
+    for length in range(1 + step, n + 1, step):
         for i in range(n - length + 1):
             j = i + length - 1
-            best = PLUS_INF
+            best = above_any_cost
             pick = None
             if 2 in allowed:
                 for m in range(i, j):
@@ -75,14 +71,8 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
                         c = left + cost[m1 + 1][m2] + cost[m2 + 1][j]
                         if c < best:
                             best, pick = c, (m1, m2)
-            if pick is None:
-                cost[i][j] = PLUS_INF
-                continue
             cost[i][j] = best + (prefix[j + 1] - prefix[i])
             choice[i][j] = pick
-
-    if not isinstance(cost[0][n - 1], int):
-        raise Infeasible("no tree satisfies the arity constraints")
 
     builder = TreeBuilder(ws)
 
@@ -100,22 +90,6 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     return cost[0][n - 1], builder.finish([root])
 
 
-@lru_cache(maxsize=None)
-def _level_vectors(n: int, allowed: frozenset) -> tuple:
-    """Leaf-level vectors of every ordered tree shape with the given arities.
-    One entry per distinct shape; duplicates of equal vectors are kept."""
-    if n == 1:
-        return ((0,),)
-    out = []
-    for arity in sorted(allowed):
-        if arity > n:
-            continue
-        for split in _compositions(n, arity):
-            parts = [_level_vectors(k, allowed) for k in split]
-            _cross(parts, 0, [], out)
-    return tuple(out)
-
-
 def _compositions(n, k):
     if k == 1:
         yield (n,)
@@ -125,39 +99,36 @@ def _compositions(n, k):
             yield (first,) + rest
 
 
-def _cross(parts, idx, acc, out):
-    if idx == len(parts):
-        out.append(tuple(l + 1 for vec in acc for l in vec))
-        return
-    for vec in parts[idx]:
-        acc.append(vec)
-        _cross(parts, idx + 1, acc, out)
-        acc.pop()
-
-
 def exhaustive_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, int]:
     """Brute force over every tree shape: (minimum cost, number of optimal
-    shapes).  Refuses n above EXHAUSTIVE_MAX_N."""
+    shapes).  Refuses n above EXHAUSTIVE_MAX_N.
+
+    ``shapes[(i, j)]`` lists the cost of every tree shape over leaves i..j,
+    one entry per shape: each entry is one entry from each child span's list,
+    summed, plus the span weight.  No minimum is taken below the root."""
     ws = validate_weights(weights)
     allowed = _arity_set(arities)
     n = len(ws)
     if n > EXHAUSTIVE_MAX_N:
         raise RefusedSize(f"{n} leaves is past the enumeration limit {EXHAUSTIVE_MAX_N}")
-    vectors = _level_vectors(n, allowed)
-    if not vectors:
+    shapes = {(i, i): [0] for i in range(n)}
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            span = sum(ws[i : j + 1])
+            costs = []
+            for arity in sorted(allowed):
+                for split in _compositions(length, arity):
+                    sums = [span]
+                    lo = i
+                    for k in split:
+                        part = shapes[(lo, lo + k - 1)]
+                        sums = [s + c for s in sums for c in part]
+                        lo += k
+                    costs.extend(sums)
+            shapes[(i, j)] = costs
+    costs = shapes[(0, n - 1)]
+    if not costs:
         raise Infeasible("no tree shape satisfies the arity constraints")
-    if max(ws) * n * n < (1 << 62):  # cost fits int64
-        mat = np.array(vectors, dtype=np.int64)
-        costs = mat @ np.array(ws, dtype=np.int64)
-        best = int(costs.min())
-        count = int((costs == best).sum())
-        return best, count
-    best = None
-    count = 0
-    for vec in vectors:
-        c = sum(w * l for w, l in zip(ws, vec))
-        if best is None or c < best:
-            best, count = c, 1
-        elif c == best:
-            count += 1
-    return best, count
+    best = min(costs)
+    return best, costs.count(best)

@@ -22,7 +22,6 @@ from .core import (
     CombinationTrace,
     Infeasible,
     Participant,
-    PLUS_INF,
     ROLE_ACCORDION,
     ROLE_OUTER,
     ROLE_PLAIN,
@@ -72,14 +71,12 @@ def detect_pcns(weights: Sequence[int]) -> tuple:
     n = len(ws)
     spans = []
     for i in range(n - 1):
-        left = ws[i - 1] if i > 0 else PLUS_INF
         total = ws[i]
         for j in range(i + 1, n):
             total += ws[j]
             if (i, j) == (0, n - 1):
                 continue
-            right = ws[j + 1] if j + 1 < n else PLUS_INF
-            if left > total and total < right:
+            if (i == 0 or ws[i - 1] > total) and (j + 1 == n or total < ws[j + 1]):
                 spans.append((i, j, total))
     spans.sort(key=lambda s: (s[0], -s[1]))
     root = (-1, n, 0, [])
@@ -605,7 +602,7 @@ def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Parity planning
+# General solver
 
 
 @dataclass(frozen=True)
@@ -614,46 +611,6 @@ class UnitSpec:
     weight: int
     pos: Optional[int] = None  # leaf index, squares only
     pcn: Optional[PcnNode] = None
-
-
-@dataclass(frozen=True)
-class Plan:
-    kind: str  # "all-ternary" | "split-pcn" | "binary-pair"
-    pcn_index: Optional[int] = None
-    split_at: Optional[int] = None  # leaf index ending the left part
-    pair_index: Optional[int] = None  # element index of the left square
-
-
-def parity_plan(units: Sequence[UnitSpec]) -> tuple:
-    """Deficit-fixing actions for a unit sequence.
-
-    An odd count needs none.  An even count needs exactly one of: resolve
-    one permanent run as a two-root forest (every split point is a distinct
-    action), or combine one adjacent square pair first.  Every adjacent
-    square pair is a separate action; the one binary node of an optimal tree
-    is usually, but not always, a minimum-weight adjacent pair, so the
-    cheaper completion decides.
-    """
-    units = tuple(units)
-    if len(units) % 2 == 1:
-        return (Plan("all-ternary"),)
-    plans = []
-    for idx, u in enumerate(units):
-        if u.kind == "pcn":
-            for split in range(u.pcn.lo, u.pcn.hi):
-                plans.append(Plan("split-pcn", pcn_index=idx, split_at=split))
-    plans.extend(
-        Plan("binary-pair", pair_index=i)
-        for i in range(len(units) - 1)
-        if units[i].kind == "square" and units[i + 1].kind == "square"
-    )
-    if not plans:
-        raise EngineError("even unit count with no feasible parity action")
-    return tuple(plans)
-
-
-# ---------------------------------------------------------------------------
-# General solver
 
 
 @dataclass(frozen=True)
@@ -718,7 +675,10 @@ class _GeneralSolver:
         """Unit sequences to try: every combination of single-root vs split
         for the permanent runs (parity never forces one choice: either can
         win on cost), plus one adjacent-square pair when the count is even.
-        Ordered by split count then position, so ties resolve leftmost."""
+        Every adjacent square pair is tried: the one binary node of an
+        optimal tree is usually, but not always, a minimum-weight pair, so
+        the cheaper completion decides.  Ordered by split count then
+        position, so ties resolve leftmost."""
         pcn_idxs = [i for i, el in enumerate(elements) if el.kind == "pcn"]
         option_lists = []
         for i in pcn_idxs:
@@ -874,12 +834,11 @@ def _tree_from_shape(shape, weights):
     return builder.finish([rec(shape)])
 
 
-def general_solve(weights: Sequence[int], with_oracle: bool = False) -> SolveReport:
+def general_solve(weights: Sequence[int]) -> SolveReport:
     """Optimal-tree search for arbitrary inputs: resolve permanent runs as
     one- or two-root subproblems, fix parity with a single binary pair when
     needed, then run the greedy ternary combination over the units; the
-    cheapest completion wins.  ``with_oracle`` additionally runs the interval
-    DP and records its cost in the report."""
+    cheapest completion wins."""
     ws = validate_weights(weights)
     solver = _GeneralSolver(ws)
     sol, trace, tree = solver.solve()
@@ -892,11 +851,6 @@ def general_solve(weights: Sequence[int], with_oracle: bool = False) -> SolveRep
         )
     if signed_levels(trace) != levels:
         raise EngineError("trace levels disagree with the assembled tree")
-    oracle_cost = None
-    if with_oracle:
-        from .oracle import dp_optimal
-
-        oracle_cost, _ = dp_optimal(ws, (2, 3))
     return SolveReport(
         algorithm="ternary",
         weights=ws,
@@ -904,5 +858,4 @@ def general_solve(weights: Sequence[int], with_oracle: bool = False) -> SolveRep
         levels=levels,
         tree=tree,
         trace=trace,
-        oracle_cost=oracle_cost,
     )

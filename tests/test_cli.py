@@ -1,13 +1,40 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from alphatree.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv, stdin=None):
+    """Run a fresh interpreter that imports alphatree from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_import_loads_no_numpy():
+    code, out, err = run_python(
+        "-c", 'import sys, alphatree; print("numpy" in sys.modules, alphatree.__file__)'
+    )
+    assert code == 0, err
+    loaded, path = out.split()
+    assert path.startswith(SRC)
+    assert loaded == "False"
 
 
 class TestSolve:
@@ -51,8 +78,20 @@ class TestSolve:
         assert code == 0
         assert "- 10" in out and "[+ " in out
 
+    def test_stdin_is_read_once(self):
+        # --input /dev/stdin: a second read of the pipe would find it empty
+        code, out, err = run_python(
+            "-m", "alphatree", "solve", "--input", "/dev/stdin", "--emit", "levels",
+            stdin="4 2 3 4\n",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["1 2 2 1", "cost 18"]
+
     def test_malformed_inputs(self, capsys):
         assert run(capsys, "solve", "abc")[0] == 1
+        # plain decimal only: int() alone would read these as 20 and 2
+        assert run(capsys, "solve", "1 2_0 3")[0] == 1
+        assert run(capsys, "solve", "1 +2 3")[0] == 1
         assert run(capsys, "solve", "1 -2 3")[0] == 1
         assert run(capsys, "solve", "  ")[0] == 1
         assert run(capsys, "solve", "1 2", "--algo", "hu-tucker", "--arity", "ternary")[0] == 1

@@ -103,7 +103,26 @@ class TestExhaustiveOptimal:
                     continue
                 assert dp_optimal(ws, arities)[0] == exhaustive_optimal(ws, arities)[0]
 
-    def test_huge_weights_fall_back_to_exact_python(self):
+    # With all-zero weights every shape ties, so the count is the number of
+    # shapes: Catalan numbers for binary, ternary-tree numbers for
+    # exact-ternary (odd n only), and for mixed arity the dissections of an
+    # (n+1)-gon into triangles and quadrilaterals.
+    SHAPE_COUNTS = {
+        (2,): (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796),
+        (3,): (1, None, 1, None, 3, None, 12, None, 55, None, 273),
+        (2, 3): (1, 1, 3, 10, 38, 154, 654, 2871, 12925, 59345, 276835),
+    }
+
+    @pytest.mark.parametrize("arities", ARITY_SETS)
+    def test_zero_weights_count_every_shape(self, arities):
+        for n, count in enumerate(self.SHAPE_COUNTS[arities], start=1):
+            if count is None:
+                with pytest.raises(Infeasible):
+                    exhaustive_optimal((0,) * n, arities)
+            else:
+                assert exhaustive_optimal((0,) * n, arities) == (0, count)
+
+    def test_huge_weights_stay_exact(self):
         big = 10**20
         cost, count = exhaustive_optimal((big, 1, big), (2, 3))
         assert cost == dp_optimal((big, 1, big), (2, 3))[0]

@@ -9,13 +9,11 @@ from alphatree.oracle import dp_optimal
 from alphatree.ternary import (
     EngineState,
     Unit,
-    UnitSpec,
     available_negatives,
     detect_pcns,
     enumerate_candidates,
     general_solve,
     is_pair_pcn_free,
-    parity_plan,
     pure_ternary_phase1,
     solve_pure_ternary,
 )
@@ -220,41 +218,6 @@ class TestPureTernaryPhase1:
         assert report.cost == dp_optimal(SEVEN_WEIGHTS, (3,))[0]
 
 
-class TestParityPlan:
-    def _units(self, ws):
-        els = []
-        pcns = {(p.lo): p for p in detect_pcns(ws)}
-        i = 0
-        while i < len(ws):
-            if i in pcns:
-                p = pcns[i]
-                els.append(UnitSpec("pcn", p.weight, pcn=p))
-                i = p.hi + 1
-            else:
-                els.append(UnitSpec("square", ws[i], pos=i))
-                i += 1
-        return els
-
-    def test_odd_count_needs_nothing(self):
-        plans = parity_plan(self._units((1, 1, 100, 1, 1)))
-        assert [p.kind for p in plans] == ["all-ternary"]
-
-    def test_even_count_splits_pcns_or_pairs(self):
-        plans = parity_plan(self._units((1, 1, 100, 100, 1, 1)))
-        kinds = [p.kind for p in plans]
-        assert kinds[0] == "split-pcn" and plans[0].pcn_index == 0
-        assert "binary-pair" in kinds
-
-    def test_plain_even_squares_offer_pairs(self):
-        # (2,3,4,5) has no permanent runs, so pairs are the only fixes
-        plans = parity_plan(self._units((2, 3, 4, 5)))
-        assert [(p.kind, p.pair_index) for p in plans] == [
-            ("binary-pair", 0),
-            ("binary-pair", 1),
-            ("binary-pair", 2),
-        ]
-
-
 class TestGeneralSolve:
     def test_heavy_centre_example(self):
         report = general_solve((1, 1, 100, 1, 1))
@@ -287,11 +250,6 @@ class TestGeneralSolve:
         assert general_solve((5,)).cost == 0
         assert general_solve((3, 4)).cost == 7
         assert general_solve((3, 4)).tree.to_nested() == [3, 4]
-
-    def test_oracle_comparison_field(self):
-        report = general_solve((1, 1, 100, 1, 1), with_oracle=True)
-        assert report.oracle_cost == 108
-        assert report.oracle_gap == 0
 
     def test_single_binary_node_for_monotone_even_lengths(self):
         rng = random.Random(31)
