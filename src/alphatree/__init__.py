@@ -4,7 +4,7 @@ Solvers (greedy combination engines), independent oracles (interval DP and
 exhaustive enumeration), verification harness, and a CLI.
 """
 
-from .binary import compatible_pairs, hu_tucker, phase1_combine_binary
+from .binary import hu_tucker, phase1_combine_binary
 from .core import (
     AlphaTree,
     CombinationStep,

@@ -9,7 +9,7 @@ quadratic reference implementation; anything faster must be trace-equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .core import (
     CombinationStep,
@@ -38,17 +38,6 @@ class SeqNode:
     @property
     def is_square(self) -> bool:
         return self.kind == SQUARE
-
-
-def compatible_pairs(seq: Sequence[SeqNode]) -> List[Tuple[int, int]]:
-    """All index pairs (i, j), i < j, with no square strictly between them."""
-    out = []
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            out.append((i, j))
-            if seq[j].is_square:
-                break
-    return out
 
 
 def _best_pair(seq: Sequence[SeqNode]) -> Tuple[int, int]:

@@ -168,11 +168,13 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     try:
         ws = _read_weights(args)
-        report = general_solve(ws)
+        # the oracle first: exhaustive enumeration refuses large inputs at
+        # once, before the engine spends its time on them
         if args.against == "exhaustive":
             oracle_cost, _count = exhaustive_optimal(ws, (2, 3))
         else:
             oracle_cost, _tree = dp_optimal(ws, (2, 3))
+        report = general_solve(ws)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -124,6 +124,40 @@ def _reconstruct(levels, weights, mode, pair_hints=frozenset()):
     return builder.finish([item[0] for item in stack])
 
 
+def pure_centre_leaves(levels: Sequence[int]) -> list:
+    """Centre leaves of the top-level triples of the pure-ternary forest.
+
+    Runs the stack pass of ``_reconstruct`` in ``MODE_PURE`` (combine the top
+    three items when their levels are equal and positive) but builds no
+    nodes: it returns, left to right, the leaf index of the middle child of
+    each triple that closes at level 0 and whose middle child is a leaf.
+    Raises ``InvalidLevelSequence`` with the text ``_reconstruct`` uses."""
+    levels = tuple(levels)
+    if any(l < 0 for l in levels):
+        raise InvalidLevelSequence(f"negative level in {levels}")
+    lv = []  # level of each stack item
+    mid = []  # leaf index of each stack item, -1 for a combined node
+    out = []
+    for i, l in enumerate(levels):
+        lv.append(l)
+        mid.append(i)
+        while len(lv) >= 3 and l > 0 and lv[-3] == lv[-2] == l:
+            centre = mid[-2]
+            del lv[-3:], mid[-3:]
+            l -= 1
+            if l == 0 and centre >= 0:
+                out.append(centre)
+            lv.append(l)
+            mid.append(-1)
+    stuck = sum(1 for l in lv if l != 0)
+    if stuck:
+        raise InvalidLevelSequence(
+            f"cannot reduce levels {list(levels)} in {MODE_PURE} mode; "
+            f"stuck with {stuck} node(s) above level 0"
+        )
+    return out
+
+
 def reconstruct_from_levels(
     levels: Sequence[int], weights: Sequence[int], mode: str = MODE_MIXED
 ) -> AlphaTree:

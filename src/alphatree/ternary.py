@@ -32,7 +32,13 @@ from .core import (
     tree_cost,
     validate_weights,
 )
-from .levels import MODE_PURE, reconstruct_from_levels, signed_levels
+from .levels import (
+    MODE_PURE,
+    InvalidLevelSequence,
+    pure_centre_leaves,
+    reconstruct_from_levels,
+    signed_levels,
+)
 
 
 class EngineError(RuntimeError):
@@ -179,7 +185,11 @@ class EngineState:
             for i, unit in enumerate(self.units)
         ]
         self.steps: List[CombinationStep] = []
-        self._occ: List[tuple] = []  # (circle ref, ((target, sign), ...)) unit coords
+        self._unit_at = {unit.ref: i for i, unit in enumerate(self.units)}
+        self._levels = [0] * u  # signed level per unit position
+        # per live circle, its (unit position, sign) occurrences, nested ones
+        # included: consuming the circle deepens every one of them by one
+        self._under: Dict[int, List[tuple]] = {}
         self.spent: Set[tuple] = set()
         self.last_consumer: Dict[int, int] = {}
         self.stats = {"steps": 0, "candidates": 0, "queue_steps": 0}
@@ -195,22 +205,7 @@ class EngineState:
 
     def unit_levels(self) -> tuple:
         """Signed levels of the units under the combinations made so far."""
-        u = len(self.units)
-        consumer = {}
-        for circle, parts in self._occ:
-            for target, sign in parts:
-                if target >= u and sign > 0:
-                    consumer[target] = circle
-        depth = {}
-        for circle, _parts in reversed(self._occ):
-            depth[circle] = depth[consumer[circle]] + 1 if circle in consumer else 0
-        levels = [0] * u
-        for circle, parts in self._occ:
-            d = depth[circle] + 1
-            for target, sign in parts:
-                if target < u:
-                    levels[target] += sign * d
-        return tuple(levels)
+        return tuple(self._levels)
 
     def forest(self):
         """The cross-over-free forest the current levels describe."""
@@ -220,9 +215,7 @@ class EngineState:
                 levels, [un.weight for un in self.units], MODE_PURE
             )
         except StructureError as exc:
-            raise EngineError(
-                f"cannot realise forest for unit levels {list(levels)}: {exc}"
-            ) from exc
+            raise _unrealisable(levels, exc) from exc
 
     # -- stepping ----------------------------------------------------------
 
@@ -339,13 +332,17 @@ class EngineState:
         left_bucket[a]: nodes usable as the left outer of a slice starting at
         element a (span ends before position a, at or after position a-1).
         right_bucket[b]: mirror image for slices ending at element b.
+        lmin[a] / rmin[b]: the lightest weight in each bucket, None if empty.
         """
         positions = [p for p, _w, _s, _r in elems]
         p = len(positions)
         left_bucket = [[] for _ in range(p)]
         right_bucket = [[] for _ in range(p)]
+        lmin = [None] * p
+        rmin = [None] * p
         blocker_pos = {pos for pos, _w, s, _r in elems if s >= 0}
         for nd in self.live:
+            w = nd.weight
             a = bisect_right(positions, nd.hi)
             if a < p:
                 # a circle ending exactly on a live unit's position may not
@@ -358,6 +355,8 @@ class EngineState:
                 )
                 if not blocked:
                     left_bucket[a].append(nd)
+                    if lmin[a] is None or w < lmin[a]:
+                        lmin[a] = w
             b = bisect_left(positions, nd.lo) - 1
             if b >= 0:
                 blocked = (
@@ -368,11 +367,13 @@ class EngineState:
                 )
                 if not blocked:
                     right_bucket[b].append(nd)
-        return left_bucket, right_bucket
+                    if rmin[b] is None or w < rmin[b]:
+                        rmin[b] = w
+        return left_bucket, right_bucket, lmin, rmin
 
     def _scan(self, best_only: bool) -> List[Candidate]:
         """One pass over every plain window (i, j) and accordion slice
-        (a, b), with the forest realised once.
+        (a, b), with the available negatives found once.
 
         With ``best_only`` it keeps the windows and slices whose cheapest
         completion reaches the running minimum, counts what it scanned in
@@ -404,9 +405,7 @@ class EngineState:
                 windows.extend((i, j) for j in range(i + 1, stop) if pair[j] == need)
         slices = self._accordion_slices(elems)
         if slices:
-            left_bucket, right_bucket = self._gap_buckets(elems)
-            lmin = [min((nd.weight for nd in b), default=None) for b in left_bucket]
-            rmin = [min((nd.weight for nd in b), default=None) for b in right_bucket]
+            left_bucket, right_bucket, lmin, rmin = self._gap_buckets(elems)
             for a, b, acc in slices:
                 scanned += 1
                 if lmin[a] is None or rmin[b] is None:
@@ -493,12 +492,19 @@ class EngineState:
                 accordion_span=cand.accordion_span,
             )
         )
-        occ = []
-        ref_to_target = {self.units[i].ref: i for i in range(len(self.units))}
+        levels = self._levels
+        under = []
         for p in cand.participants:
-            target = ref_to_target.get(p.ref, p.ref)
-            occ.append((target, p.sign))
-        self._occ.append((circle, tuple(occ)))
+            target = self._unit_at.get(p.ref)
+            if target is None:  # a circle, always taken positively
+                nested = self._under.pop(p.ref)
+                for t, sign in nested:
+                    levels[t] += sign
+                under.extend(nested)
+            else:
+                levels[target] += p.sign
+                under.append((target, p.sign))
+        self._under[circle] = under
         for pos in cand.negatives:
             owner = self.last_consumer.get(pos)
             if owner is None or (pos, owner) in self.spent:
@@ -518,30 +524,31 @@ class EngineState:
         self.live = kept
 
 
+def _unrealisable(levels, exc: StructureError) -> EngineError:
+    return EngineError(f"cannot realise forest for unit levels {list(levels)}: {exc}")
+
+
 def available_negatives(state: EngineState):
     """Units currently usable with negative weight: original leaves sitting
     as the centre child of a top-level triple of the realised forest, whose
-    (leaf, owning circle) pairing has not been spent."""
+    (leaf, owning circle) pairing has not been spent.  The forest's top-level
+    triples come from one stack pass over the unit levels; no tree is built."""
     if not state.steps:
         return []
-    forest = state.forest()
+    levels = state.unit_levels()
+    try:
+        centres = pure_centre_leaves(levels)
+    except InvalidLevelSequence as exc:
+        raise _unrealisable(levels, exc) from exc
     live_squares = state.live_square_positions()
     out = []
-    for r in forest.roots:
-        nd = forest.nodes[r]
-        if len(nd.children) != 3:
-            continue
-        mid = forest.nodes[nd.children[1]]
-        if not mid.is_leaf:
-            continue
-        pos = mid.leaf_index
+    for pos in centres:
         if not state.units[pos].is_square or pos in live_squares:
             continue
         owner = state.last_consumer.get(pos)
         if owner is None or (pos, owner) in state.spent:
             continue
         out.append((pos, state.units[pos].weight, owner))
-    out.sort()
     return out
 
 

@@ -6,7 +6,6 @@ from alphatree.binary import (
     CIRCLE,
     SQUARE,
     SeqNode,
-    compatible_pairs,
     hu_tucker,
     phase1_combine_binary,
 )
@@ -22,6 +21,18 @@ def sq(i, w):
 
 def ci(i, w):
     return SeqNode(i, CIRCLE, w)
+
+
+def compatible_pairs(seq):
+    """All index pairs (i, j), i < j, with no square strictly between them:
+    the pairs the naive rescan below tries."""
+    out = []
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            out.append((i, j))
+            if seq[j].is_square:
+                break
+    return out
 
 
 class TestCompatiblePairs:

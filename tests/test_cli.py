@@ -1,11 +1,12 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-from alphatree.cli import main
+from alphatree.cli import EXIT_INPUT, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -165,6 +166,16 @@ class TestVerify:
             capsys, "verify", "1 2 3 4 5 6 7 8 9 10 11 12", "--against", "exhaustive"
         )
         assert code == 1
+
+    def test_exhaustive_refuses_before_the_engine_runs(self, capsys, monkeypatch):
+        def engine_must_not_run(ws):
+            raise AssertionError("general_solve ran before the size check")
+
+        monkeypatch.setattr("alphatree.cli.general_solve", engine_must_not_run)
+        ws = " ".join(str(w) for w in random.Random(40).choices(range(101), k=40))
+        code, _, err = run(capsys, "verify", ws, "--against", "exhaustive")
+        assert code == EXIT_INPUT
+        assert "enumeration limit" in err
 
     def test_malformed(self, capsys):
         assert run(capsys, "verify", "x y")[0] == 1

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphatree.binary import phase1_combine_binary
 from alphatree.core import tree_cost
@@ -7,6 +8,7 @@ from alphatree.levels import (
     MODE_BINARY,
     MODE_MIXED,
     MODE_PURE,
+    pure_centre_leaves,
     reconstruct_from_levels,
     reconstruct_from_trace,
     signed_levels,
@@ -34,6 +36,53 @@ class TestSignedLevels:
 
     def test_empty_prefix_is_all_zero(self, fifteen_trace):
         assert signed_levels(fifteen_trace.prefix(0)) == (0,) * 15
+
+
+# Level blocks of pure-ternary forests, so that reducible sequences, with and
+# without leaf centres at the top, are drawn as often as unreducible ones.
+FOREST_BLOCKS = (
+    (0,),
+    (1, 1, 1),
+    (2, 2, 2, 1, 1),
+    (1, 2, 2, 2, 1),
+    (1, 1, 2, 2, 2),
+    (2, 2, 2, 1, 2, 2, 2),
+    (2, 2, 2, 2, 2, 2, 2, 2, 2),
+)
+LEVEL_SEQUENCES = st.one_of(
+    st.lists(st.integers(min_value=-1, max_value=3), min_size=1, max_size=12),
+    st.lists(st.sampled_from(FOREST_BLOCKS), min_size=1, max_size=5).map(
+        lambda blocks: [l for block in blocks for l in block]
+    ),
+)
+
+
+class TestPureCentreLeaves:
+    @settings(max_examples=300, deadline=None)
+    @given(LEVEL_SEQUENCES)
+    def test_matches_top_level_triples_of_reconstruction(self, levels):
+        try:
+            forest = reconstruct_from_levels(levels, [1] * len(levels), MODE_PURE)
+        except InvalidLevelSequence as exc:
+            with pytest.raises(type(exc)) as lean:
+                pure_centre_leaves(levels)
+            assert str(lean.value) == str(exc)
+            return
+        centres = []
+        for r in forest.roots:
+            kids = forest.nodes[r].children
+            if len(kids) == 3 and forest.nodes[kids[1]].is_leaf:
+                centres.append(forest.nodes[kids[1]].leaf_index)
+        assert pure_centre_leaves(levels) == centres
+
+    def test_worked_forests(self):
+        # seven-node prefixes: one triple with centre 3, then two with leaf
+        # centres around the uncombined centre leaf
+        assert pure_centre_leaves((0, 0, 1, 1, 1, 0, 0)) == [3]
+        assert pure_centre_leaves((1, 1, 1, 0, 1, 1, 1)) == [1, 5]
+        # a combined centre is not a leaf; a leaf centre beside a nested triple is
+        assert pure_centre_leaves((1, 2, 2, 2, 1)) == []
+        assert pure_centre_leaves((2, 2, 2, 1, 1)) == [3]
 
 
 class TestReconstructFromTrace:

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alphatree.core import Infeasible, is_alphabetic, leaf_levels, tree_cost
+from alphatree.core import (
+    CombinationTrace,
+    Infeasible,
+    is_alphabetic,
+    leaf_levels,
+    tree_cost,
+)
 from alphatree.levels import signed_levels
 from alphatree.oracle import dp_optimal
 from alphatree.ternary import (
@@ -25,6 +31,39 @@ def engine_for(weights, steps=0):
     for _ in range(steps):
         state.advance()
     return state
+
+
+def accordion_block_weights(rng, n):
+    """n weights in blocks shaped like the worked examples: a moderate pair,
+    then light leaves alternating with heavier ones (m, m, l, h, l, h, l ...),
+    so light-heavy-light triples close first and their centres come back as
+    negatives."""
+    ws = []
+    while len(ws) < n:
+        m = rng.randint(4, 10)
+        ws += [m, m, rng.randint(0, 2)]
+        for _ in range(rng.randint(1, 3)):
+            ws += [rng.randint(m + 1, 2 * m - 1), rng.randint(0, 2)]
+    return ws[:n]
+
+
+def negatives_from_forest(state):
+    """Reference for ``available_negatives``: realise the whole forest and
+    read the centre leaves of its top-level triples."""
+    forest = state.forest()
+    live_squares = state.live_square_positions()
+    out = []
+    for r in forest.roots:
+        nd = forest.nodes[r]
+        if len(nd.children) != 3 or not forest.nodes[nd.children[1]].is_leaf:
+            continue
+        pos = forest.nodes[nd.children[1]].leaf_index
+        owner = state.last_consumer.get(pos)
+        if not state.units[pos].is_square or pos in live_squares or owner is None:
+            continue
+        if (pos, owner) not in state.spent:
+            out.append((pos, state.units[pos].weight, owner))
+    return sorted(out)
 
 
 def brute_force_pcn_spans(ws):
@@ -157,22 +196,14 @@ class TestEnumerateCandidates:
                 assert chosen.key == expected.key
 
     def test_chosen_step_is_first_candidate_accordion_heavy(self):
-        # Blocks shaped like the worked examples: a moderate pair, then light
-        # leaves alternating with heavier ones (m, m, l, h, l, h, l ...), so
-        # light-heavy-light triples close first and their centres come back
-        # as negatives.  The step's one-pass minimum must pick the head of
-        # the full enumeration whenever accordions compete with plain windows.
+        # On accordion block inputs the step's one-pass minimum must pick the
+        # head of the full enumeration whenever accordions compete with plain
+        # windows.
         rng = random.Random(37)
         accordions = multi_negative = 0
         for _ in range(60):
             n = rng.choice(range(11, 42, 2))
-            ws = []
-            while len(ws) < n:
-                m = rng.randint(4, 10)
-                ws += [m, m, rng.randint(0, 2)]
-                for _ in range(rng.randint(1, 3)):
-                    ws += [rng.randint(m + 1, 2 * m - 1), rng.randint(0, 2)]
-            state = engine_for(ws[:n])
+            state = engine_for(accordion_block_weights(rng, n))
             while not state.done:
                 expected = enumerate_candidates(state)[0]
                 chosen = state.advance()
@@ -297,3 +328,24 @@ class TestStepwiseForest:
                 running += state.advance().weight
                 forest = state.forest()
                 assert sum(nd.weight for nd in forest.nodes if not nd.is_leaf) == running
+
+    def test_incremental_levels_and_negatives_track_full_rebuild(self):
+        # after every step the incrementally kept levels equal the levels the
+        # trace so far implies, and the stack pass finds the same available
+        # negatives as realising the whole forest
+        rng = random.Random(61)
+        inputs = [
+            accordion_block_weights(rng, rng.choice(range(11, 42, 2))) for _ in range(30)
+        ]
+        for _ in range(60):
+            n = rng.choice(range(1, 42, 2))
+            inputs.append([rng.randint(0, rng.choice([3, 25, 100])) for _ in range(n)])
+        accordions = 0
+        for ws in inputs:
+            state = engine_for(ws)
+            while not state.done:
+                accordions += state.advance().accordion_size > 0
+                trace = CombinationTrace(len(ws), state.trace_steps())
+                assert state.unit_levels() == signed_levels(trace)
+                assert available_negatives(state) == negatives_from_forest(state)
+        assert accordions >= 20
