@@ -38,7 +38,6 @@ from .ternary import (
     Unit,
     available_negatives,
     detect_pcns,
-    enumerate_candidates,
     general_solve,
     is_pair_pcn_free,
     pure_ternary_phase1,

@@ -20,7 +20,7 @@ from .core import (
     StructureError,
     validate_weights,
 )
-from .levels import MODE_BINARY, reconstruct_from_levels, signed_levels
+from .levels import reconstruct_from_trace, signed_levels
 
 SQUARE = "square"
 CIRCLE = "circle"
@@ -92,16 +92,16 @@ def phase1_combine_binary(weights: Sequence[int]) -> CombinationTrace:
 
 
 def hu_tucker(weights: Sequence[int]) -> SolveReport:
-    """Full pipeline: combine, assign levels, reconstruct."""
+    """Full pipeline: combine, assign levels, reconstruct (the last two are
+    the replay of the combination trace)."""
     ws = validate_weights(weights)
     trace = phase1_combine_binary(ws)
-    levels = signed_levels(trace)
-    tree = reconstruct_from_levels(levels, ws, MODE_BINARY)
+    tree = reconstruct_from_trace(trace, ws)
     return SolveReport(
         algorithm="hu-tucker",
         weights=ws,
         cost=trace.total(),
-        levels=levels,
+        levels=signed_levels(trace),
         tree=tree,
         trace=trace,
     )

@@ -3,6 +3,8 @@
 Levels are signed: a combination can consume a previously combined leaf with
 negative weight, and each such occurrence subtracts its depth.  Reconstruction
 turns a level sequence back into the unique forest the rules below allow.
+Every solver gets its tree here, from ``reconstruct_from_trace`` on its own
+combination trace.
 """
 
 from __future__ import annotations
@@ -177,9 +179,12 @@ def reconstruct_from_levels(
 def reconstruct_from_trace(trace: CombinationTrace, weights: Sequence[int]) -> AlphaTree:
     """Deterministic replay of a complete trace into the final tree.
 
-    Derives the signed levels, then reconstructs guided by the arities the
-    trace recorded (its binary steps pin down where pairs sit).  The result
-    is alphabetic and its cost equals the sum of the trace increments.
+    Validates the trace, derives the signed levels, then reconstructs guided
+    by the arities the trace recorded (its binary steps pin down where pairs
+    sit).  The result is alphabetic, and a TraceError is raised unless its
+    cost equals the sum of the trace increments.  ``hu_tucker``,
+    ``solve_pure_ternary`` and ``general_solve`` each build their tree with
+    this one call on their final trace.
     """
     ws = validate_weights(weights)
     trace.validate(ws)

@@ -27,9 +27,6 @@ from .core import (
     ROLE_PLAIN,
     SolveReport,
     StructureError,
-    TreeBuilder,
-    leaf_levels,
-    tree_cost,
     validate_weights,
 )
 from .levels import (
@@ -37,6 +34,7 @@ from .levels import (
     InvalidLevelSequence,
     pure_centre_leaves,
     reconstruct_from_levels,
+    reconstruct_from_trace,
     signed_levels,
 )
 
@@ -261,7 +259,7 @@ class EngineState:
     # -- candidate search ---------------------------------------------------
 
     def _choose_candidate(self) -> Candidate:
-        return min(self._scan(best_only=True), key=lambda c: c.key)
+        return min(self._scan(), key=lambda c: c.key)
 
     def _window_arrays(self):
         """Per live index i: ``cap[i]``, the last index a window starting at
@@ -371,16 +369,15 @@ class EngineState:
                         rmin[b] = w
         return left_bucket, right_bucket, lmin, rmin
 
-    def _scan(self, best_only: bool) -> List[Candidate]:
+    def _scan(self) -> List[Candidate]:
         """One pass over every plain window (i, j) and accordion slice
         (a, b), with the available negatives found once.
 
-        With ``best_only`` it keeps the windows and slices whose cheapest
-        completion reaches the running minimum, counts what it scanned in
-        ``stats``, and builds only the candidates at the minimum weight;
-        otherwise it returns every candidate and leaves ``stats`` alone.
-        A window (i, j) takes any third member k in j+1 .. cap[j], so its
-        cheapest completion is ``pair[j] = w_j + min_to_blk[j + 1]``."""
+        It keeps the windows and slices whose cheapest completion reaches
+        the running minimum, counts what it scanned in ``stats``, and builds
+        only the candidates at the minimum weight.  A window (i, j) takes
+        any third member k in j+1 .. cap[j], so its cheapest completion is
+        ``pair[j] = w_j + min_to_blk[j + 1]``."""
         live = self.live
         m = len(live)
         cap, min_to_blk = self._window_arrays()
@@ -394,9 +391,6 @@ class EngineState:
             # j runs to cap[i], but j = m - 1 leaves no room for a third
             stop = min(cap[i], m - 2) + 1
             scanned += stop - i - 1
-            if not best_only:
-                windows.extend((i, j) for j in range(i + 1, stop))
-                continue
             need = min(pair[i + 1 : stop])
             w = live[i].weight + need
             if best is None or w < best:
@@ -411,26 +405,25 @@ class EngineState:
                 if lmin[a] is None or rmin[b] is None:
                     continue
                 w = lmin[a] + acc + rmin[b]
-                if best_only and (best is None or w < best):
+                if best is None or w < best:
                     best, windows, hits = w, [], []
-                if not best_only or w == best:
+                if w == best:
                     hits.append((a, b, acc))
-        if best_only:
-            self.stats["candidates"] += scanned
-            if best is None:
-                raise EngineError("no compatible triple available")
+        self.stats["candidates"] += scanned
+        if best is None:
+            raise EngineError("no compatible triple available")
         out = []
         for i, j in windows:
             a, b = live[i], live[j]
             for k in range(j + 1, cap[j] + 1):
                 c = live[k]
-                if not best_only or c.weight == min_to_blk[j + 1]:
+                if c.weight == min_to_blk[j + 1]:
                     out.append(self._plain_candidate(a, b, c, a.weight + b.weight + c.weight))
         for a, b, acc in hits:
             for left in left_bucket[a]:
                 for right in right_bucket[b]:
                     w = left.weight + acc + right.weight
-                    if not best_only or w == best:
+                    if w == best:
                         out.append(self._accordion_candidate(left, right, elems[a : b + 1], w))
         return out
 
@@ -530,9 +523,13 @@ def _unrealisable(levels, exc: StructureError) -> EngineError:
 
 def available_negatives(state: EngineState):
     """Units currently usable with negative weight: original leaves sitting
-    as the centre child of a top-level triple of the realised forest, whose
-    (leaf, owning circle) pairing has not been spent.  The forest's top-level
-    triples come from one stack pass over the unit levels; no tree is built."""
+    as the centre child of a top-level triple of the realised forest, paired
+    with the circle that last consumed them.  The forest's top-level triples
+    come from one stack pass over the unit levels; no tree is built.
+
+    A leaf used negatively is a live square again until a new circle
+    consumes it and becomes its owner, so a spent pairing cannot show up
+    here; ``EngineState._apply`` refuses one all the same."""
     if not state.steps:
         return []
     levels = state.unit_levels()
@@ -546,19 +543,9 @@ def available_negatives(state: EngineState):
         if not state.units[pos].is_square or pos in live_squares:
             continue
         owner = state.last_consumer.get(pos)
-        if owner is None or (pos, owner) in state.spent:
-            continue
-        out.append((pos, state.units[pos].weight, owner))
+        if owner is not None:
+            out.append((pos, state.units[pos].weight, owner))
     return out
-
-
-def enumerate_candidates(state: EngineState) -> List[Candidate]:
-    """Every legal combination available right now, best first."""
-    if state.done:
-        return []
-    if not any(nd.pos is not None for nd in state.live):
-        return [state._queue_candidate()]
-    return sorted(state._scan(best_only=False), key=lambda c: c.key)
 
 
 # ---------------------------------------------------------------------------
@@ -586,18 +573,12 @@ def _solve_pure_ternary(weights: Sequence[int]) -> Tuple[SolveReport, dict]:
     """``solve_pure_ternary`` plus the engine's ``stats`` counters."""
     ws = validate_weights(weights)
     trace, stats = _pure_ternary_run(ws)
-    levels = signed_levels(trace)
-    tree = reconstruct_from_levels(levels, ws, MODE_PURE)
-    cost = tree_cost(tree, ws)
-    if cost != trace.total():
-        raise EngineError(
-            f"tree cost {cost} disagrees with combination increments {trace.total()}"
-        )
+    tree = reconstruct_from_trace(trace, ws)
     report = SolveReport(
         algorithm="pure-ternary",
         weights=ws,
-        cost=cost,
-        levels=levels,
+        cost=trace.total(),
+        levels=signed_levels(trace),
         tree=tree,
         trace=trace,
     )
@@ -625,7 +606,6 @@ class _Sol:
     cost: int  # internal cost of the subtree
     weight: int  # total leaf weight
     steps: tuple  # CombinationStep records, creation order
-    shape: object  # nested tuple of leaf indexes
     ref: int  # node id of the subtree root
 
 
@@ -643,7 +623,7 @@ class _GeneralSolver:
         if key in self._memo:
             return self._memo[key]
         if lo == hi:
-            sol = _Sol(0, self.w[lo], (), lo, lo)
+            sol = _Sol(0, self.w[lo], (), lo)
         else:
             sol = self._solve_span(lo, hi)
         self._memo[key] = sol
@@ -732,8 +712,8 @@ class _GeneralSolver:
         return plans
 
     def _plan_units(self, expanded, pair_index):
-        """Materialise a unit sequence: (units-with-shapes, extra steps,
-        extra internal cost).  ``expanded`` entries are ("sq", pos, pos) or
+        """Materialise a unit sequence: (units, extra steps, extra internal
+        cost).  ``expanded`` entries are ("sq", pos, pos) or
         ("sub", lo, hi); ``pair_index`` names the left square of the one
         binary combination, done first."""
         units = []
@@ -757,46 +737,35 @@ class _GeneralSolver:
                     )
                 )
                 own_cost += w
-                units.append((Unit(w, circle, False, a, b), (a, b)))
+                units.append(Unit(w, circle, False, a, b))
                 idx += 2
                 continue
             if kind == "sq":
-                units.append((Unit(self.w[lo], lo, True, lo, lo), lo))
+                units.append(Unit(self.w[lo], lo, True, lo, lo))
             else:
                 sub = self.solve_tree(lo, hi)
                 own_steps.extend(sub.steps)
                 own_cost += sub.cost
-                is_sq = isinstance(sub.shape, int)
-                units.append((Unit(sub.weight, sub.ref, is_sq, lo, hi), sub.shape))
+                units.append(Unit(sub.weight, sub.ref, lo == hi, lo, hi))
             idx += 1
         return units, own_steps, own_cost
 
     def _run_plan(self, expanded, pair_index) -> _Sol:
         units, own_steps, own_cost = self._plan_units(expanded, pair_index)
-        unit_objs = [u for u, _shape in units]
-        shapes = {i: shape for i, (_u, shape) in enumerate(units)}
-        if len(unit_objs) == 1:
-            unit = unit_objs[0]
-            return _Sol(own_cost, unit.weight, tuple(own_steps), shapes[0], unit.ref)
-        state = EngineState(unit_objs, allocator=self._alloc)
+        if len(units) == 1:
+            unit = units[0]
+            return _Sol(own_cost, unit.weight, tuple(own_steps), unit.ref)
+        state = EngineState(units, allocator=self._alloc)
         state.run()
         levels = state.unit_levels()
-        unit_tree = reconstruct_from_levels(
-            levels, [u.weight for u in unit_objs], MODE_PURE
-        )
-
-        def expand(nid):
-            nd = unit_tree.nodes[nid]
-            if nd.is_leaf:
-                return shapes[nd.leaf_index]
-            return tuple(expand(c) for c in nd.children)
-
-        shape = expand(unit_tree.root)
+        try:
+            pure_centre_leaves(levels)  # the final unit levels form one tree
+        except InvalidLevelSequence as exc:
+            raise _unrealisable(levels, exc) from exc
         steps = tuple(own_steps) + state.trace_steps()
         cost = own_cost + sum(s.weight for s in state.trace_steps())
-        root_ref = state.live[0].ref
-        weight = sum(u.weight for u in unit_objs)
-        return _Sol(cost, weight, steps, shape, root_ref)
+        weight = sum(u.weight for u in units)
+        return _Sol(cost, weight, steps, state.live[0].ref)
 
     def solve(self) -> tuple:
         n = len(self.w)
@@ -816,9 +785,7 @@ class _GeneralSolver:
                     accordion_span=s.accordion_span,
                 )
             )
-        trace = CombinationTrace(n, tuple(steps))
-        tree = _tree_from_shape(sol.shape, self.w)
-        return sol, trace, tree
+        return sol, CombinationTrace(n, tuple(steps))
 
 
 def _shift_pcn(node: PcnNode, off: int) -> PcnNode:
@@ -830,39 +797,21 @@ def _shift_pcn(node: PcnNode, off: int) -> PcnNode:
     )
 
 
-def _tree_from_shape(shape, weights):
-    builder = TreeBuilder(weights)
-
-    def rec(node):
-        if isinstance(node, int):
-            return node
-        return builder.internal([rec(c) for c in node])
-
-    return builder.finish([rec(shape)])
-
-
 def general_solve(weights: Sequence[int]) -> SolveReport:
     """Optimal-tree search for arbitrary inputs: resolve permanent runs as
     one- or two-root subproblems, fix parity with a single binary pair when
     needed, then run the greedy ternary combination over the units; the
-    cheapest completion wins."""
+    cheapest completion wins.  The tree is the replay of the final trace."""
     ws = validate_weights(weights)
-    solver = _GeneralSolver(ws)
-    sol, trace, tree = solver.solve()
-    trace.validate(ws)
-    cost = tree_cost(tree, ws)
-    levels = leaf_levels(tree)
-    if cost != sol.cost or cost != trace.total():
-        raise EngineError(
-            f"cost mismatch: tree {cost}, plan {sol.cost}, increments {trace.total()}"
-        )
-    if signed_levels(trace) != levels:
-        raise EngineError("trace levels disagree with the assembled tree")
+    sol, trace = _GeneralSolver(ws).solve()
+    tree = reconstruct_from_trace(trace, ws)
+    if sol.cost != trace.total():
+        raise EngineError(f"cost mismatch: plan {sol.cost}, increments {trace.total()}")
     return SolveReport(
         algorithm="ternary",
         weights=ws,
-        cost=cost,
-        levels=levels,
+        cost=sol.cost,
+        levels=signed_levels(trace),
         tree=tree,
         trace=trace,
     )

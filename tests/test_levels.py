@@ -185,3 +185,62 @@ class TestEngineOutputsReplay:
             report = solve_pure_ternary(ws)
             rebuilt = reconstruct_from_levels(report.levels, ws, MODE_PURE)
             assert tree_cost(rebuilt, ws) == report.cost
+
+
+def _solver_outcomes(solver, inputs):
+    """sha256 over each input's full report (algorithm, cost, levels, tree
+    node table and roots, trace), or over the exception's type and text."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for ws in inputs:
+        try:
+            r = solver(ws)
+            out = (r.algorithm, r.cost, r.levels, r.tree.nodes, r.tree.roots,
+                   r.trace.to_json_obj())
+        except (RuntimeError, ValueError) as exc:  # the error is pinned output
+            out = (type(exc).__name__, str(exc))
+        h.update(repr(out).encode())
+    return h.hexdigest()
+
+
+def _pinned_inputs(seed, count, sizes):
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        hi = rng.choice([2, 9, 30, 100])
+        out.append(tuple(rng.randint(0, hi) for _ in range(rng.choice(sizes))))
+    return out
+
+
+class TestPinnedSolverOutputs:
+    """Every solver's whole output, tree node ids included, stays fixed on
+    seeded inputs: any change to a tree, level sequence, trace or error text
+    changes a digest.  The inputs cover permanent runs, binary pairs and
+    accordion steps, and the general solver's one known EngineError."""
+
+    # the 20-leaf general_solve crash pinned by the benchmark's fuzz workload
+    REPRODUCER = (29, 6, 44, 13, 50, 2, 72, 14, 95, 33, 45, 70, 43, 54, 29, 5, 17, 21, 16, 93)
+    GENERAL = "b58855ef2c9e9725fdef3b64856d4b66d523e37c51091cecadc4c2c5940ad6cd"
+    PURE = "8e55fdec3f74d9ec82c08c18640d2ee8f75ebf853ea288ae3f088a56e4b7767f"
+    HU_TUCKER = "d935b1f27b64d8d178d4404fcd851dd44a48152135dbfd3f2a182a06368736be"
+
+    def test_general_solve(self):
+        from alphatree.ternary import general_solve
+
+        inputs = _pinned_inputs(501, 300, range(1, 15)) + [self.REPRODUCER]
+        assert _solver_outcomes(general_solve, inputs) == self.GENERAL
+
+    def test_solve_pure_ternary(self):
+        from alphatree.ternary import solve_pure_ternary
+
+        inputs = _pinned_inputs(502, 60, range(1, 40, 2))
+        assert _solver_outcomes(solve_pure_ternary, inputs) == self.PURE
+
+    def test_hu_tucker(self):
+        from alphatree.binary import hu_tucker
+
+        inputs = _pinned_inputs(503, 60, range(1, 60))
+        assert _solver_outcomes(hu_tucker, inputs) == self.HU_TUCKER

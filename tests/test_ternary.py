@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,11 +14,11 @@ from alphatree.core import (
 from alphatree.levels import signed_levels
 from alphatree.oracle import dp_optimal
 from alphatree.ternary import (
+    EngineError,
     EngineState,
     Unit,
     available_negatives,
     detect_pcns,
-    enumerate_candidates,
     general_solve,
     is_pair_pcn_free,
     pure_ternary_phase1,
@@ -64,6 +65,36 @@ def negatives_from_forest(state):
         if (pos, owner) not in state.spent:
             out.append((pos, state.units[pos].weight, owner))
     return sorted(out)
+
+
+def enumerate_candidates(state):
+    """Every legal combination available right now, best first: each plain
+    triple of each window, and each accordion slice with each pair of outer
+    nodes from its gap buckets.  The reference for ``EngineState._scan``,
+    which builds only the candidates at the minimum weight."""
+    if state.done:
+        return []
+    if not any(nd.pos is not None for nd in state.live):
+        return [state._queue_candidate()]
+    live = state.live
+    m = len(live)
+    cap, _min_to_blk = state._window_arrays()
+    out = []
+    for i in range(m - 2):
+        for j in range(i + 1, min(cap[i], m - 2) + 1):
+            for k in range(j + 1, cap[j] + 1):
+                a, b, c = live[i], live[j], live[k]
+                out.append(state._plain_candidate(a, b, c, a.weight + b.weight + c.weight))
+    elems = state._merged_elements()
+    slices = state._accordion_slices(elems)
+    if slices:
+        left_bucket, right_bucket, _lmin, _rmin = state._gap_buckets(elems)
+        for a, b, acc in slices:
+            for left in left_bucket[a]:
+                for right in right_bucket[b]:
+                    w = left.weight + acc + right.weight
+                    out.append(state._accordion_candidate(left, right, elems[a : b + 1], w))
+    return sorted(out, key=lambda c: c.key)
 
 
 def brute_force_pcn_spans(ws):
@@ -150,9 +181,14 @@ class TestAvailableNegatives:
 
     def test_spent_pairing_not_reissued(self):
         state = engine_for(SEVEN_WEIGHTS, steps=2)
-        # the (centre leaf, first circle) pairing was used by step two
+        # step two took leaf 3 negatively from circle 7: the leaf is a live
+        # square again, so it cannot be offered as a negative ...
         assert (3, 7) in state.spent
-        assert all(pos != 3 for pos, _w, _o in available_negatives(state))
+        assert 3 in state.live_square_positions()
+        # ... and a step that reuses the pairing anyway is refused
+        reuse = dataclasses.replace(state._choose_candidate(), negatives=(3,))
+        with pytest.raises(EngineError, match="without a fresh pairing"):
+            state._apply(reuse)
 
 
 class TestEnumerateCandidates:
