@@ -20,7 +20,7 @@ from .core import (
     StructureError,
     validate_weights,
 )
-from .levels import reconstruct_from_trace, signed_levels
+from .levels import report_from_trace
 
 SQUARE = "square"
 CIRCLE = "circle"
@@ -95,13 +95,4 @@ def hu_tucker(weights: Sequence[int]) -> SolveReport:
     """Full pipeline: combine, assign levels, reconstruct (the last two are
     the replay of the combination trace)."""
     ws = validate_weights(weights)
-    trace = phase1_combine_binary(ws)
-    tree = reconstruct_from_trace(trace, ws)
-    return SolveReport(
-        algorithm="hu-tucker",
-        weights=ws,
-        cost=trace.total(),
-        levels=signed_levels(trace),
-        tree=tree,
-        trace=trace,
-    )
+    return report_from_trace("hu-tucker", phase1_combine_binary(ws), ws)

@@ -3,8 +3,8 @@
 Levels are signed: a combination can consume a previously combined leaf with
 negative weight, and each such occurrence subtracts its depth.  Reconstruction
 turns a level sequence back into the unique forest the rules below allow.
-Every solver gets its tree here, from ``reconstruct_from_trace`` on its own
-combination trace.
+Every solver gets its tree and levels here, from ``report_from_trace`` on its
+own combination trace.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Sequence
 from .core import (
     AlphaTree,
     CombinationTrace,
+    SolveReport,
     StructureError,
     TraceError,
     TreeBuilder,
@@ -182,11 +183,33 @@ def reconstruct_from_trace(trace: CombinationTrace, weights: Sequence[int]) -> A
     Validates the trace, derives the signed levels, then reconstructs guided
     by the arities the trace recorded (its binary steps pin down where pairs
     sit).  The result is alphabetic, and a TraceError is raised unless its
-    cost equals the sum of the trace increments.  ``hu_tucker``,
-    ``solve_pure_ternary`` and ``general_solve`` each build their tree with
-    this one call on their final trace.
+    cost equals the sum of the trace increments.
     """
+    return _replay(trace, validate_weights(weights))[1]
+
+
+def report_from_trace(
+    algorithm: str, trace: CombinationTrace, weights: Sequence[int]
+) -> SolveReport:
+    """The ``SolveReport`` of a complete trace: the replay of
+    ``reconstruct_from_trace``, with the signed levels it derived as the
+    reported levels.  ``hu_tucker``, ``solve_pure_ternary`` and
+    ``general_solve`` each build their report with this one call on their
+    final trace."""
     ws = validate_weights(weights)
+    levels, tree = _replay(trace, ws)
+    return SolveReport(
+        algorithm=algorithm,
+        weights=ws,
+        cost=trace.total(),
+        levels=levels,
+        tree=tree,
+        trace=trace,
+    )
+
+
+def _replay(trace: CombinationTrace, ws: tuple) -> tuple:
+    """(signed levels, tree) of a complete trace over validated weights."""
     trace.validate(ws)
     levels = signed_levels(trace)
     arities = {s.arity for s in trace.steps}
@@ -203,4 +226,4 @@ def reconstruct_from_trace(trace: CombinationTrace, weights: Sequence[int]) -> A
     want = trace.total()
     if got != want:
         raise TraceError(f"replayed tree costs {got}, trace increments sum to {want}")
-    return tree
+    return levels, tree

@@ -13,6 +13,7 @@ of live squares and previously combined centre leaves taken negatively.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -34,8 +35,7 @@ from .levels import (
     InvalidLevelSequence,
     pure_centre_leaves,
     reconstruct_from_levels,
-    reconstruct_from_trace,
-    signed_levels,
+    report_from_trace,
 )
 
 
@@ -56,10 +56,6 @@ class PcnNode:
     hi: int
     weight: int
     children: tuple
-
-    @property
-    def span(self) -> Tuple[int, int]:
-        return (self.lo, self.hi)
 
 
 def detect_pcns(weights: Sequence[int]) -> tuple:
@@ -527,9 +523,11 @@ def available_negatives(state: EngineState):
     with the circle that last consumed them.  The forest's top-level triples
     come from one stack pass over the unit levels; no tree is built.
 
-    A leaf used negatively is a live square again until a new circle
-    consumes it and becomes its owner, so a spent pairing cannot show up
-    here; ``EngineState._apply`` refuses one all the same."""
+    A centre leaf that is not a live square was consumed positively, so
+    ``last_consumer`` holds its owner; a leaf used negatively is a live
+    square again until a new circle consumes it and becomes its owner, so a
+    spent pairing cannot show up here either.  ``EngineState._apply``
+    refuses a missing or spent pairing all the same."""
     if not state.steps:
         return []
     levels = state.unit_levels()
@@ -542,9 +540,7 @@ def available_negatives(state: EngineState):
     for pos in centres:
         if not state.units[pos].is_square or pos in live_squares:
             continue
-        owner = state.last_consumer.get(pos)
-        if owner is not None:
-            out.append((pos, state.units[pos].weight, owner))
+        out.append((pos, state.units[pos].weight, state.last_consumer.get(pos)))
     return out
 
 
@@ -573,16 +569,7 @@ def _solve_pure_ternary(weights: Sequence[int]) -> Tuple[SolveReport, dict]:
     """``solve_pure_ternary`` plus the engine's ``stats`` counters."""
     ws = validate_weights(weights)
     trace, stats = _pure_ternary_run(ws)
-    tree = reconstruct_from_trace(trace, ws)
-    report = SolveReport(
-        algorithm="pure-ternary",
-        weights=ws,
-        cost=trace.total(),
-        levels=signed_levels(trace),
-        tree=tree,
-        trace=trace,
-    )
-    return report, stats
+    return report_from_trace("pure-ternary", trace, ws), stats
 
 
 def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
@@ -594,14 +581,6 @@ def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
 
 
 @dataclass(frozen=True)
-class UnitSpec:
-    kind: str  # "square" | "pcn"
-    weight: int
-    pos: Optional[int] = None  # leaf index, squares only
-    pcn: Optional[PcnNode] = None
-
-
-@dataclass(frozen=True)
 class _Sol:
     cost: int  # internal cost of the subtree
     weight: int  # total leaf weight
@@ -610,13 +589,14 @@ class _Sol:
 
 
 class _GeneralSolver:
+    # Above this many single-vs-two-root choice vectors, fall back to the
+    # one-action enumeration (all single-root, or exactly one fix).
+    VECTOR_CAP = 512
+
     def __init__(self, weights):
         self.w = weights
-        self._next = itertools.count(len(weights))
+        self._alloc = itertools.count(len(weights)).__next__
         self._memo: Dict[tuple, _Sol] = {}
-
-    def _alloc(self) -> int:
-        return next(self._next)
 
     def solve_tree(self, lo: int, hi: int) -> _Sol:
         key = (lo, hi)
@@ -625,133 +605,93 @@ class _GeneralSolver:
         if lo == hi:
             sol = _Sol(0, self.w[lo], (), lo)
         else:
-            sol = self._solve_span(lo, hi)
+            sol = None
+            for spans, pair in self._plans(lo, hi):
+                cand = self._run_plan(spans, pair)
+                if sol is None or cand.cost < sol.cost:
+                    sol = cand
         self._memo[key] = sol
         return sol
 
-    def _elements(self, lo: int, hi: int):
-        pcns = detect_pcns(self.w[lo : hi + 1])
-        elements = []
-        i = lo
-        by_start = {p.lo + lo: p for p in pcns}
-        while i <= hi:
-            if i in by_start:
-                p = by_start[i]
-                shifted = _shift_pcn(p, lo)
-                elements.append(UnitSpec("pcn", shifted.weight, pcn=shifted))
-                i = shifted.hi + 1
-            else:
-                elements.append(UnitSpec("square", self.w[i], pos=i))
-                i += 1
-        return elements
-
-    # Above this many single-vs-two-root choice vectors, fall back to the
-    # one-action enumeration (all single-root, or exactly one fix).
-    VECTOR_CAP = 512
-
-    def _solve_span(self, lo: int, hi: int) -> _Sol:
-        elements = self._elements(lo, hi)
-        best = None
-        for expanded, pair_index in self._plans(elements):
-            sol = self._run_plan(expanded, pair_index)
-            if best is None or sol.cost < best.cost:
-                best = sol
-        return best
-
-    def _plans(self, elements):
-        """Unit sequences to try: every combination of single-root vs split
-        for the permanent runs (parity never forces one choice: either can
-        win on cost), plus one adjacent-square pair when the count is even.
-        Every adjacent square pair is tried: the one binary node of an
-        optimal tree is usually, but not always, a minimum-weight pair, so
-        the cheaper completion decides.  Ordered by split count then
-        position, so ties resolve leftmost."""
-        pcn_idxs = [i for i, el in enumerate(elements) if el.kind == "pcn"]
-        option_lists = []
-        for i in pcn_idxs:
-            pcn = elements[i].pcn
-            option_lists.append([None] + list(range(pcn.lo, pcn.hi)))
-        total = 1
-        for opts in option_lists:
-            total *= len(opts)
-            if total > self.VECTOR_CAP:
-                break
-        if total > self.VECTOR_CAP:
-            vectors = [dict()]
+    def _plans(self, lo: int, hi: int) -> list:
+        """Plans ``(spans, pair)`` to try for leaves lo..hi.  ``spans`` is the
+        sorted list of leaf spans, one per unit: a leaf outside every
+        top-level permanent run, a whole run (one root) or one of the two
+        halves of a split run (two roots).  Every combination of single-root
+        vs split is tried (parity never forces one choice: either can win on
+        cost).  When the unit count is even, ``pair`` is the left leaf of the
+        one binary pair, two adjacent leaves outside every run (a split half
+        of length 1 is never paired); otherwise it is None.  Every such pair
+        is tried: the one binary node of an optimal tree is usually, but not
+        always, a minimum-weight pair, so the cheaper completion decides.
+        Ordered by split count, then by (run, cut), then by pair position,
+        so ties resolve leftmost."""
+        runs = [(p.lo + lo, p.hi + lo) for p in detect_pcns(self.w[lo : hi + 1])]
+        if math.prod(b - a + 1 for a, b in runs) > self.VECTOR_CAP:
+            single = (None,) * len(runs)
+            vectors = [single]
             vectors.extend(
-                {pcn_idxs[k]: s}
-                for k, opts in enumerate(option_lists)
-                for s in opts[1:]
+                single[:k] + (cut,) + single[k + 1 :]
+                for k, (a, b) in enumerate(runs)
+                for cut in range(a, b)
             )
         else:
-            vectors = []
-            for combo in itertools.product(*option_lists):
-                vectors.append(
-                    {pcn_idxs[k]: s for k, s in enumerate(combo) if s is not None}
-                )
-            vectors.sort(key=lambda v: (len(v), sorted(v.items())))
+            vectors = sorted(
+                itertools.product(*([None, *range(a, b)] for a, b in runs)),
+                key=lambda v: (
+                    len(v) - v.count(None),
+                    [(k, cut) for k, cut in enumerate(v) if cut is not None],
+                ),
+            )
+        inside = {i for a, b in runs for i in range(a, b + 1)}
+        leaves = [(i, i) for i in range(lo, hi + 1) if i not in inside]
+        pairs = [i for i in range(lo, hi) if i not in inside and i + 1 not in inside]
         plans = []
         for vec in vectors:
-            expanded = []
-            for i, el in enumerate(elements):
-                if el.kind == "square":
-                    expanded.append(("sq", el.pos, el.pos))
-                elif i in vec:
-                    expanded.append(("sub", el.pcn.lo, vec[i]))
-                    expanded.append(("sub", vec[i] + 1, el.pcn.hi))
-                else:
-                    expanded.append(("sub", el.pcn.lo, el.pcn.hi))
-            if len(expanded) % 2 == 1:
-                plans.append((expanded, None))
+            spans = list(leaves)
+            for (a, b), cut in zip(runs, vec):
+                spans.extend([(a, b)] if cut is None else [(a, cut), (cut + 1, b)])
+            spans.sort()
+            if len(spans) % 2 == 1:
+                plans.append((spans, None))
             else:
-                for j in range(len(expanded) - 1):
-                    if expanded[j][0] == "sq" and expanded[j + 1][0] == "sq":
-                        plans.append((expanded, j))
+                plans.extend((spans, i) for i in pairs)
         if not plans:
             raise EngineError("no feasible unit sequence for this span")
         return plans
 
-    def _plan_units(self, expanded, pair_index):
-        """Materialise a unit sequence: (units, extra steps, extra internal
-        cost).  ``expanded`` entries are ("sq", pos, pos) or
-        ("sub", lo, hi); ``pair_index`` names the left square of the one
-        binary combination, done first."""
+    def _run_plan(self, spans, pair) -> _Sol:
+        """Solve each unit of a plan left to right, the binary pair (leaves
+        pair and pair + 1) as one circle, then combine the units with the
+        ternary engine."""
         units = []
         own_steps = []
         own_cost = 0
-        idx = 0
-        while idx < len(expanded):
-            kind, lo, hi = expanded[idx]
-            if pair_index is not None and idx == pair_index:
-                a, b = lo, expanded[idx + 1][1]
+        spans = iter(spans)
+        for lo, hi in spans:
+            if lo == pair:
+                next(spans)  # the pair's right leaf
                 circle = self._alloc()
-                w = self.w[a] + self.w[b]
+                w = self.w[lo] + self.w[lo + 1]
                 own_steps.append(
                     CombinationStep(
                         circle=circle,
                         weight=w,
                         participants=(
-                            Participant(a, 1, ROLE_PLAIN),
-                            Participant(b, 1, ROLE_PLAIN),
+                            Participant(lo, 1, ROLE_PLAIN),
+                            Participant(lo + 1, 1, ROLE_PLAIN),
                         ),
                     )
                 )
                 own_cost += w
-                units.append(Unit(w, circle, False, a, b))
-                idx += 2
-                continue
-            if kind == "sq":
+                units.append(Unit(w, circle, False, lo, lo + 1))
+            elif lo == hi:
                 units.append(Unit(self.w[lo], lo, True, lo, lo))
             else:
                 sub = self.solve_tree(lo, hi)
                 own_steps.extend(sub.steps)
                 own_cost += sub.cost
-                units.append(Unit(sub.weight, sub.ref, lo == hi, lo, hi))
-            idx += 1
-        return units, own_steps, own_cost
-
-    def _run_plan(self, expanded, pair_index) -> _Sol:
-        units, own_steps, own_cost = self._plan_units(expanded, pair_index)
+                units.append(Unit(sub.weight, sub.ref, False, lo, hi))
         if len(units) == 1:
             unit = units[0]
             return _Sol(own_cost, unit.weight, tuple(own_steps), unit.ref)
@@ -788,15 +728,6 @@ class _GeneralSolver:
         return sol, CombinationTrace(n, tuple(steps))
 
 
-def _shift_pcn(node: PcnNode, off: int) -> PcnNode:
-    return PcnNode(
-        node.lo + off,
-        node.hi + off,
-        node.weight,
-        tuple(_shift_pcn(c, off) for c in node.children),
-    )
-
-
 def general_solve(weights: Sequence[int]) -> SolveReport:
     """Optimal-tree search for arbitrary inputs: resolve permanent runs as
     one- or two-root subproblems, fix parity with a single binary pair when
@@ -804,14 +735,7 @@ def general_solve(weights: Sequence[int]) -> SolveReport:
     cheapest completion wins.  The tree is the replay of the final trace."""
     ws = validate_weights(weights)
     sol, trace = _GeneralSolver(ws).solve()
-    tree = reconstruct_from_trace(trace, ws)
-    if sol.cost != trace.total():
-        raise EngineError(f"cost mismatch: plan {sol.cost}, increments {trace.total()}")
-    return SolveReport(
-        algorithm="ternary",
-        weights=ws,
-        cost=sol.cost,
-        levels=signed_levels(trace),
-        tree=tree,
-        trace=trace,
-    )
+    report = report_from_trace("ternary", trace, ws)
+    if sol.cost != report.cost:
+        raise EngineError(f"cost mismatch: plan {sol.cost}, increments {report.cost}")
+    return report

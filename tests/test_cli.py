@@ -38,6 +38,25 @@ def test_import_loads_no_numpy():
     assert loaded == "False"
 
 
+def test_benchmark_traced_layers_resolve():
+    """Every layer the benchmark's tracer wraps is still defined where
+    perfbench/tracing.py looks for it, so deleting or moving a traced symbol
+    fails here and not only in a traced benchmark run."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, qualname in tracing.LAYERS:
+        owner = importlib.import_module(module)
+        *parents, attr = qualname.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(attr)), f"{module}.{qualname}"
+
+
 class TestSolve:
     def test_pure_ternary_levels(self, capsys):
         code, out, _ = run(

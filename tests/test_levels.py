@@ -215,6 +215,27 @@ def _pinned_inputs(seed, count, sizes):
     return out
 
 
+def _past_cap_inputs(seed, count):
+    """Heavy leaves (60..100), each followed by a run of 2 or 3 light leaves
+    (0..5), added until the runs allow over 1024 single-vs-split choice
+    vectors, twice ``_GeneralSolver.VECTOR_CAP``: a heavy leaf that, with the
+    runs beside it, is lighter than both heavy neighbours makes one larger
+    run with fewer choices."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        ws, vectors = [], 1
+        while vectors <= 1024:
+            run = rng.choice([2, 3])
+            ws.append(rng.randint(60, 100))
+            ws.extend(rng.randint(0, 5) for _ in range(run))
+            vectors *= run
+        out.append(tuple(ws))
+    return out
+
+
 class TestPinnedSolverOutputs:
     """Every solver's whole output, tree node ids included, stays fixed on
     seeded inputs: any change to a tree, level sequence, trace or error text
@@ -226,12 +247,24 @@ class TestPinnedSolverOutputs:
     GENERAL = "b58855ef2c9e9725fdef3b64856d4b66d523e37c51091cecadc4c2c5940ad6cd"
     PURE = "8e55fdec3f74d9ec82c08c18640d2ee8f75ebf853ea288ae3f088a56e4b7767f"
     HU_TUCKER = "d935b1f27b64d8d178d4404fcd851dd44a48152135dbfd3f2a182a06368736be"
+    PAST_CAP = "6f16daf54649bfaedd75cd7423658f8a9dc72e2886aee81e76a0eae400bbbc52"
 
     def test_general_solve(self):
         from alphatree.ternary import general_solve
 
         inputs = _pinned_inputs(501, 300, range(1, 15)) + [self.REPRODUCER]
         assert _solver_outcomes(general_solve, inputs) == self.GENERAL
+
+    def test_general_solve_past_vector_cap(self):
+        import math
+
+        from alphatree.ternary import _GeneralSolver, detect_pcns, general_solve
+
+        inputs = _past_cap_inputs(504, 30)
+        for ws in inputs:  # every input takes the one-fix-at-a-time fallback
+            vectors = math.prod(p.hi - p.lo + 1 for p in detect_pcns(ws))
+            assert vectors > _GeneralSolver.VECTOR_CAP
+        assert _solver_outcomes(general_solve, inputs) == self.PAST_CAP
 
     def test_solve_pure_ternary(self):
         from alphatree.ternary import solve_pure_ternary
