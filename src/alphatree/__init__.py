@@ -28,7 +28,7 @@ from .harness import (
 from .levels import (
     InvalidLevelSequence,
     reconstruct_from_levels,
-    reconstruct_from_trace,
+    report_from_trace,
     signed_levels,
 )
 from .oracle import RefusedSize, dp_optimal, exhaustive_optimal

@@ -42,7 +42,7 @@ from .core import (
     leaf_levels,
     validate_weights,
 )
-from .harness import InstanceSpec, bench_growth, fuzz_compare
+from .harness import PAPER_FAMILY, InstanceSpec, bench_growth, fuzz_compare
 from .oracle import RefusedSize, dp_optimal, exhaustive_optimal
 from .ternary import general_solve, solve_pure_ternary
 
@@ -213,7 +213,7 @@ def _parse_sizes(text: str) -> list:
 def cmd_fuzz(args) -> int:
     try:
         if args.paper_family:
-            spec = InstanceSpec(paper_family=True)
+            summary = fuzz_compare(instances=PAPER_FAMILY)
         else:
             sizes = _parse_sizes(args.n)
             spec = InstanceSpec(
@@ -227,7 +227,7 @@ def cmd_fuzz(args) -> int:
                 odd_only=args.odd,
                 pcn_free=args.pcn_free,
             )
-        summary = fuzz_compare(spec)
+            summary = fuzz_compare(spec)
         obj = summary.to_json_obj()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -42,11 +42,8 @@ class InstanceSpec:
     weight_hi: int = 100
     odd_only: bool = False
     pcn_free: bool = False
-    paper_family: bool = False
 
     def generate(self) -> List[tuple]:
-        if self.paper_family:
-            return [tuple(w) for w in PAPER_FAMILY]
         rng = random.Random(self.seed)
         sizes = [
             n
@@ -146,7 +143,6 @@ def check_report(report) -> List[str]:
 def fuzz_compare(
     spec: Optional[InstanceSpec] = None,
     instances: Optional[Sequence[Sequence[int]]] = None,
-    validate: bool = True,
 ) -> FuzzSummary:
     """Run the general engine and the DP oracle over each instance and
     summarise agreement.  Every strict gap becomes a DivergenceRecord."""
@@ -163,11 +159,10 @@ def fuzz_compare(
         report = general_solve(ws)
         oracle_cost, _tree = dp_optimal(ws, (2, 3))
         gap = report.cost - oracle_cost
-        if validate:
-            problems = check_report(report)
-            if gap < 0:
-                problems.append("engine cost below the optimum")
-            violations += len(problems)
+        problems = check_report(report)
+        if gap < 0:
+            problems.append("engine cost below the optimum")
+        violations += len(problems)
         if gap == 0:
             equal += 1
         else:
@@ -227,15 +222,13 @@ def bench_growth(
     seed: int = 0,
     engine: str = "ternary",
     repeats: int = 3,
-    weight_lo: int = 50,
-    weight_hi: int = 99,
 ) -> BenchReport:
     """Per-size timing and operation counts for one engine.
 
-    The default weight band keeps adjacent-pair sums above every single
-    weight, so no permanent runs appear and the ternary engine exercises its
-    combination phase directly.  The slope is a least-squares fit of
-    log(time) against log(n).
+    Weights are drawn from 50..99, a band that keeps adjacent-pair sums
+    above every single weight, so no permanent runs appear and the ternary
+    engine exercises its combination phase directly.  The slope is a
+    least-squares fit of log(time) against log(n).
     """
     if engine not in ("ternary", "binary"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -244,7 +237,7 @@ def bench_growth(
         if engine == "ternary" and n % 2 == 0:
             raise ValueError("the ternary combination benchmark needs odd sizes")
         rng = random.Random(seed * 1_000_003 + n)
-        ws = tuple(rng.randint(weight_lo, weight_hi) for _ in range(n))
+        ws = tuple(rng.randint(50, 99) for _ in range(n))
         times = []
         steps = candidates = 0
         for _ in range(max(1, repeats)):

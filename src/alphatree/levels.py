@@ -177,39 +177,18 @@ def reconstruct_from_levels(
     return _reconstruct(tuple(levels), weights, mode)
 
 
-def reconstruct_from_trace(trace: CombinationTrace, weights: Sequence[int]) -> AlphaTree:
-    """Deterministic replay of a complete trace into the final tree.
-
-    Validates the trace, derives the signed levels, then reconstructs guided
-    by the arities the trace recorded (its binary steps pin down where pairs
-    sit).  The result is alphabetic, and a TraceError is raised unless its
-    cost equals the sum of the trace increments.
-    """
-    return _replay(trace, validate_weights(weights))[1]
-
-
 def report_from_trace(
     algorithm: str, trace: CombinationTrace, weights: Sequence[int]
 ) -> SolveReport:
-    """The ``SolveReport`` of a complete trace: the replay of
-    ``reconstruct_from_trace``, with the signed levels it derived as the
-    reported levels.  ``hu_tucker``, ``solve_pure_ternary`` and
-    ``general_solve`` each build their report with this one call on their
-    final trace."""
+    """The ``SolveReport`` of a complete trace, by deterministic replay.
+
+    Validates the trace, derives the signed levels (the reported levels),
+    then reconstructs the tree guided by the arities the trace recorded (its
+    binary steps pin down where pairs sit).  The tree is alphabetic, and a
+    TraceError is raised unless its cost equals the sum of the trace
+    increments.  ``hu_tucker``, ``solve_pure_ternary`` and ``general_solve``
+    each build their report with this one call on their final trace."""
     ws = validate_weights(weights)
-    levels, tree = _replay(trace, ws)
-    return SolveReport(
-        algorithm=algorithm,
-        weights=ws,
-        cost=trace.total(),
-        levels=levels,
-        tree=tree,
-        trace=trace,
-    )
-
-
-def _replay(trace: CombinationTrace, ws: tuple) -> tuple:
-    """(signed levels, tree) of a complete trace over validated weights."""
     trace.validate(ws)
     levels = signed_levels(trace)
     arities = {s.arity for s in trace.steps}
@@ -226,4 +205,11 @@ def _replay(trace: CombinationTrace, ws: tuple) -> tuple:
     want = trace.total()
     if got != want:
         raise TraceError(f"replayed tree costs {got}, trace increments sum to {want}")
-    return levels, tree
+    return SolveReport(
+        algorithm=algorithm,
+        weights=ws,
+        cost=want,
+        levels=levels,
+        tree=tree,
+        trace=trace,
+    )

@@ -55,13 +55,13 @@ class PcnNode:
     lo: int
     hi: int
     weight: int
-    children: tuple
 
 
 def detect_pcns(weights: Sequence[int]) -> tuple:
-    """Hierarchical forest of all permanent runs (length >= 2, proper
-    subspans only).  The sequence ends count as infinitely heavy neighbours,
-    so boundary runs qualify; the full sequence itself never does.
+    """The outermost permanent runs (length >= 2, proper subspans only), left
+    to right.  The sequence ends count as infinitely heavy neighbours, so
+    boundary runs qualify; the full sequence itself never does.  Runs nested
+    inside one of these are found by calling this again on its span.
 
     Ends are heavy here because a run at an end has nothing on that side to
     combine with: it is forced together exactly like an interior run, so the
@@ -79,20 +79,13 @@ def detect_pcns(weights: Sequence[int]) -> tuple:
             if (i == 0 or ws[i - 1] > total) and (j + 1 == n or total < ws[j + 1]):
                 spans.append((i, j, total))
     spans.sort(key=lambda s: (s[0], -s[1]))
-    root = (-1, n, 0, [])
-    stack = [root]
+    # runs never overlap partially, so a run is outermost when it starts past
+    # the end of the last one kept
+    out = []
     for lo, hi, w in spans:
-        while not (stack[-1][0] <= lo and hi <= stack[-1][1]):
-            stack.pop()
-        node = (lo, hi, w, [])
-        stack[-1][3].append(node)
-        stack.append(node)
-
-    def freeze(raw):
-        lo, hi, w, kids = raw
-        return PcnNode(lo, hi, w, tuple(freeze(k) for k in kids))
-
-    return tuple(freeze(k) for k in root[3])
+        if not out or lo > out[-1].hi:
+            out.append(PcnNode(lo, hi, w))
+    return tuple(out)
 
 
 def is_pair_pcn_free(weights: Sequence[int]) -> bool:
@@ -126,10 +119,8 @@ class Unit:
     the opaque root of an already-solved subproblem."""
 
     weight: int
-    ref: int  # node id used in the emitted trace
+    ref: int  # node id used in the emitted trace; the leaf index of a square
     is_square: bool  # True for original leaves
-    leaf_lo: int  # leaf span covered, for accordion bookkeeping
-    leaf_hi: int
 
 
 @dataclass
@@ -145,17 +136,15 @@ class _Live:
 @dataclass(frozen=True)
 class Candidate:
     """A combinable triple: (left, middle, right) where the middle is either
-    a single sequence node or an accordion of alternating signed elements."""
+    a single sequence node or an accordion of alternating signed elements.
+    The participants are the one record of what the step consumes (sign +1)
+    and takes negatively (sign -1); ``EngineState._apply`` reads them."""
 
     weight: int
     key: tuple
     participants: tuple  # Participant records in sequence order
-    consumed_refs: tuple  # live node refs removed by this combination
-    consumed_units: tuple  # unit positions consumed positively
-    negatives: tuple  # unit positions used with negative sign
     span: tuple  # unit-coordinate hull (lo, hi)
-    accordion_span: Optional[tuple]  # leaf-coordinate interval or None
-    accordion_size: int  # 0 for plain triples
+    accordion_span: Optional[tuple] = None  # leaf-coordinate interval
 
 
 class EngineState:
@@ -229,28 +218,14 @@ class EngineState:
         while not self.done:
             self.advance()
 
-    def trace_steps(self) -> tuple:
-        return tuple(self.steps)
-
     # -- queue endgame -----------------------------------------------------
 
     def _queue_candidate(self) -> Candidate:
         """Only circles remain: combine the three oldest, in creation order."""
         oldest = sorted(self.live, key=lambda nd: nd.ref)[:3]
-        trio = sorted(oldest, key=lambda nd: (nd.lo, nd.hi))
-        w = sum(nd.weight for nd in trio)
+        a, b, c = sorted(oldest, key=lambda nd: (nd.lo, nd.hi))
         self.stats["candidates"] += 1
-        return Candidate(
-            weight=w,
-            key=(w, trio[0].lo, 0, trio[-1].hi, trio[1].lo),
-            participants=tuple(Participant(nd.ref, 1, ROLE_PLAIN) for nd in trio),
-            consumed_refs=tuple(nd.ref for nd in trio),
-            consumed_units=tuple(nd.pos for nd in trio if nd.pos is not None),
-            negatives=(),
-            span=(trio[0].lo, trio[-1].hi),
-            accordion_span=None,
-            accordion_size=0,
-        )
+        return self._plain_candidate(a, b, c, a.weight + b.weight + c.weight)
 
     # -- candidate search ---------------------------------------------------
 
@@ -432,41 +407,22 @@ class EngineState:
                 Participant(b.ref, 1, ROLE_PLAIN),
                 Participant(c.ref, 1, ROLE_PLAIN),
             ),
-            consumed_refs=(a.ref, b.ref, c.ref),
-            consumed_units=tuple(nd.pos for nd in (a, b, c) if nd.pos is not None),
-            negatives=(),
             span=(a.lo, c.hi),
-            accordion_span=None,
-            accordion_size=0,
         )
 
     def _accordion_candidate(self, left: _Live, right: _Live, elems, w: int) -> Candidate:
-        parts = [Participant(left.ref, 1, ROLE_OUTER)]
-        consumed_units = [left.pos] if left.pos is not None else []
-        consumed_refs = [left.ref]
-        negatives = []
-        for pos, _ew, sign, ref in elems:
-            parts.append(Participant(ref, sign, ROLE_ACCORDION))
-            if sign > 0:
-                consumed_units.append(pos)
-                consumed_refs.append(ref)
-            else:
-                negatives.append(pos)
-        parts.append(Participant(right.ref, 1, ROLE_OUTER))
-        consumed_refs.append(right.ref)
-        if right.pos is not None:
-            consumed_units.append(right.pos)
-        first, last = elems[0][0], elems[-1][0]
+        """Blockers (sign 0) bound every slice, so the elements are original
+        leaves and their refs are leaf indexes."""
         return Candidate(
             weight=w,
-            key=(w, left.lo, len(elems), right.hi, first),
-            participants=tuple(parts),
-            consumed_refs=tuple(consumed_refs),
-            consumed_units=tuple(consumed_units),
-            negatives=tuple(negatives),
+            key=(w, left.lo, len(elems), right.hi, elems[0][0]),
+            participants=(
+                Participant(left.ref, 1, ROLE_OUTER),
+                *(Participant(ref, sign, ROLE_ACCORDION) for _p, _w, sign, ref in elems),
+                Participant(right.ref, 1, ROLE_OUTER),
+            ),
             span=(left.lo, right.hi),
-            accordion_span=(self.units[first].leaf_lo, self.units[last].leaf_hi),
-            accordion_size=len(elems),
+            accordion_span=(elems[0][3], elems[-1][3]),
         )
 
     # -- applying a step -----------------------------------------------------
@@ -483,7 +439,12 @@ class EngineState:
         )
         levels = self._levels
         under = []
+        consumed = set()  # live refs this step removes
+        owned = []  # unit positions consumed positively
+        negatives = []  # unit positions taken negatively
         for p in cand.participants:
+            if p.sign > 0:
+                consumed.add(p.ref)
             target = self._unit_at.get(p.ref)
             if target is None:  # a circle, always taken positively
                 nested = self._under.pop(p.ref)
@@ -493,20 +454,23 @@ class EngineState:
             else:
                 levels[target] += p.sign
                 under.append((target, p.sign))
+                if p.sign > 0:
+                    owned.append(target)
+                else:
+                    negatives.append(target)
         self._under[circle] = under
-        for pos in cand.negatives:
+        for pos in negatives:
             owner = self.last_consumer.get(pos)
             if owner is None or (pos, owner) in self.spent:
                 raise EngineError(f"negative use of unit {pos} without a fresh pairing")
             self.spent.add((pos, owner))
-        for pos in cand.consumed_units:
+        for pos in owned:
             self.last_consumer[pos] = circle
-        consumed = set(cand.consumed_refs)
         kept = [nd for nd in self.live if nd.ref not in consumed]
         kept.append(
             _Live(circle, cand.weight, cand.span[0], cand.span[1], False, None)
         )
-        for pos in cand.negatives:
+        for pos in negatives:
             unit = self.units[pos]
             kept.append(_Live(unit.ref, unit.weight, pos, pos, True, pos))
         kept.sort(key=lambda nd: (nd.lo, nd.hi))
@@ -550,9 +514,9 @@ def available_negatives(state: EngineState):
 
 def _pure_ternary_run(weights: Sequence[int]) -> Tuple[CombinationTrace, dict]:
     ws = validate_weights(weights)
-    state = EngineState([Unit(w, i, True, i, i) for i, w in enumerate(ws)])
+    state = EngineState([Unit(w, i, True) for i, w in enumerate(ws)])
     state.run()
-    return CombinationTrace(len(ws), state.trace_steps()), state.stats
+    return CombinationTrace(len(ws), tuple(state.steps)), state.stats
 
 
 def pure_ternary_phase1(weights: Sequence[int]) -> CombinationTrace:
@@ -684,14 +648,14 @@ class _GeneralSolver:
                     )
                 )
                 own_cost += w
-                units.append(Unit(w, circle, False, lo, lo + 1))
+                units.append(Unit(w, circle, False))
             elif lo == hi:
-                units.append(Unit(self.w[lo], lo, True, lo, lo))
+                units.append(Unit(self.w[lo], lo, True))
             else:
                 sub = self.solve_tree(lo, hi)
                 own_steps.extend(sub.steps)
                 own_cost += sub.cost
-                units.append(Unit(sub.weight, sub.ref, False, lo, hi))
+                units.append(Unit(sub.weight, sub.ref, False))
         if len(units) == 1:
             unit = units[0]
             return _Sol(own_cost, unit.weight, tuple(own_steps), unit.ref)
@@ -702,8 +666,8 @@ class _GeneralSolver:
             pure_centre_leaves(levels)  # the final unit levels form one tree
         except InvalidLevelSequence as exc:
             raise _unrealisable(levels, exc) from exc
-        steps = tuple(own_steps) + state.trace_steps()
-        cost = own_cost + sum(s.weight for s in state.trace_steps())
+        steps = tuple(own_steps) + tuple(state.steps)
+        cost = own_cost + sum(s.weight for s in state.steps)
         weight = sum(u.weight for u in units)
         return _Sol(cost, weight, steps, state.live[0].ref)
 

@@ -9,7 +9,7 @@ import time
 
 from alphatree.binary import hu_tucker
 from alphatree.core import is_alphabetic, tree_cost
-from alphatree.harness import InstanceSpec, bench_growth, fuzz_compare
+from alphatree.harness import PAPER_FAMILY, InstanceSpec, bench_growth, fuzz_compare
 from alphatree.levels import signed_levels
 from alphatree.oracle import dp_optimal, exhaustive_optimal
 from alphatree.ternary import general_solve, pure_ternary_phase1
@@ -143,7 +143,7 @@ def test_acceptance_8_fidelity_measurement():
     assert len(summary.records) == summary.instances - summary.equal
     for record in summary.records:
         assert record.gap > 0 and record.trace_digest
-    paper = fuzz_compare(InstanceSpec(paper_family=True))
+    paper = fuzz_compare(instances=PAPER_FAMILY)
     assert paper.equality_rate == 1.0
     print(
         f"ACCEPTANCE 8 PASS: fidelity run deterministic; measured equality rate "

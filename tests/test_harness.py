@@ -31,13 +31,10 @@ class TestInstanceSpec:
         for ws in spec.generate():
             assert all(a < b for a, b in zip(ws, ws[1:]))
 
-    def test_paper_family(self):
-        assert InstanceSpec(paper_family=True).generate() == [tuple(w) for w in PAPER_FAMILY]
-
 
 class TestFuzzCompare:
     def test_paper_family_always_matches(self):
-        summary = fuzz_compare(InstanceSpec(paper_family=True))
+        summary = fuzz_compare(instances=PAPER_FAMILY)
         assert summary.equality_rate == 1.0
         assert summary.records == ()
         assert summary.violations == 0

@@ -10,7 +10,7 @@ from alphatree.levels import (
     MODE_PURE,
     pure_centre_leaves,
     reconstruct_from_levels,
-    reconstruct_from_trace,
+    report_from_trace,
     signed_levels,
 )
 from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS
@@ -87,23 +87,23 @@ class TestPureCentreLeaves:
 
 class TestReconstructFromTrace:
     def test_seven_node_tree(self, seven_trace):
-        tree = reconstruct_from_trace(seven_trace, SEVEN_WEIGHTS)
+        tree = report_from_trace("pure-ternary", seven_trace, SEVEN_WEIGHTS).tree
         assert tree.to_nested() == [[6, 6, 1], 10, [1, 6, 6]]
         assert tree_cost(tree, SEVEN_WEIGHTS) == 62
 
     def test_fifteen_node_internal_weights(self, fifteen_trace):
-        tree = reconstruct_from_trace(fifteen_trace, FIFTEEN_WEIGHTS)
+        tree = report_from_trace("pure-ternary", fifteen_trace, FIFTEEN_WEIGHTS).tree
         assert sorted(tree.internal_weights()) == sorted([13, 13, 13, 23, 33, 23, 79])
         assert tree_cost(tree, FIFTEEN_WEIGHTS) == 197
 
     def test_binary_trace(self):
         trace = phase1_combine_binary((4, 2, 3, 4))
-        tree = reconstruct_from_trace(trace, (4, 2, 3, 4))
+        tree = report_from_trace("hu-tucker", trace, (4, 2, 3, 4)).tree
         assert tree.to_nested() == [[4, 2], [3, 4]]
 
     def test_cost_equals_increment_sum(self, seven_trace, fifteen_trace):
         for trace, ws in ((seven_trace, SEVEN_WEIGHTS), (fifteen_trace, FIFTEEN_WEIGHTS)):
-            tree = reconstruct_from_trace(trace, ws)
+            tree = report_from_trace("pure-ternary", trace, ws).tree
             assert tree_cost(tree, ws) == trace.total()
 
 
@@ -168,7 +168,7 @@ class TestEngineOutputsReplay:
             n = rng.randint(1, 12)
             ws = tuple(rng.randint(0, 30) for _ in range(n))
             report = general_solve(ws)
-            replayed = reconstruct_from_trace(report.trace, ws)
+            replayed = report_from_trace("ternary", report.trace, ws).tree
             assert tree_cost(replayed, ws) == report.cost
             rebuilt = reconstruct_from_levels(report.levels, ws, MODE_MIXED)
             assert tree_cost(rebuilt, ws) == report.cost
@@ -248,6 +248,16 @@ class TestPinnedSolverOutputs:
     PURE = "8e55fdec3f74d9ec82c08c18640d2ee8f75ebf853ea288ae3f088a56e4b7767f"
     HU_TUCKER = "d935b1f27b64d8d178d4404fcd851dd44a48152135dbfd3f2a182a06368736be"
     PAST_CAP = "6f16daf54649bfaedd75cd7423658f8a9dc72e2886aee81e76a0eae400bbbc52"
+    # the crossing-circle crash on a pair-PCN-free input and on its 13-leaf
+    # shrink with permanent runs, then an input where the engine misses the
+    # optimum; the EngineError texts are part of the digests
+    KNOWN_FAILURES = (
+        (31, 1, 47, 30, 45, 15, 75, 1, 92, 60, 94, 74, 42, 89, 66),
+        (31, 0, 1, 30, 0, 1, 31, 0, 43, 0, 1, 42, 20),
+        (1, 1, 1, 3, 1, 4, 1, 7, 1, 5, 4),
+    )
+    KNOWN_PURE = "89de9ed8e608893e5773d030c0b15036b8e03d0a393eb2371374ea0b3d858e80"
+    KNOWN_GENERAL = "6cda2936d0de52309d0c7db641890e7ce81e0f7b33481b5b6439945dbfd3ae48"
 
     def test_general_solve(self):
         from alphatree.ternary import general_solve
@@ -265,6 +275,13 @@ class TestPinnedSolverOutputs:
             vectors = math.prod(p.hi - p.lo + 1 for p in detect_pcns(ws))
             assert vectors > _GeneralSolver.VECTOR_CAP
         assert _solver_outcomes(general_solve, inputs) == self.PAST_CAP
+
+    def test_known_failures(self):
+        from alphatree.ternary import general_solve, solve_pure_ternary
+
+        inputs = self.KNOWN_FAILURES
+        assert _solver_outcomes(solve_pure_ternary, inputs) == self.KNOWN_PURE
+        assert _solver_outcomes(general_solve, inputs) == self.KNOWN_GENERAL
 
     def test_solve_pure_ternary(self):
         from alphatree.ternary import solve_pure_ternary

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphatree.core import (
+    ROLE_ACCORDION,
     CombinationTrace,
     Infeasible,
+    Participant,
     is_alphabetic,
     leaf_levels,
     tree_cost,
@@ -28,10 +30,15 @@ from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS
 
 
 def engine_for(weights, steps=0):
-    state = EngineState([Unit(w, i, True, i, i) for i, w in enumerate(weights)])
+    state = EngineState([Unit(w, i, True) for i, w in enumerate(weights)])
     for _ in range(steps):
         state.advance()
     return state
+
+
+def accordion_size(cand):
+    """Number of accordion elements in a step, 0 for a plain triple."""
+    return sum(p.role == ROLE_ACCORDION for p in cand.participants)
 
 
 def accordion_block_weights(rng, n):
@@ -113,12 +120,30 @@ def brute_force_pcn_spans(ws):
     return sorted(spans)
 
 
-def flatten_pcns(forest):
-    out = []
-    for node in forest:
-        out.append((node.lo, node.hi))
-        out.extend(flatten_pcns(node.children))
-    return sorted(out)
+def outermost(spans):
+    """The spans that no other span contains."""
+    return [
+        s for s in spans
+        if not any(t != s and t[0] <= s[0] and s[1] <= t[1] for t in spans)
+    ]
+
+
+def steps_reference(steps, n):
+    """From the steps alone: the circle that last took each leaf positively,
+    and the live refs (circles no later step consumed, and leaves never
+    consumed or last used negatively)."""
+    last_consumer, last_sign, consumed = {}, {}, set()
+    for s in steps:
+        for p in s.participants:
+            if p.ref < n:
+                last_sign[p.ref] = p.sign
+                if p.sign > 0:
+                    last_consumer[p.ref] = s.circle
+            elif p.sign > 0:
+                consumed.add(p.ref)
+    live = [s.circle for s in steps if s.circle not in consumed]
+    live += [i for i in range(n) if last_sign.get(i, -1) < 0]
+    return last_consumer, sorted(live)
 
 
 class TestDetectPcns:
@@ -137,15 +162,16 @@ class TestDetectPcns:
         ]
 
     def test_nested_spans(self):
-        forest = detect_pcns((20, 5, 1, 1, 5, 20))
-        assert [(p.lo, p.hi) for p in forest] == [(1, 4)]
-        assert [(c.lo, c.hi) for c in forest[0].children] == [(2, 3)]
+        # only the outermost run; the nested one shows on that run's own span
+        assert [(p.lo, p.hi) for p in detect_pcns((20, 5, 1, 1, 5, 20))] == [(1, 4)]
+        assert [(p.lo, p.hi) for p in detect_pcns((5, 1, 1, 5))] == [(1, 2)]
 
     def test_matches_brute_force_on_random_inputs(self):
         rng = random.Random(3)
         for _ in range(300):
             ws = tuple(rng.randint(0, 12) for _ in range(rng.randint(1, 12)))
-            assert flatten_pcns(detect_pcns(ws)) == brute_force_pcn_spans(ws)
+            spans = [(p.lo, p.hi) for p in detect_pcns(ws)]
+            assert spans == outermost(brute_force_pcn_spans(ws))
 
     def test_invariant_weight_below_neighbours(self):
         for p in detect_pcns((9, 2, 3, 8, 1, 1, 9)):
@@ -186,7 +212,10 @@ class TestAvailableNegatives:
         assert (3, 7) in state.spent
         assert 3 in state.live_square_positions()
         # ... and a step that reuses the pairing anyway is refused
-        reuse = dataclasses.replace(state._choose_candidate(), negatives=(3,))
+        cand = state._choose_candidate()
+        reuse = dataclasses.replace(
+            cand, participants=cand.participants + (Participant(3, -1, ROLE_ACCORDION),)
+        )
         with pytest.raises(EngineError, match="without a fresh pairing"):
             state._apply(reuse)
 
@@ -196,7 +225,7 @@ class TestEnumerateCandidates:
         state = engine_for(SEVEN_WEIGHTS, steps=1)
         best = enumerate_candidates(state)[0]
         assert best.weight == 14
-        assert best.accordion_size == 3
+        assert accordion_size(best) == 3
         signed = [(p.ref, p.sign) for p in best.participants]
         assert signed == [(0, 1), (1, 1), (3, -1), (5, 1), (6, 1)]
 
@@ -244,8 +273,8 @@ class TestEnumerateCandidates:
                 expected = enumerate_candidates(state)[0]
                 chosen = state.advance()
                 assert chosen.key == expected.key
-                accordions += chosen.accordion_size > 0
-                multi_negative += chosen.accordion_size > 3
+                accordions += accordion_size(chosen) > 0
+                multi_negative += accordion_size(chosen) > 3
         assert accordions >= 30 and multi_negative >= 1
 
 
@@ -367,8 +396,9 @@ class TestStepwiseForest:
 
     def test_incremental_levels_and_negatives_track_full_rebuild(self):
         # after every step the incrementally kept levels equal the levels the
-        # trace so far implies, and the stack pass finds the same available
-        # negatives as realising the whole forest
+        # trace so far implies, the stack pass finds the same available
+        # negatives as realising the whole forest, and the owners, the live
+        # refs and the accordion span agree with what the steps alone imply
         rng = random.Random(61)
         inputs = [
             accordion_block_weights(rng, rng.choice(range(11, 42, 2))) for _ in range(30)
@@ -380,8 +410,18 @@ class TestStepwiseForest:
         for ws in inputs:
             state = engine_for(ws)
             while not state.done:
-                accordions += state.advance().accordion_size > 0
-                trace = CombinationTrace(len(ws), state.trace_steps())
+                state.advance()
+                step = state.steps[-1]
+                trace = CombinationTrace(len(ws), tuple(state.steps))
                 assert state.unit_levels() == signed_levels(trace)
                 assert available_negatives(state) == negatives_from_forest(state)
+                last_consumer, live = steps_reference(state.steps, len(ws))
+                assert state.last_consumer == last_consumer
+                assert sorted(nd.ref for nd in state.live) == live
+                refs = [p.ref for p in step.participants if p.role == ROLE_ACCORDION]
+                if refs:
+                    accordions += 1
+                    assert step.accordion_span == (refs[0], refs[-1])
+                else:
+                    assert step.accordion_span is None
         assert accordions >= 20
