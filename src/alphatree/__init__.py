@@ -39,8 +39,7 @@ from .ternary import (
     available_negatives,
     detect_pcns,
     general_solve,
-    is_pair_pcn_free,
-    pure_ternary_phase1,
+    is_interior_pair_pcn_free,
     solve_pure_ternary,
 )
 

@@ -43,7 +43,7 @@ from .core import (
     validate_weights,
 )
 from .harness import PAPER_FAMILY, InstanceSpec, bench_growth, fuzz_compare
-from .oracle import RefusedSize, dp_optimal, exhaustive_optimal
+from .oracle import dp_optimal, exhaustive_optimal
 from .ternary import general_solve, solve_pure_ternary
 
 EXIT_OK = 0
@@ -135,15 +135,7 @@ def _solve(ws: tuple, algo: str, arity: Optional[str]) -> SolveReport:
 
 
 def cmd_solve(args) -> int:
-    try:
-        report = _solve(_read_weights(args), args.algo, args.arity)
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (StructureError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    report = _solve(_read_weights(args), args.algo, args.arity)
     emit = args.emit
     if emit == "json":
         print(json.dumps(report.to_json_obj()))
@@ -166,21 +158,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        ws = _read_weights(args)
-        # the oracle first: exhaustive enumeration refuses large inputs at
-        # once, before the engine spends its time on them
-        if args.against == "exhaustive":
-            oracle_cost, _count = exhaustive_optimal(ws, (2, 3))
-        else:
-            oracle_cost, _tree = dp_optimal(ws, (2, 3))
-        report = general_solve(ws)
-    except Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (StructureError, RefusedSize, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    ws = _read_weights(args)
+    # the oracle first: exhaustive enumeration refuses large inputs at once,
+    # before the engine spends its time on them
+    if args.against == "exhaustive":
+        oracle_cost, _count = exhaustive_optimal(ws, (2, 3))
+    else:
+        oracle_cost, _tree = dp_optimal(ws, (2, 3))
+    report = general_solve(ws)
     if report.cost == oracle_cost:
         print(f"ok: engine and {args.against} oracle agree, cost {report.cost}")
         return EXIT_OK
@@ -210,56 +195,52 @@ def _parse_sizes(text: str) -> list:
     return out
 
 
+# fuzz options that shape the random instances; the parser leaves out the
+# ones not given, so InstanceSpec supplies their defaults
+_INSTANCE_OPTIONS = (
+    "n", "count", "seed", "dist", "weight_lo", "weight_hi", "odd_only", "pcn_free",
+)
+
+
 def cmd_fuzz(args) -> int:
-    try:
-        if args.paper_family:
-            summary = fuzz_compare(instances=PAPER_FAMILY)
-        else:
-            sizes = _parse_sizes(args.n)
-            spec = InstanceSpec(
-                n_min=min(sizes),
-                n_max=max(sizes),
-                count=args.count,
-                seed=args.seed,
-                dist=args.dist,
-                weight_lo=args.wlo,
-                weight_hi=args.whi,
-                odd_only=args.odd,
-                pcn_free=args.pcn_free,
+    given = {k: getattr(args, k) for k in _INSTANCE_OPTIONS if hasattr(args, k)}
+    if args.paper_family:
+        if given:
+            raise ValueError(
+                "--paper-family runs the built-in sequences and takes no "
+                "--n, --count, --seed, --dist, --wlo, --whi, --odd or --pcn-free"
             )
-            summary = fuzz_compare(spec)
-        obj = summary.to_json_obj()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                for rec in summary.records:
-                    fh.write(json.dumps(rec.to_json_obj(), sort_keys=True) + "\n")
-        print(json.dumps(obj, sort_keys=True))
-    except (StructureError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        summary = fuzz_compare(instances=PAPER_FAMILY)
+    else:
+        if "n" in given:
+            sizes = _parse_sizes(given.pop("n"))
+            given.update(n_min=min(sizes), n_max=max(sizes))
+        summary = fuzz_compare(InstanceSpec(**given))
+    obj = summary.to_json_obj()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for rec in summary.records:
+                fh.write(json.dumps(rec.to_json_obj(), sort_keys=True) + "\n")
+    print(json.dumps(obj, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    try:
-        sizes = _parse_sizes(args.n)
-        report = bench_growth(
-            sizes,
-            seed=args.seed,
-            engine=args.engine,
-            repeats=args.repeats,
-        )
-        csv_text = report.to_csv()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-        else:
-            sys.stdout.write(csv_text)
-        slope = "n/a" if report.slope is None else f"{report.slope:.3f}"
-        print(f"log-log slope estimate: {slope}")
-    except (StructureError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    sizes = _parse_sizes(args.n)
+    report = bench_growth(
+        sizes,
+        seed=args.seed,
+        engine=args.engine,
+        repeats=args.repeats,
+    )
+    csv_text = report.to_csv()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(csv_text)
+    else:
+        sys.stdout.write(csv_text)
+    slope = "n/a" if report.slope is None else f"{report.slope:.3f}"
+    print(f"log-log slope estimate: {slope}")
     return EXIT_OK
 
 
@@ -293,18 +274,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--against", choices=("dp", "exhaustive"), default="dp")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_fuzz = sub.add_parser("fuzz", help="random engine-vs-oracle comparison")
-    p_fuzz.add_argument("--n", default="1..9", help="sizes, e.g. 5..11 or 3,5,7")
-    p_fuzz.add_argument("--count", type=int, default=100)
-    p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--dist", choices=("uniform", "monotone"), default="uniform")
-    p_fuzz.add_argument("--wlo", type=int, default=0)
-    p_fuzz.add_argument("--whi", type=int, default=100)
-    p_fuzz.add_argument("--odd", action="store_true", help="odd sizes only")
+    p_fuzz = sub.add_parser(
+        "fuzz", help="random engine-vs-oracle comparison",
+        argument_default=argparse.SUPPRESS,
+    )
+    p_fuzz.add_argument("--n", help="sizes, e.g. 5..11 or 3,5,7")
+    p_fuzz.add_argument("--count", type=int)
+    p_fuzz.add_argument("--seed", type=int)
+    p_fuzz.add_argument("--dist", choices=("uniform", "monotone"))
+    p_fuzz.add_argument("--wlo", type=int, dest="weight_lo")
+    p_fuzz.add_argument("--whi", type=int, dest="weight_hi")
+    p_fuzz.add_argument("--odd", action="store_true", dest="odd_only", help="odd sizes only")
     p_fuzz.add_argument("--pcn-free", action="store_true", dest="pcn_free")
-    p_fuzz.add_argument("--paper-family", action="store_true", dest="paper_family",
+    p_fuzz.add_argument("--paper-family", action="store_true", default=False,
+                        dest="paper_family",
                         help="run the built-in regression sequences")
-    p_fuzz.add_argument("--out", help="write divergence records as JSON lines")
+    p_fuzz.add_argument("--out", default=None,
+                        help="write divergence records as JSON lines")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_bench = sub.add_parser("bench", help="growth measurement")
@@ -318,9 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except Infeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (OSError, ValueError) as exc:  # StructureError, RefusedSize included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -229,9 +229,6 @@ class CombinationStep:
     def positive_refs(self) -> tuple:
         return tuple(p.ref for p in self.participants if p.sign > 0)
 
-    def negative_refs(self) -> tuple:
-        return tuple(p.ref for p in self.participants if p.sign < 0)
-
 
 @dataclass(frozen=True)
 class CombinationTrace:

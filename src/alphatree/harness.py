@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from .binary import hu_tucker
 from .core import is_alphabetic, leaf_levels, tree_cost, validate_weights
 from .oracle import dp_optimal
-from .ternary import _solve_pure_ternary, general_solve, is_pair_pcn_free
+from .ternary import _solve_pure_ternary, general_solve, is_interior_pair_pcn_free
 
 PAPER_FAMILY = (
     (4, 2, 3, 4),
@@ -63,7 +63,7 @@ class InstanceSpec:
                     ws = tuple(rng.randint(self.weight_lo, self.weight_hi) for _ in range(n))
                 else:
                     raise ValueError(f"unknown distribution {self.dist!r}")
-                if not self.pcn_free or is_pair_pcn_free(ws):
+                if not self.pcn_free or is_interior_pair_pcn_free(ws):
                     out.append(ws)
                     break
             else:

@@ -65,8 +65,8 @@ def detect_pcns(weights: Sequence[int]) -> tuple:
 
     Ends are heavy here because a run at an end has nothing on that side to
     combine with: it is forced together exactly like an interior run, so the
-    solver must resolve it as a subproblem.  ``is_pair_pcn_free`` takes the
-    opposite convention."""
+    solver must resolve it as a subproblem.  ``is_interior_pair_pcn_free``
+    takes the opposite convention."""
     ws = validate_weights(weights)
     n = len(ws)
     spans = []
@@ -88,7 +88,7 @@ def detect_pcns(weights: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def is_pair_pcn_free(weights: Sequence[int]) -> bool:
+def is_interior_pair_pcn_free(weights: Sequence[int]) -> bool:
     """True when no adjacent pair is lighter than both its neighbours, with
     the sequence ends treated as infinitely light (boundary pairs pass).
 
@@ -206,7 +206,7 @@ class EngineState:
         if self.done:
             raise EngineError("combination already complete")
         if any(nd.pos is not None for nd in self.live):
-            cand = self._choose_candidate()
+            cand = self._scan()
         else:
             cand = self._queue_candidate()
             self.stats["queue_steps"] += 1
@@ -228,9 +228,6 @@ class EngineState:
         return self._plain_candidate(a, b, c, a.weight + b.weight + c.weight)
 
     # -- candidate search ---------------------------------------------------
-
-    def _choose_candidate(self) -> Candidate:
-        return min(self._scan(), key=lambda c: c.key)
 
     def _window_arrays(self):
         """Per live index i: ``cap[i]``, the last index a window starting at
@@ -295,23 +292,21 @@ class EngineState:
             seg_start = e
         return out
 
-    def _gap_buckets(self, elems):
-        """Bucket live nodes by the inter-element gap their span touches.
+    def _gap_outers(self, elems):
+        """The outer nodes the candidate key picks for each gap.
 
-        left_bucket[a]: nodes usable as the left outer of a slice starting at
-        element a (span ends before position a, at or after position a-1).
-        right_bucket[b]: mirror image for slices ending at element b.
-        lmin[a] / rmin[b]: the lightest weight in each bucket, None if empty.
+        left[a]: the lightest node whose span ends before position a, at or
+        after position a-1 (the left outer of a slice starting at element
+        a); ties go to the first in live order, which has the leftmost
+        ``lo``.  right[b]: the lightest node for slices ending at element b,
+        ties to the leftmost ``hi``.  None where no node fits.
         """
         positions = [p for p, _w, _s, _r in elems]
         p = len(positions)
-        left_bucket = [[] for _ in range(p)]
-        right_bucket = [[] for _ in range(p)]
-        lmin = [None] * p
-        rmin = [None] * p
+        left = [None] * p
+        right = [None] * p
         blocker_pos = {pos for pos, _w, s, _r in elems if s >= 0}
         for nd in self.live:
-            w = nd.weight
             a = bisect_right(positions, nd.hi)
             if a < p:
                 # a circle ending exactly on a live unit's position may not
@@ -322,10 +317,8 @@ class EngineState:
                     and positions[a - 1] == nd.hi
                     and positions[a - 1] in blocker_pos
                 )
-                if not blocked:
-                    left_bucket[a].append(nd)
-                    if lmin[a] is None or w < lmin[a]:
-                        lmin[a] = w
+                if not blocked and (left[a] is None or nd.weight < left[a].weight):
+                    left[a] = nd
             b = bisect_left(positions, nd.lo) - 1
             if b >= 0:
                 blocked = (
@@ -334,21 +327,21 @@ class EngineState:
                     and positions[b + 1] == nd.lo
                     and positions[b + 1] in blocker_pos
                 )
-                if not blocked:
-                    right_bucket[b].append(nd)
-                    if rmin[b] is None or w < rmin[b]:
-                        rmin[b] = w
-        return left_bucket, right_bucket, lmin, rmin
+                cur = right[b]
+                if not blocked and (cur is None or (nd.weight, nd.hi) < (cur.weight, cur.hi)):
+                    right[b] = nd
+        return left, right
 
-    def _scan(self) -> List[Candidate]:
+    def _scan(self) -> Candidate:
         """One pass over every plain window (i, j) and accordion slice
-        (a, b), with the available negatives found once.
+        (a, b), with the available negatives found once; returns the step
+        to take, the least candidate by ``key``.
 
         It keeps the windows and slices whose cheapest completion reaches
         the running minimum, counts what it scanned in ``stats``, and builds
-        only the candidates at the minimum weight.  A window (i, j) takes
-        any third member k in j+1 .. cap[j], so its cheapest completion is
-        ``pair[j] = w_j + min_to_blk[j + 1]``."""
+        only the candidates at the minimum weight, one per accordion slice.
+        A window (i, j) takes any third member k in j+1 .. cap[j], so its
+        cheapest completion is ``pair[j] = w_j + min_to_blk[j + 1]``."""
         live = self.live
         m = len(live)
         cap, min_to_blk = self._window_arrays()
@@ -356,7 +349,7 @@ class EngineState:
         pair = [live[j].weight + min_to_blk[j + 1] for j in range(m - 1)]
         best = None
         windows = []  # (i, j), scan order
-        hits = []  # (a, b, accordion weight), scan order
+        hits = []  # (a, b), scan order
         scanned = 0
         for i in range(m - 2):
             # j runs to cap[i], but j = m - 1 leaves no room for a third
@@ -370,33 +363,30 @@ class EngineState:
                 windows.extend((i, j) for j in range(i + 1, stop) if pair[j] == need)
         slices = self._accordion_slices(elems)
         if slices:
-            left_bucket, right_bucket, lmin, rmin = self._gap_buckets(elems)
+            left, right = self._gap_outers(elems)
             for a, b, acc in slices:
                 scanned += 1
-                if lmin[a] is None or rmin[b] is None:
+                if left[a] is None or right[b] is None:
                     continue
-                w = lmin[a] + acc + rmin[b]
+                w = left[a].weight + acc + right[b].weight
                 if best is None or w < best:
                     best, windows, hits = w, [], []
                 if w == best:
-                    hits.append((a, b, acc))
+                    hits.append((a, b))
         self.stats["candidates"] += scanned
         if best is None:
             raise EngineError("no compatible triple available")
-        out = []
-        for i, j in windows:
-            a, b = live[i], live[j]
-            for k in range(j + 1, cap[j] + 1):
-                c = live[k]
-                if c.weight == min_to_blk[j + 1]:
-                    out.append(self._plain_candidate(a, b, c, a.weight + b.weight + c.weight))
-        for a, b, acc in hits:
-            for left in left_bucket[a]:
-                for right in right_bucket[b]:
-                    w = left.weight + acc + right.weight
-                    if w == best:
-                        out.append(self._accordion_candidate(left, right, elems[a : b + 1], w))
-        return out
+        plain = (
+            self._plain_candidate(live[i], live[j], live[k], best)
+            for i, j in windows
+            for k in range(j + 1, cap[j] + 1)
+            if live[k].weight == min_to_blk[j + 1]
+        )
+        accordions = (
+            self._accordion_candidate(left[a], right[b], elems[a : b + 1], best)
+            for a, b in hits
+        )
+        return min(itertools.chain(plain, accordions), key=lambda c: c.key)
 
     def _plain_candidate(self, a: _Live, b: _Live, c: _Live, w: int) -> Candidate:
         return Candidate(
@@ -512,31 +502,20 @@ def available_negatives(state: EngineState):
 # Entry points over raw leaves
 
 
-def _pure_ternary_run(weights: Sequence[int]) -> Tuple[CombinationTrace, dict]:
-    ws = validate_weights(weights)
-    state = EngineState([Unit(w, i, True) for i, w in enumerate(ws)])
-    state.run()
-    return CombinationTrace(len(ws), tuple(state.steps)), state.stats
-
-
-def pure_ternary_phase1(weights: Sequence[int]) -> CombinationTrace:
-    """Greedy exact-ternary combination over a sequence of leaves (odd count).
-
-    Each step merges the minimum-weight candidate (ties: leftmost span start,
-    then smallest accordion); once only circles remain they are combined
-    three at a time in creation order.
-    """
-    return _pure_ternary_run(weights)[0]
-
-
 def _solve_pure_ternary(weights: Sequence[int]) -> Tuple[SolveReport, dict]:
     """``solve_pure_ternary`` plus the engine's ``stats`` counters."""
     ws = validate_weights(weights)
-    trace, stats = _pure_ternary_run(ws)
-    return report_from_trace("pure-ternary", trace, ws), stats
+    state = EngineState([Unit(w, i, True) for i, w in enumerate(ws)])
+    state.run()
+    trace = CombinationTrace(len(ws), tuple(state.steps))
+    return report_from_trace("pure-ternary", trace, ws), state.stats
 
 
 def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
+    """Greedy exact-ternary combination over a sequence of leaves (odd
+    count).  Each step takes the least candidate by key: minimum weight,
+    then leftmost span start, then smallest accordion.  Once only circles
+    remain they are combined three at a time in creation order."""
     return _solve_pure_ternary(weights)[0]
 
 

@@ -12,7 +12,7 @@ from alphatree.core import is_alphabetic, tree_cost
 from alphatree.harness import PAPER_FAMILY, InstanceSpec, bench_growth, fuzz_compare
 from alphatree.levels import signed_levels
 from alphatree.oracle import dp_optimal, exhaustive_optimal
-from alphatree.ternary import general_solve, pure_ternary_phase1
+from alphatree.ternary import general_solve, solve_pure_ternary
 
 SEVEN = (6, 6, 1, 10, 1, 6, 6)
 FIFTEEN = (5, 5, 6, 6, 1, 10, 1, 11, 1, 10, 1, 6, 6, 5, 5)
@@ -48,7 +48,7 @@ def test_acceptance_2_five_leaf_heavy_centre():
 
 
 def test_acceptance_3_seven_node_pure_ternary():
-    trace = pure_ternary_phase1(SEVEN)
+    trace = solve_pure_ternary(SEVEN).trace
     assert trace.increments() == (12, 14, 36)
     assert signed_levels(trace.prefix(1)) == (0, 0, 1, 1, 1, 0, 0)
     assert signed_levels(trace.prefix(2)) == (1, 1, 1, 0, 1, 1, 1)
@@ -58,7 +58,7 @@ def test_acceptance_3_seven_node_pure_ternary():
 
 
 def test_acceptance_4_fifteen_node_example():
-    trace = pure_ternary_phase1(FIFTEEN)
+    trace = solve_pure_ternary(FIFTEEN).trace
     assert trace.increments() == (12, 12, 15, 17, 23, 39, 79)
     accordion_sums = [
         sum(p.sign * FIFTEEN[p.ref] for p in s.participants if p.role == "accordion-element")
@@ -73,7 +73,7 @@ def test_acceptance_4_fifteen_node_example():
     assert trace.total() == 197
     assert signed_levels(trace) == (2, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3, 2, 2)
     assert dp_optimal(FIFTEEN, (3,))[0] == 197
-    ms = _median_runtime_ms(lambda: pure_ternary_phase1(FIFTEEN), repeats=30)
+    ms = _median_runtime_ms(lambda: solve_pure_ternary(FIFTEEN), repeats=30)
     assert ms < 100.0, f"median runtime {ms:.2f} ms"
     print(f"ACCEPTANCE 4 PASS: fifteen-leaf run exact, total 197, median {ms:.2f} ms")
 

@@ -223,6 +223,13 @@ class TestFuzzCommand:
         assert code == 0
         assert json.loads(out)["equality_rate"] == 1.0
 
+    def test_paper_family_refuses_instance_options(self, capsys):
+        # the built-in sequences would run and the options be ignored
+        for extra in (["--n", "50..60", "--count", "3", "--seed", "9"], ["--odd"], ["--wlo", "0"]):
+            code, out, err = run(capsys, "fuzz", "--paper-family", *extra)
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err.startswith("error: --paper-family")
+
     def test_bad_flags(self, capsys):
         assert run(capsys, "fuzz", "--n", "")[0] == 1
 

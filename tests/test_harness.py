@@ -10,7 +10,7 @@ from alphatree.harness import (
     check_report,
     fuzz_compare,
 )
-from alphatree.ternary import general_solve, is_pair_pcn_free
+from alphatree.ternary import general_solve, is_interior_pair_pcn_free
 
 
 class TestInstanceSpec:
@@ -24,7 +24,7 @@ class TestInstanceSpec:
         )
         for ws in spec.generate():
             assert len(ws) % 2 == 1
-            assert is_pair_pcn_free(ws)
+            assert is_interior_pair_pcn_free(ws)
 
     def test_monotone(self):
         spec = InstanceSpec(n_min=4, n_max=4, count=10, seed=1, dist="monotone")

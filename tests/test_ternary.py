@@ -22,8 +22,7 @@ from alphatree.ternary import (
     available_negatives,
     detect_pcns,
     general_solve,
-    is_pair_pcn_free,
-    pure_ternary_phase1,
+    is_interior_pair_pcn_free,
     solve_pure_ternary,
 )
 from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS
@@ -74,11 +73,35 @@ def negatives_from_forest(state):
     return sorted(out)
 
 
+def gap_buckets(state, elems, a, b):
+    """The live nodes that may flank the accordion slice elems[a..b]: a left
+    outer's span ends in the gap before element a (at or after element a-1),
+    a right outer's span starts in the gap after element b (at or before
+    element b+1).  A circle ending (starting) exactly on a live unit there
+    would skip over it, so it may not flank that gap."""
+    pos = [e[0] for e in elems]
+
+    def skips_unit(nd, k, at):
+        return nd.pos is None and 0 <= k < len(elems) and pos[k] == at and elems[k][2] >= 0
+
+    lefts = [
+        nd for nd in state.live
+        if (a == 0 or pos[a - 1] <= nd.hi) and nd.hi < pos[a]
+        and not skips_unit(nd, a - 1, nd.hi)
+    ]
+    rights = [
+        nd for nd in state.live
+        if pos[b] < nd.lo and (b + 1 == len(pos) or nd.lo <= pos[b + 1])
+        and not skips_unit(nd, b + 1, nd.lo)
+    ]
+    return lefts, rights
+
+
 def enumerate_candidates(state):
     """Every legal combination available right now, best first: each plain
     triple of each window, and each accordion slice with each pair of outer
     nodes from its gap buckets.  The reference for ``EngineState._scan``,
-    which builds only the candidates at the minimum weight."""
+    which returns the one candidate it takes."""
     if state.done:
         return []
     if not any(nd.pos is not None for nd in state.live):
@@ -93,14 +116,12 @@ def enumerate_candidates(state):
                 a, b, c = live[i], live[j], live[k]
                 out.append(state._plain_candidate(a, b, c, a.weight + b.weight + c.weight))
     elems = state._merged_elements()
-    slices = state._accordion_slices(elems)
-    if slices:
-        left_bucket, right_bucket, _lmin, _rmin = state._gap_buckets(elems)
-        for a, b, acc in slices:
-            for left in left_bucket[a]:
-                for right in right_bucket[b]:
-                    w = left.weight + acc + right.weight
-                    out.append(state._accordion_candidate(left, right, elems[a : b + 1], w))
+    for a, b, acc in state._accordion_slices(elems):
+        lefts, rights = gap_buckets(state, elems, a, b)
+        for left in lefts:
+            for right in rights:
+                w = left.weight + acc + right.weight
+                out.append(state._accordion_candidate(left, right, elems[a : b + 1], w))
     return sorted(out, key=lambda c: c.key)
 
 
@@ -185,11 +206,11 @@ class TestDetectPcns:
 
 class TestPcnFreeFilter:
     def test_boundary_pairs_never_block(self):
-        assert is_pair_pcn_free((1, 1, 100))
-        assert is_pair_pcn_free(SEVEN_WEIGHTS)
+        assert is_interior_pair_pcn_free((1, 1, 100))
+        assert is_interior_pair_pcn_free(SEVEN_WEIGHTS)
 
     def test_interior_light_pair_blocks(self):
-        assert not is_pair_pcn_free((100, 1, 1, 100))
+        assert not is_interior_pair_pcn_free((100, 1, 1, 100))
 
 
 class TestAvailableNegatives:
@@ -212,7 +233,7 @@ class TestAvailableNegatives:
         assert (3, 7) in state.spent
         assert 3 in state.live_square_positions()
         # ... and a step that reuses the pairing anyway is refused
-        cand = state._choose_candidate()
+        cand = state._scan()
         reuse = dataclasses.replace(
             cand, participants=cand.participants + (Participant(3, -1, ROLE_ACCORDION),)
         )
@@ -258,21 +279,39 @@ class TestEnumerateCandidates:
             while not state.done:
                 expected = enumerate_candidates(state)[0]
                 chosen = state.advance()
-                assert chosen.key == expected.key
+                assert chosen == expected
+
+    # weights 0..3 tie the lightest outer nodes of one gap; on these inputs,
+    # found by a search over such weights, the tie rule decides a step (the
+    # first two on the left side, the last two on the right)
+    TIED_OUTERS = (
+        (1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0),
+        (1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1),
+        (1, 2, 2, 0, 3, 0, 1, 2, 0, 0, 0, 0, 2),
+        (2, 0, 0, 1, 1, 1, 1, 2, 1, 0, 2, 0, 1, 1, 0, 0, 0, 0, 1, 1, 2),
+    )
 
     def test_chosen_step_is_first_candidate_accordion_heavy(self):
         # On accordion block inputs the step's one-pass minimum must pick the
         # head of the full enumeration whenever accordions compete with plain
-        # windows.
+        # windows; tie-heavy inputs check which of equally light outer nodes
+        # it takes.
         rng = random.Random(37)
+        inputs = [
+            accordion_block_weights(rng, rng.choice(range(11, 42, 2))) for _ in range(60)
+        ]
+        inputs += [
+            [rng.randint(0, 3) for _ in range(rng.choice(range(11, 42, 2)))]
+            for _ in range(40)
+        ]
+        inputs += self.TIED_OUTERS
         accordions = multi_negative = 0
-        for _ in range(60):
-            n = rng.choice(range(11, 42, 2))
-            state = engine_for(accordion_block_weights(rng, n))
+        for ws in inputs:
+            state = engine_for(ws)
             while not state.done:
                 expected = enumerate_candidates(state)[0]
                 chosen = state.advance()
-                assert chosen.key == expected.key
+                assert chosen == expected
                 accordions += accordion_size(chosen) > 0
                 multi_negative += accordion_size(chosen) > 3
         assert accordions >= 30 and multi_negative >= 1
@@ -280,15 +319,15 @@ class TestEnumerateCandidates:
 
 class TestPureTernaryPhase1:
     def test_seven_node_increments(self, seven_trace):
-        trace = pure_ternary_phase1(SEVEN_WEIGHTS)
+        trace = solve_pure_ternary(SEVEN_WEIGHTS).trace
         assert trace.increments() == (12, 14, 36)
         assert trace == seven_trace
 
     def test_single_triple(self):
-        assert pure_ternary_phase1((1, 2, 3)).increments() == (6,)
+        assert solve_pure_ternary((1, 2, 3)).trace.increments() == (6,)
 
     def test_fifteen_node_matches_reference(self, fifteen_trace):
-        trace = pure_ternary_phase1(FIFTEEN_WEIGHTS)
+        trace = solve_pure_ternary(FIFTEEN_WEIGHTS).trace
         assert trace.increments() == (12, 12, 15, 17, 23, 39, 79)
         assert trace == fifteen_trace
 
@@ -302,10 +341,10 @@ class TestPureTernaryPhase1:
 
     def test_even_count_rejected(self):
         with pytest.raises(Infeasible):
-            pure_ternary_phase1((1, 2))
+            solve_pure_ternary((1, 2))
 
     def test_single_leaf(self):
-        assert pure_ternary_phase1((5,)).increments() == ()
+        assert solve_pure_ternary((5,)).trace.increments() == ()
 
     def test_solve_report_consistency(self):
         report = solve_pure_ternary(SEVEN_WEIGHTS)
