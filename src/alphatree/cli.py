@@ -21,7 +21,9 @@ Emit schemas
             occurrences as [- w]
 
 Exit codes: 0 success, 1 malformed input or bad flags, 2 verify found a
-divergence, 3 infeasible mode (exact-ternary with an even leaf count).
+divergence, 3 infeasible mode (exact-ternary with an even leaf count), 4 fuzz
+ran to the end but the solve raised on some instances (the summary's
+"errors" list names each one's weights, exception type and message).
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DIVERGENCE = 2
 EXIT_INFEASIBLE = 3
+EXIT_FUZZ_ERRORS = 4
 
 _ARITY_SETS = {"binary": (2,), "ternary": (2, 3), "pure-ternary": (3,)}
 # A sign is let through so that validate_weights reports negative weights.
@@ -222,7 +225,7 @@ def cmd_fuzz(args) -> int:
             for rec in summary.records:
                 fh.write(json.dumps(rec.to_json_obj(), sort_keys=True) + "\n")
     print(json.dumps(obj, sort_keys=True))
-    return EXIT_OK
+    return EXIT_FUZZ_ERRORS if summary.errors else EXIT_OK
 
 
 def cmd_bench(args) -> int:

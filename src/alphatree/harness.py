@@ -2,6 +2,8 @@
 
 Divergences between the greedy engine and the DP optimum are data, not
 failures: each one is captured as a record so the match rate can be measured.
+An instance whose solve raises is captured too, as an error record, and the
+run goes on.
 """
 
 from __future__ import annotations
@@ -90,12 +92,23 @@ class DivergenceRecord:
 
 
 @dataclass(frozen=True)
+class ErrorRecord:
+    weights: tuple
+    error_type: str
+    message: str
+
+    def to_json_obj(self) -> dict:
+        return {"weights": list(self.weights), "type": self.error_type, "message": self.message}
+
+
+@dataclass(frozen=True)
 class FuzzSummary:
     instances: int
     equal: int
     max_gap: int
     violations: int
     records: tuple
+    errors: tuple
 
     @property
     def equality_rate(self) -> float:
@@ -109,6 +122,7 @@ class FuzzSummary:
             "max_gap": self.max_gap,
             "violations": self.violations,
             "divergences": [r.to_json_obj() for r in self.records],
+            "errors": [e.to_json_obj() for e in self.errors],
         }
         obj["digest"] = hashlib.sha256(
             json.dumps(obj, sort_keys=True).encode()
@@ -145,7 +159,9 @@ def fuzz_compare(
     instances: Optional[Sequence[Sequence[int]]] = None,
 ) -> FuzzSummary:
     """Run the general engine and the DP oracle over each instance and
-    summarise agreement.  Every strict gap becomes a DivergenceRecord."""
+    summarise agreement.  Every strict gap becomes a DivergenceRecord, and
+    every instance whose solve raises an ErrorRecord; either way the run
+    goes on to the next instance."""
     if instances is None:
         if spec is None:
             raise ValueError("need a spec or explicit instances")
@@ -154,10 +170,15 @@ def fuzz_compare(
     max_gap = 0
     violations = 0
     records = []
+    errors = []
     for ws in instances:
         ws = validate_weights(ws)
-        report = general_solve(ws)
-        oracle_cost, _tree = dp_optimal(ws, (2, 3))
+        try:
+            report = general_solve(ws)
+            oracle_cost, _tree = dp_optimal(ws, (2, 3))
+        except Exception as exc:  # recorded, with its input; the run goes on
+            errors.append(ErrorRecord(ws, type(exc).__name__, str(exc)))
+            continue
         gap = report.cost - oracle_cost
         problems = check_report(report)
         if gap < 0:
@@ -170,7 +191,9 @@ def fuzz_compare(
                 DivergenceRecord(ws, report.cost, oracle_cost, gap, _trace_digest(report))
             )
         max_gap = max(max_gap, gap)
-    return FuzzSummary(len(instances), equal, max_gap, violations, tuple(records))
+    return FuzzSummary(
+        len(instances), equal, max_gap, violations, tuple(records), tuple(errors)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Independent ground-truth optima.
 
-``dp_optimal`` is an interval dynamic program over the allowed arities;
+``dp_optimal`` is the interval dynamic program of Knuth's "Optimum binary
+search trees" (1971; TAOCP Vol. 3 section 6.2.2) over the allowed arities.
+A table of the cheapest two-tree forest over each span makes a ternary root
+one scan over its first split, so the DP is O(n^3) for every arity set.
 ``exhaustive_optimal`` literally enumerates every tree shape for tiny inputs,
 keeping the cost of each shape over each span, and is used to check the DP
 itself.  Both work in exact integers only.
@@ -33,6 +36,12 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     mixed, {3} exact-ternary (odd leaf counts only).  Ties are broken toward
     the leftmost split points, binary splits first, so the returned tree is
     deterministic; the cost never depends on that choice.
+
+    O(n^3) time and O(n^2) space.  Besides the optimal cost of each span it
+    keeps the cheapest forest of two trees over each span: a binary root
+    costs that forest, and a ternary root over i..j costs the tree over
+    i..m1 plus the forest over m1+1..j, so no root tries every (m1, m2)
+    pair.
     """
     ws = validate_weights(weights)
     allowed = _arity_set(arities)
@@ -44,34 +53,46 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     for w in ws:
         prefix.append(prefix[-1] + w)
 
+    # cost[i][j]: the optimal tree over leaves i..j.  pair[j][a]: the
+    # cheapest two-tree forest over leaves a..j, split after leaf
+    # pair_at[j][a], the leftmost such split.  The tables indexed by the
+    # right end j hold columns, so every scan below zips two list slices;
+    # cost_to[j][i] repeats cost[i][j] for the same reason.
     cost = [[0] * n for _ in range(n)]
+    cost_to = [[0] * n for _ in range(n)]
+    pair = [[0] * n for _ in range(n)]
+    pair_at = [[0] * n for _ in range(n)]
     choice = [[None] * n for _ in range(n)]
-    above_any_cost = prefix[n] * n + 1
     # Pure-ternary trees exist only over odd spans, and odd spans split only
-    # into odd spans, so even spans are skipped and never read.
+    # into odd spans, so a pure forest of two trees covers an even span:
+    # pair is filled only on even spans and cost only on odd ones, splits
+    # step by 2, and no other entry is ever read.
     step = 2 if pure else 1
-    for length in range(1 + step, n + 1, step):
+    for length in range(2, n + 1):
+        if not pure or length % 2 == 0:
+            for a in range(n - length + 1):
+                j = a + length - 1
+                sums = [x + y for x, y in zip(cost[a][a:j:step], cost_to[j][a + 1 : j + 1 : step])]
+                best = min(sums)
+                pair[j][a] = best
+                pair_at[j][a] = a + step * sums.index(best)
+        if pure and length % 2 == 0:
+            continue
         for i in range(n - length + 1):
             j = i + length - 1
-            best = above_any_cost
-            pick = None
+            best = pick = None
             if 2 in allowed:
-                for m in range(i, j):
-                    c = cost[i][m] + cost[m + 1][j]
-                    if c < best:
-                        best, pick = c, (m,)
+                best, pick = pair[j][i], (pair_at[j][i],)
             if 3 in allowed and length >= 3:
-                for m1 in range(i, j - 1):
-                    if pure and (m1 - i) % 2 == 1:
-                        continue
-                    left = cost[i][m1]
-                    for m2 in range(m1 + 1, j):
-                        if pure and (m2 - m1) % 2 == 0:
-                            continue
-                        c = left + cost[m1 + 1][m2] + cost[m2 + 1][j]
-                        if c < best:
-                            best, pick = c, (m1, m2)
-            cost[i][j] = best + (prefix[j + 1] - prefix[i])
+                # a ternary root is a left tree and a two-tree forest; the
+                # first minimum is the leftmost m1, and its forest's split is
+                # the leftmost m2, so (m1, m2) is the lexicographically first
+                sums = [x + y for x, y in zip(cost[i][i : j - 1 : step], pair[j][i + 1 : j : step])]
+                c = min(sums)
+                if best is None or c < best:
+                    m1 = i + step * sums.index(c)
+                    best, pick = c, (m1, pair_at[j][m1 + 1])
+            cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
             choice[i][j] = pick
 
     builder = TreeBuilder(ws)

@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from alphatree.cli import EXIT_INPUT, main
+from alphatree import cli
+from alphatree.cli import EXIT_FUZZ_ERRORS, EXIT_INPUT, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -232,6 +233,17 @@ class TestFuzzCommand:
 
     def test_bad_flags(self, capsys):
         assert run(capsys, "fuzz", "--n", "")[0] == 1
+
+    def test_errors_exit_after_the_summary(self, capsys, monkeypatch):
+        # an EngineError on one instance neither ends the run nor hides the
+        # summary; the exit code tells that some instance raised
+        crash = (31, 1, 47, 30, 45, 15, 75, 1, 92, 60, 94, 74, 42, 89, 66)
+        monkeypatch.setattr(cli, "PAPER_FAMILY", (crash,) + cli.PAPER_FAMILY)
+        code, out, _ = run(capsys, "fuzz", "--paper-family")
+        assert code == EXIT_FUZZ_ERRORS == 4
+        summary = json.loads(out)
+        assert summary["instances"] == summary["equal"] + 1
+        assert [(e["weights"], e["type"]) for e in summary["errors"]] == [(list(crash), "EngineError")]
 
 
 class TestBenchCommand:

@@ -58,7 +58,19 @@ class TestFuzzCompare:
     def test_summary_json_shape(self):
         summary = fuzz_compare(InstanceSpec(n_min=1, n_max=6, count=10, seed=3))
         obj = json.loads(json.dumps(summary.to_json_obj()))
-        assert set(obj) >= {"instances", "equal", "equality_rate", "max_gap", "divergences", "digest"}
+        assert set(obj) >= {
+            "instances", "equal", "equality_rate", "max_gap", "divergences", "errors", "digest",
+        }
+
+    def test_an_error_is_recorded_and_the_run_goes_on(self):
+        # the crossing-circle EngineError, between two instances that solve
+        crash = (31, 1, 47, 30, 45, 15, 75, 1, 92, 60, 94, 74, 42, 89, 66)
+        summary = fuzz_compare(instances=[PAPER_FAMILY[0], crash, PAPER_FAMILY[1]])
+        assert (summary.instances, summary.equal, summary.records) == (3, 2, ())
+        (error,) = summary.to_json_obj()["errors"]
+        assert error["weights"] == list(crash)
+        assert error["type"] == "EngineError"
+        assert error["message"].startswith("cannot realise forest")
 
 
 class TestCheckReport:

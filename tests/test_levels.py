@@ -204,6 +204,25 @@ def _solver_outcomes(solver, inputs):
     return h.hexdigest()
 
 
+def _dp_outcomes(inputs):
+    """sha256 over the DP's cost and tree (node table and roots) for each
+    input under each arity set, or over the exception's type and text."""
+    import hashlib
+
+    from alphatree.oracle import dp_optimal
+
+    h = hashlib.sha256()
+    for ws in inputs:
+        for arities in ((2,), (3,), (2, 3)):
+            try:
+                cost, tree = dp_optimal(ws, arities)
+                out = (cost, tree.nodes, tree.roots)
+            except ValueError as exc:  # Infeasible: an even exact-ternary input
+                out = (type(exc).__name__, str(exc))
+            h.update(repr(out).encode())
+    return h.hexdigest()
+
+
 def _pinned_inputs(seed, count, sizes):
     import random
 
@@ -258,6 +277,8 @@ class TestPinnedSolverOutputs:
     )
     KNOWN_PURE = "89de9ed8e608893e5773d030c0b15036b8e03d0a393eb2371374ea0b3d858e80"
     KNOWN_GENERAL = "6cda2936d0de52309d0c7db641890e7ce81e0f7b33481b5b6439945dbfd3ae48"
+    # recorded with the O(n^4) DP that tried every ternary (m1, m2) pair
+    DP = "3884d79489fbb02a958da54acea3f585886f473457d72e42abcf48cfedd62972"
 
     def test_general_solve(self):
         from alphatree.ternary import general_solve
@@ -288,6 +309,10 @@ class TestPinnedSolverOutputs:
 
         inputs = _pinned_inputs(502, 60, range(1, 40, 2))
         assert _solver_outcomes(solve_pure_ternary, inputs) == self.PURE
+
+    def test_dp_optimal(self):
+        inputs = _pinned_inputs(505, 90, range(1, 41))
+        assert _dp_outcomes(inputs) == self.DP
 
     def test_hu_tucker(self):
         from alphatree.binary import hu_tucker

@@ -3,11 +3,54 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alphatree.core import Infeasible, is_alphabetic, tree_cost
+from alphatree.core import Infeasible, TreeBuilder, is_alphabetic, tree_cost
 from alphatree.oracle import RefusedSize, dp_optimal, exhaustive_optimal
 from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS
 
 ARITY_SETS = ((2,), (3,), (2, 3))
+
+
+def reference_dp(ws, arities):
+    """The interval DP without the two-tree forest table: every ternary root
+    tries every (m1, m2) pair, O(n^4).  Splits are tried left to right with a
+    strict ``<``, binary before ternary, which is the tie-break dp_optimal
+    documents, so both must return the same tree, node ids included."""
+    allowed = set(arities)
+    pure = allowed == {3}
+    n = len(ws)
+    prefix = [0]
+    for w in ws:
+        prefix.append(prefix[-1] + w)
+    cost = [[0] * n for _ in range(n)]
+    choice = [[None] * n for _ in range(n)]
+    step = 2 if pure else 1
+    for length in range(1 + step, n + 1, step):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            best = pick = None
+            if 2 in allowed:
+                for m in range(i, j):
+                    c = cost[i][m] + cost[m + 1][j]
+                    if best is None or c < best:
+                        best, pick = c, (m,)
+            if 3 in allowed and length >= 3:
+                for m1 in range(i, j - 1, step):
+                    for m2 in range(m1 + 1, j, step):
+                        c = cost[i][m1] + cost[m1 + 1][m2] + cost[m2 + 1][j]
+                        if best is None or c < best:
+                            best, pick = c, (m1, m2)
+            cost[i][j] = best + prefix[j + 1] - prefix[i]
+            choice[i][j] = pick
+
+    builder = TreeBuilder(ws)
+
+    def build(i, j):
+        if i == j:
+            return i
+        bounds = (i - 1,) + choice[i][j] + (j,)
+        return builder.internal([build(lo + 1, hi) for lo, hi in zip(bounds, bounds[1:])])
+
+    return cost[0][n - 1], builder.finish([build(0, n - 1)])
 
 
 class TestDpOptimal:
@@ -51,6 +94,22 @@ class TestDpOptimal:
                 # weighted path length equals the internal weight tally
                 assert cost == sum(tree.internal_weights())
                 assert set(tree.arities()) <= set(arities)
+
+    @pytest.mark.parametrize("hi", (3, 100))
+    def test_matches_the_quartic_reference(self, hi):
+        # the same cost and the same tree, node ids included, as the DP that
+        # tries every (m1, m2) pair; small weights make ties, which exercise
+        # the tie-break
+        rng = random.Random(hi)
+        for n in range(1, 41):
+            for _ in range(2):
+                ws = tuple(rng.randint(0, hi) for _ in range(n))
+                for arities in ARITY_SETS:
+                    if arities == (3,) and n % 2 == 0:
+                        continue
+                    cost, tree = dp_optimal(ws, arities)
+                    ref_cost, ref_tree = reference_dp(ws, arities)
+                    assert (cost, repr(tree)) == (ref_cost, repr(ref_tree)), (ws, arities)
 
     @settings(max_examples=50, deadline=None)
     @given(

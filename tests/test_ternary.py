@@ -352,6 +352,15 @@ class TestPureTernaryPhase1:
         assert report.levels == (2, 2, 2, 1, 2, 2, 2)
         assert report.cost == dp_optimal(SEVEN_WEIGHTS, (3,))[0]
 
+    def test_misses_the_optimum_without_permanent_runs(self):
+        # weights 50..99 have no permanent runs, yet at n=201 the greedy is
+        # one above the optimum; pinned exactly, so a change either way fails
+        rng = random.Random(2011)
+        ws = [rng.randint(50, 99) for _ in range(201)]
+        assert detect_pcns(ws) == ()
+        assert solve_pure_ternary(ws).cost == 74912
+        assert dp_optimal(ws, (3,))[0] == 74911
+
 
 class TestGeneralSolve:
     def test_heavy_centre_example(self):
