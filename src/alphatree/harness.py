@@ -16,8 +16,9 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .binary import hu_tucker
+from .binary import _combine as _combine_binary
 from .core import is_alphabetic, leaf_levels, tree_cost, validate_weights
+from .levels import report_from_trace
 from .oracle import dp_optimal
 from .ternary import _solve_pure_ternary, general_solve, is_interior_pair_pcn_free
 
@@ -250,8 +251,10 @@ def bench_growth(
 
     Weights are drawn from 50..99, a band that keeps adjacent-pair sums
     above every single weight, so no permanent runs appear and the ternary
-    engine exercises its combination phase directly.  The slope is a
-    least-squares fit of log(time) against log(n).
+    engine exercises its combination phase directly.  ``candidates`` counts
+    the candidate steps the ternary scan weighs, or the window keys the
+    binary combination computes.  The slope is a least-squares fit of
+    log(time) against log(n).
     """
     if engine not in ("ternary", "binary"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -270,9 +273,9 @@ def bench_growth(
                 steps = len(report.trace.steps)
                 candidates = stats["candidates"]
             else:
-                report = hu_tucker(ws)
+                trace, candidates = _combine_binary(ws)
+                report = report_from_trace("hu-tucker", trace, ws)
                 steps = len(report.trace.steps)
-                candidates = steps * max(1, n)
             times.append(time.perf_counter_ns() - t0)
         rows.append(BenchRow(n, _median(times), steps, candidates))
     slope = _loglog_slope([(r.n, r.median_ns) for r in rows])

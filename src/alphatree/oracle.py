@@ -76,39 +76,44 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
                 best = min(sums)
                 pair[j][a] = best
                 pair_at[j][a] = a + step * sums.index(best)
-        if pure and length % 2 == 0:
-            continue
-        for i in range(n - length + 1):
-            j = i + length - 1
-            best = pick = None
-            if 2 in allowed:
-                best, pick = pair[j][i], (pair_at[j][i],)
-            if 3 in allowed and length >= 3:
-                # a ternary root is a left tree and a two-tree forest; the
-                # first minimum is the leftmost m1, and its forest's split is
-                # the leftmost m2, so (m1, m2) is the lexicographically first
-                sums = [x + y for x, y in zip(cost[i][i : j - 1 : step], pair[j][i + 1 : j : step])]
-                c = min(sums)
-                if best is None or c < best:
-                    m1 = i + step * sums.index(c)
-                    best, pick = c, (m1, pair_at[j][m1 + 1])
-            cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
-            choice[i][j] = pick
+        if not pure or length % 2 == 1:
+            for i in range(n - length + 1):
+                j = i + length - 1
+                best = pick = None
+                if 2 in allowed:
+                    best, pick = pair[j][i], (pair_at[j][i],)
+                if 3 in allowed and length >= 3:
+                    # a ternary root is a left tree and a two-tree forest;
+                    # the first minimum is the leftmost m1, and its forest's
+                    # split is the leftmost m2, so (m1, m2) is the
+                    # lexicographically first
+                    sums = [x + y for x, y in zip(cost[i][i : j - 1 : step], pair[j][i + 1 : j : step])]
+                    c = min(sums)
+                    if best is None or c < best:
+                        m1 = i + step * sums.index(c)
+                        best, pick = c, (m1, pair_at[j][m1 + 1])
+                cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
+                choice[i][j] = pick
 
+    # Build in post-order with an explicit stack, children left to right
+    # before their parent, so node ids are those of the recursive build and
+    # a deep tree needs no deep recursion.  built holds the finished
+    # subtrees whose parent is not built yet, left to right.
     builder = TreeBuilder(ws)
-
-    def build(i, j):
+    built = []
+    stack = [(0, n - 1, False)]
+    while stack:
+        i, j, children_built = stack.pop()
         if i == j:
-            return i
-        pick = choice[i][j]
-        if len(pick) == 1:
-            (m,) = pick
-            return builder.internal((build(i, m), build(m + 1, j)))
-        m1, m2 = pick
-        return builder.internal((build(i, m1), build(m1 + 1, m2), build(m2 + 1, j)))
-
-    root = build(0, n - 1)
-    return cost[0][n - 1], builder.finish([root])
+            built.append(i)
+        elif children_built:
+            arity = len(choice[i][j]) + 1
+            built[-arity:] = [builder.internal(built[-arity:])]
+        else:
+            stack.append((i, j, True))
+            ends = (i - 1,) + choice[i][j] + (j,)
+            stack.extend((lo + 1, hi, False) for lo, hi in reversed(list(zip(ends, ends[1:]))))
+    return cost[0][n - 1], builder.finish(built)
 
 
 def _compositions(n, k):

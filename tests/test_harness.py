@@ -105,6 +105,12 @@ class TestBenchGrowth:
         report = bench_growth([50, 100], seed=3, engine="binary", repeats=1)
         assert [r.steps for r in report.rows] == [49, 99]
 
+    def test_binary_counts_the_window_keys_computed(self):
+        # n - 1 windows at the start, then one per step for the gap it
+        # changes, except after the last step, which leaves one node
+        report = bench_growth([1, 2, 3, 50, 100], seed=3, engine="binary", repeats=1)
+        assert [r.candidates for r in report.rows] == [0, 1, 3, 97, 197]
+
     def test_even_sizes_rejected_for_ternary(self):
         with pytest.raises(ValueError):
             bench_growth([10], seed=0)

@@ -234,6 +234,16 @@ def _pinned_inputs(seed, count, sizes):
     return out
 
 
+def _scale_inputs(seed):
+    """One input per size in 200, 400, 800, 1600 and weight range 0..3
+    (ties everywhere) or 0..100."""
+    import random
+
+    rng = random.Random(seed)
+    return [tuple(rng.randint(0, hi) for _ in range(n))
+            for n in (200, 400, 800, 1600) for hi in (3, 100)]
+
+
 def _past_cap_inputs(seed, count):
     """Heavy leaves (60..100), each followed by a run of 2 or 3 light leaves
     (0..5), added until the runs allow over 1024 single-vs-split choice
@@ -279,6 +289,8 @@ class TestPinnedSolverOutputs:
     KNOWN_GENERAL = "6cda2936d0de52309d0c7db641890e7ce81e0f7b33481b5b6439945dbfd3ae48"
     # recorded with the O(n^4) DP that tried every ternary (m1, m2) pair
     DP = "3884d79489fbb02a958da54acea3f585886f473457d72e42abcf48cfedd62972"
+    # recorded with the combination that rescanned every window on every step
+    HU_TUCKER_AT_SCALE = "b21687f7abd0e4bc07d0dcf2698cbcb32a61b4311955c1761687465d3854efdf"
 
     def test_general_solve(self):
         from alphatree.ternary import general_solve
@@ -319,3 +331,8 @@ class TestPinnedSolverOutputs:
 
         inputs = _pinned_inputs(503, 60, range(1, 60))
         assert _solver_outcomes(hu_tucker, inputs) == self.HU_TUCKER
+
+    def test_hu_tucker_at_scale(self):
+        from alphatree.binary import hu_tucker
+
+        assert _solver_outcomes(hu_tucker, _scale_inputs(506)) == self.HU_TUCKER_AT_SCALE

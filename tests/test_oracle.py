@@ -1,9 +1,10 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alphatree.core import Infeasible, TreeBuilder, is_alphabetic, tree_cost
+from alphatree.core import Infeasible, TreeBuilder, is_alphabetic, leaf_levels, tree_cost
 from alphatree.oracle import RefusedSize, dp_optimal, exhaustive_optimal
 from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS
 
@@ -110,6 +111,22 @@ class TestDpOptimal:
                     cost, tree = dp_optimal(ws, arities)
                     ref_cost, ref_tree = reference_dp(ws, arities)
                     assert (cost, repr(tree)) == (ref_cost, repr(ref_tree)), (ws, arities)
+
+    def test_deep_tree_needs_no_deep_recursion(self):
+        # zeros tie everywhere and ties take the leftmost split, so the
+        # binary tree over 400 zeros is a caterpillar 399 levels deep; the
+        # recursion limit leaves room for a few frames, not one per level
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            cost, tree = dp_optimal([0] * 400, (2,))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cost == 0
+        assert max(leaf_levels(tree)) == 399
 
     @settings(max_examples=50, deadline=None)
     @given(
