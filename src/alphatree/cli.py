@@ -23,7 +23,8 @@ Emit schemas
 Exit codes: 0 success, 1 malformed input or bad flags, 2 verify found a
 divergence, 3 infeasible mode (exact-ternary with an even leaf count), 4 fuzz
 ran to the end but the solve raised on some instances (the summary's
-"errors" list names each one's weights, exception type and message).
+"errors" list names each one's weights, exception type and message), 5 the
+engine broke an internal invariant on this input (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ from .core import (
 )
 from .harness import PAPER_FAMILY, InstanceSpec, bench_growth, fuzz_compare
 from .oracle import dp_optimal, exhaustive_optimal
-from .ternary import general_solve, solve_pure_ternary
+from .ternary import EngineError, general_solve, solve_pure_ternary
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DIVERGENCE = 2
 EXIT_INFEASIBLE = 3
 EXIT_FUZZ_ERRORS = 4
+EXIT_ENGINE = 5
 
 _ARITY_SETS = {"binary": (2,), "ternary": (2, 3), "pure-ternary": (3,)}
 # A sign is let through so that validate_weights reports negative weights.
@@ -313,6 +315,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except EngineError as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
     except (OSError, ValueError) as exc:  # StructureError, RefusedSize included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

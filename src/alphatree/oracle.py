@@ -45,10 +45,39 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     """
     ws = validate_weights(weights)
     allowed = _arity_set(arities)
+    n = len(ws)
+    if allowed == {3} and n % 2 == 0:
+        raise Infeasible("exact-ternary trees need an odd number of leaves")
+    cost, choice = _dp_tables(ws, allowed)
+
+    # Build in post-order with an explicit stack, children left to right
+    # before their parent, so node ids are those of the recursive build and
+    # a deep tree needs no deep recursion.  built holds the finished
+    # subtrees whose parent is not built yet, left to right.
+    builder = TreeBuilder(ws)
+    built = []
+    stack = [(0, n - 1, False)]
+    while stack:
+        i, j, children_built = stack.pop()
+        if i == j:
+            built.append(i)
+        elif children_built:
+            arity = len(choice[i][j]) + 1
+            built[-arity:] = [builder.internal(built[-arity:])]
+        else:
+            stack.append((i, j, True))
+            ends = (i - 1,) + choice[i][j] + (j,)
+            stack.extend((lo + 1, hi, False) for lo, hi in reversed(list(zip(ends, ends[1:]))))
+    return cost[0][n - 1], builder.finish(built)
+
+
+def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
+    """The DP tables over validated weights: ``cost[i][j]``, the optimal
+    cost of a tree over leaves i..j with internal arities in ``allowed``,
+    and ``choice[i][j]``, the leftmost optimal split points of its root.
+    With ``allowed == {3}`` only odd spans are filled."""
     pure = allowed == {3}
     n = len(ws)
-    if pure and n % 2 == 0:
-        raise Infeasible("exact-ternary trees need an odd number of leaves")
     prefix = [0]
     for w in ws:
         prefix.append(prefix[-1] + w)
@@ -94,26 +123,7 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
                         best, pick = c, (m1, pair_at[j][m1 + 1])
                 cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
                 choice[i][j] = pick
-
-    # Build in post-order with an explicit stack, children left to right
-    # before their parent, so node ids are those of the recursive build and
-    # a deep tree needs no deep recursion.  built holds the finished
-    # subtrees whose parent is not built yet, left to right.
-    builder = TreeBuilder(ws)
-    built = []
-    stack = [(0, n - 1, False)]
-    while stack:
-        i, j, children_built = stack.pop()
-        if i == j:
-            built.append(i)
-        elif children_built:
-            arity = len(choice[i][j]) + 1
-            built[-arity:] = [builder.internal(built[-arity:])]
-        else:
-            stack.append((i, j, True))
-            ends = (i - 1,) + choice[i][j] + (j,)
-            stack.extend((lo + 1, hi, False) for lo, hi in reversed(list(zip(ends, ends[1:]))))
-    return cost[0][n - 1], builder.finish(built)
+    return cost, choice
 
 
 def _compositions(n, k):

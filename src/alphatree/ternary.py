@@ -37,6 +37,7 @@ from .levels import (
     reconstruct_from_levels,
     report_from_trace,
 )
+from .oracle import _dp_tables
 
 
 class EngineError(RuntimeError):
@@ -540,6 +541,7 @@ class _GeneralSolver:
         self.w = weights
         self._alloc = itertools.count(len(weights)).__next__
         self._memo: Dict[tuple, _Sol] = {}
+        self._optimum = None  # the (2, 3) DP cost table, built when first read
 
     def solve_tree(self, lo: int, hi: int) -> _Sol:
         key = (lo, hi)
@@ -550,11 +552,24 @@ class _GeneralSolver:
         else:
             sol = None
             for spans, pair in self._plans(lo, hi):
+                if sol is not None and sol.cost == self._optimum_of(lo, hi):
+                    break
                 cand = self._run_plan(spans, pair)
                 if sol is None or cand.cost < sol.cost:
                     sol = cand
         self._memo[key] = sol
         return sol
+
+    def _optimum_of(self, lo: int, hi: int) -> int:
+        """The mixed-arity DP optimum over leaves lo..hi.  Every completion
+        of every plan is a tree over those leaves with internal arities 2
+        and 3, so none costs less; and a later plan wins only on a strictly
+        lower cost.  Once the best completion reaches this value, no plan
+        left can replace it.  The table is built on the first read, so a
+        solve that tries one plan per span never builds it."""
+        if self._optimum is None:
+            self._optimum = _dp_tables(self.w, frozenset((2, 3)))[0]
+        return self._optimum[lo][hi]
 
     def _plans(self, lo: int, hi: int) -> list:
         """Plans ``(spans, pair)`` to try for leaves lo..hi.  ``spans`` is the
@@ -675,7 +690,10 @@ def general_solve(weights: Sequence[int]) -> SolveReport:
     """Optimal-tree search for arbitrary inputs: resolve permanent runs as
     one- or two-root subproblems, fix parity with a single binary pair when
     needed, then run the greedy ternary combination over the units; the
-    cheapest completion wins.  The tree is the replay of the final trace."""
+    cheapest completion wins, the first in plan order among equals.  A span
+    stops trying plans once its best completion costs its mixed-arity DP
+    optimum, which no later plan can beat.  The tree is the replay of the
+    final trace."""
     ws = validate_weights(weights)
     sol, trace = _GeneralSolver(ws).solve()
     report = report_from_trace("ternary", trace, ws)

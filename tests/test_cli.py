@@ -7,9 +7,13 @@ import sys
 from pathlib import Path
 
 from alphatree import cli
-from alphatree.cli import EXIT_FUZZ_ERRORS, EXIT_INPUT, main
+from alphatree.cli import EXIT_ENGINE, EXIT_FUZZ_ERRORS, EXIT_INPUT, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the crossing-circle crash: the pure-ternary engine raises EngineError on
+# the 13-leaf input, the general solver on the 15-leaf one
+CRASH_13 = "31 0 1 30 0 1 31 0 43 0 1 42 20"
+CRASH_15 = "31 1 47 30 45 15 75 1 92 60 94 74 42 89 66"
 
 
 def run(capsys, *argv):
@@ -117,6 +121,14 @@ class TestSolve:
         assert run(capsys, "solve", "  ")[0] == 1
         assert run(capsys, "solve", "1 2", "--algo", "hu-tucker", "--arity", "ternary")[0] == 1
 
+    def test_engine_error_has_its_own_exit_code(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--algo", "ternary", "--arity", "pure-ternary", CRASH_13
+        )
+        assert (code, out) == (EXIT_ENGINE, "")
+        assert err.startswith("engine error: cannot realise forest")
+        assert EXIT_ENGINE not in (EXIT_INPUT, EXIT_FUZZ_ERRORS)
+
     def test_infeasible_mode(self, capsys):
         code, _, err = run(
             capsys, "solve", "--algo", "ternary", "--arity", "pure-ternary", "1 2"
@@ -199,6 +211,11 @@ class TestVerify:
 
     def test_malformed(self, capsys):
         assert run(capsys, "verify", "x y")[0] == 1
+
+    def test_engine_error(self, capsys):
+        code, out, err = run(capsys, "verify", CRASH_15)
+        assert (code, out) == (EXIT_ENGINE, "")
+        assert err.startswith("engine error: cannot realise forest")
 
 
 class TestFuzzCommand:

@@ -13,12 +13,14 @@ from alphatree.core import (
     leaf_levels,
     tree_cost,
 )
+from alphatree.harness import check_report
 from alphatree.levels import signed_levels
 from alphatree.oracle import dp_optimal
 from alphatree.ternary import (
     EngineError,
     EngineState,
     Unit,
+    _GeneralSolver,
     available_negatives,
     detect_pcns,
     general_solve,
@@ -26,6 +28,14 @@ from alphatree.ternary import (
     solve_pure_ternary,
 )
 from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS
+from tests import test_levels
+from tests.test_levels import _past_cap_inputs
+
+# the crossing-circle crash on a pair-PCN-free input, on its 13-leaf shrink
+# with permanent runs, and the 20-leaf general_solve reproducer (importing
+# the class itself would collect its tests here a second time)
+CRASH_15, CRASH_13 = test_levels.TestPinnedSolverOutputs.KNOWN_FAILURES[:2]
+REPRODUCER = test_levels.TestPinnedSolverOutputs.REPRODUCER
 
 
 def engine_for(weights, steps=0):
@@ -425,6 +435,93 @@ class TestGeneralSolve:
             report = general_solve(ws)
             binary = sum(1 for a in report.tree.arities() if a == 2)
             assert binary % 2 == (n - 1) % 2
+
+
+def solve_outcome(ws):
+    """The whole general_solve output, or the error's type and text."""
+    try:
+        r = general_solve(ws)
+        return (r.cost, r.tree.nodes, r.tree.roots, r.levels, r.trace)
+    except RuntimeError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def try_every_plan(monkeypatch):
+    """The plan search without its stop: no span's best ever reaches -1."""
+    monkeypatch.setattr(_GeneralSolver, "_optimum_of", lambda self, lo, hi: -1)
+
+
+class TestPlanSearchStop:
+    """A span's plan search stops once its best completion costs the span's
+    mixed-arity DP optimum; no later plan can cost less, so no output
+    changes, except that plans after the stop no longer get to raise."""
+
+    def test_outputs_match_trying_every_plan(self, monkeypatch):
+        rng = random.Random(1101)
+        inputs = [
+            tuple(rng.randint(0, hi) for _ in range(rng.randint(3, 20)))
+            for hi in (3, 10, 100)
+            for _ in range(100)
+        ]
+        inputs += _past_cap_inputs(504, 30)
+        stopped = [solve_outcome(ws) for ws in inputs]
+        try_every_plan(monkeypatch)
+        assert [solve_outcome(ws) for ws in inputs] == stopped
+
+    def test_engine_runs(self, monkeypatch):
+        # 257 engine runs when every plan is tried, as before the stop, and
+        # 123 with it
+        rng = random.Random(1102)
+        inputs = [tuple(rng.randint(0, 100) for _ in range(rng.randint(8, 16))) for _ in range(20)]
+        runs = [0]
+        run = EngineState.run
+
+        def counted(state):
+            runs[0] += 1
+            run(state)
+
+        monkeypatch.setattr(EngineState, "run", counted)
+        for ws in inputs:
+            general_solve(ws)
+        assert runs[0] == 123
+        try_every_plan(monkeypatch)
+        runs[0] = 0
+        for ws in inputs:
+            general_solve(ws)
+        assert runs[0] == 257
+
+    def test_single_plan_inputs_build_no_table(self, monkeypatch):
+        def no_table(ws, allowed):
+            raise AssertionError("the DP table was built for a one-plan solve")
+
+        monkeypatch.setattr("alphatree.ternary._dp_tables", no_table)
+        assert general_solve(SEVEN_WEIGHTS).cost == 62
+        assert general_solve(FIFTEEN_WEIGHTS).cost == 197
+
+    def test_thirteen_leaf_crash_input_reaches_the_optimum(self, monkeypatch):
+        # the fourth of its 16 plans reaches the optimum; the last, every
+        # run split, has the 13 raw leaves as units and raises just as
+        # solve_pure_ternary does on them
+        report = general_solve(CRASH_13)
+        assert report.cost == 422 == dp_optimal(CRASH_13, (2, 3))[0]
+        assert check_report(report) == []
+        try_every_plan(monkeypatch)
+        with pytest.raises(EngineError, match="cannot realise forest"):
+            general_solve(CRASH_13)
+
+
+CRASHES = [
+    pytest.param(solve_pure_ternary, CRASH_15, id="pure-15"),
+    pytest.param(solve_pure_ternary, CRASH_13, id="pure-13"),
+    pytest.param(general_solve, CRASH_15, id="general-15"),
+    pytest.param(general_solve, REPRODUCER, id="general-20"),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError, reason="crossing-circle crash")
+@pytest.mark.parametrize("solver, ws", CRASHES)
+def test_crossing_circle_inputs_solve(solver, ws):
+    assert check_report(solver(ws)) == []
 
 
 class TestStepwiseForest:
