@@ -19,11 +19,11 @@ from .core import (
     tree_cost,
 )
 from .harness import (
-    InstanceSpec,
     PAPER_FAMILY,
     bench_growth,
     check_report,
     fuzz_compare,
+    random_instances,
 )
 from .levels import (
     InvalidLevelSequence,

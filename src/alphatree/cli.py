@@ -45,7 +45,7 @@ from .core import (
     leaf_levels,
     validate_weights,
 )
-from .harness import PAPER_FAMILY, InstanceSpec, bench_growth, fuzz_compare
+from .harness import PAPER_FAMILY, bench_growth, fuzz_compare, random_instances
 from .oracle import dp_optimal, exhaustive_optimal
 from .ternary import EngineError, general_solve, solve_pure_ternary
 
@@ -201,7 +201,7 @@ def _parse_sizes(text: str) -> list:
 
 
 # fuzz options that shape the random instances; the parser leaves out the
-# ones not given, so InstanceSpec supplies their defaults
+# ones not given, so random_instances supplies their defaults
 _INSTANCE_OPTIONS = (
     "n", "count", "seed", "dist", "weight_lo", "weight_hi", "odd_only", "pcn_free",
 )
@@ -215,12 +215,11 @@ def cmd_fuzz(args) -> int:
                 "--paper-family runs the built-in sequences and takes no "
                 "--n, --count, --seed, --dist, --wlo, --whi, --odd or --pcn-free"
             )
-        summary = fuzz_compare(instances=PAPER_FAMILY)
+        summary = fuzz_compare(PAPER_FAMILY)
     else:
         if "n" in given:
-            sizes = _parse_sizes(given.pop("n"))
-            given.update(n_min=min(sizes), n_max=max(sizes))
-        summary = fuzz_compare(InstanceSpec(**given))
+            given["sizes"] = _parse_sizes(given.pop("n"))
+        summary = fuzz_compare(random_instances(**given))
     obj = summary.to_json_obj()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

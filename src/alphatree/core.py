@@ -70,10 +70,6 @@ class AlphaTree:
     roots: tuple
 
     @property
-    def n_leaves(self) -> int:
-        return sum(1 for nd in self.nodes if nd.is_leaf)
-
-    @property
     def root(self) -> int:
         if len(self.roots) != 1:
             raise StructureError(f"expected a single root, found {len(self.roots)}")
@@ -237,9 +233,6 @@ class CombinationTrace:
 
     n_leaves: int
     steps: tuple
-
-    def __len__(self):
-        return len(self.steps)
 
     def increments(self) -> tuple:
         return tuple(s.weight for s in self.steps)

@@ -14,7 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .binary import _combine as _combine_binary
 from .core import is_alphabetic, leaf_levels, tree_cost, validate_weights
@@ -32,46 +32,41 @@ PAPER_FAMILY = (
 )
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Deterministic random-instance family: same seed, same instances."""
+def random_instances(
+    sizes: Iterable[int] = range(1, 10),
+    count: int = 100,
+    seed: int = 0,
+    dist: str = "uniform",  # uniform | monotone
+    weight_lo: int = 0,
+    weight_hi: int = 100,
+    odd_only: bool = False,
+    pcn_free: bool = False,
+) -> List[tuple]:
+    """Deterministic random instances: same arguments, same instances.
 
-    n_min: int = 1
-    n_max: int = 9
-    count: int = 100
-    seed: int = 0
-    dist: str = "uniform"  # uniform | monotone
-    weight_lo: int = 0
-    weight_hi: int = 100
-    odd_only: bool = False
-    pcn_free: bool = False
-
-    def generate(self) -> List[tuple]:
-        rng = random.Random(self.seed)
-        sizes = [
-            n
-            for n in range(self.n_min, self.n_max + 1)
-            if not self.odd_only or n % 2 == 1
-        ]
-        if not sizes:
-            raise ValueError("empty size range")
-        out = []
-        for _ in range(self.count):
-            n = rng.choice(sizes)
-            for _attempt in range(100_000):
-                if self.dist == "monotone":
-                    span = max(self.weight_hi - self.weight_lo + 1, n)
-                    ws = tuple(sorted(rng.sample(range(self.weight_lo, self.weight_lo + span), n)))
-                elif self.dist == "uniform":
-                    ws = tuple(rng.randint(self.weight_lo, self.weight_hi) for _ in range(n))
-                else:
-                    raise ValueError(f"unknown distribution {self.dist!r}")
-                if not self.pcn_free or is_interior_pair_pcn_free(ws):
-                    out.append(ws)
-                    break
+    Each instance's length is drawn from exactly the given ``sizes`` (order
+    and repeats do not matter), keeping only odd ones if ``odd_only``."""
+    rng = random.Random(seed)
+    sizes = sorted({n for n in sizes if not odd_only or n % 2 == 1})
+    if not sizes:
+        raise ValueError("empty size list")
+    out = []
+    for _ in range(count):
+        n = rng.choice(sizes)
+        for _attempt in range(100_000):
+            if dist == "monotone":
+                span = max(weight_hi - weight_lo + 1, n)
+                ws = tuple(sorted(rng.sample(range(weight_lo, weight_lo + span), n)))
+            elif dist == "uniform":
+                ws = tuple(rng.randint(weight_lo, weight_hi) for _ in range(n))
             else:
-                raise RuntimeError("could not sample an instance matching the filter")
-        return out
+                raise ValueError(f"unknown distribution {dist!r}")
+            if not pcn_free or is_interior_pair_pcn_free(ws):
+                out.append(ws)
+                break
+        else:
+            raise RuntimeError("could not sample an instance matching the filter")
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,18 +150,11 @@ def check_report(report) -> List[str]:
     return problems
 
 
-def fuzz_compare(
-    spec: Optional[InstanceSpec] = None,
-    instances: Optional[Sequence[Sequence[int]]] = None,
-) -> FuzzSummary:
+def fuzz_compare(instances: Sequence[Sequence[int]]) -> FuzzSummary:
     """Run the general engine and the DP oracle over each instance and
     summarise agreement.  Every strict gap becomes a DivergenceRecord, and
     every instance whose solve raises an ErrorRecord; either way the run
     goes on to the next instance."""
-    if instances is None:
-        if spec is None:
-            raise ValueError("need a spec or explicit instances")
-        instances = spec.generate()
     equal = 0
     max_gap = 0
     violations = 0

@@ -93,7 +93,7 @@ def is_interior_pair_pcn_free(weights: Sequence[int]) -> bool:
     """True when no adjacent pair is lighter than both its neighbours, with
     the sequence ends treated as infinitely light (boundary pairs pass).
 
-    This is an instance filter (``InstanceSpec(pcn_free=True)``, ``fuzz
+    This is an instance filter (``random_instances(pcn_free=True)``, ``fuzz
     --pcn-free``), not a solver step: it rejects only a pair with a real,
     heavier leaf on each side, so ends are light and never count against a
     pair.  ``detect_pcns`` treats ends as infinitely heavy instead, so an
@@ -176,7 +176,7 @@ class EngineState:
         self._under: Dict[int, List[tuple]] = {}
         self.spent: Set[tuple] = set()
         self.last_consumer: Dict[int, int] = {}
-        self.stats = {"steps": 0, "candidates": 0, "queue_steps": 0}
+        self.stats = {"candidates": 0, "queue_steps": 0}
 
     # -- derived views ----------------------------------------------------
 
@@ -212,7 +212,6 @@ class EngineState:
             cand = self._queue_candidate()
             self.stats["queue_steps"] += 1
         self._apply(cand)
-        self.stats["steps"] += 1
         return cand
 
     def run(self) -> None:
@@ -534,7 +533,17 @@ class _Sol:
 
 class _GeneralSolver:
     # Above this many single-vs-two-root choice vectors, fall back to the
-    # one-action enumeration (all single-root, or exactly one fix).
+    # one-action enumeration (all single-root, or exactly one fix).  The
+    # cap is a heuristic, kept because the full product is out of reach:
+    # over the top-level runs it is 1 536, 18 432 and 768 on the first
+    # three 100-leaf draws from random.Random(700) (weights 0..100), and
+    # 2 592, 82 944 and 36 864 at n=150 (random.Random(1050)).  The
+    # optimum stop in solve_tree never fires where the greedy misses the
+    # optimum, so an exact search would run one engine per vector there.
+    # No benchmark workload reaches it: on fuzz-general (n 13..20, weights
+    # 0..100) the largest product is 48, over 1 279 span solves at seed 1
+    # and 1 369 at seed 2.  test_general_solve_past_vector_cap pins its
+    # outputs.
     VECTOR_CAP = 512
 
     def __init__(self, weights):

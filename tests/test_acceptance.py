@@ -9,7 +9,7 @@ import time
 
 from alphatree.binary import hu_tucker
 from alphatree.core import is_alphabetic, tree_cost
-from alphatree.harness import PAPER_FAMILY, InstanceSpec, bench_growth, fuzz_compare
+from alphatree.harness import PAPER_FAMILY, bench_growth, fuzz_compare, random_instances
 from alphatree.levels import signed_levels
 from alphatree.oracle import dp_optimal, exhaustive_optimal
 from alphatree.ternary import general_solve, solve_pure_ternary
@@ -132,18 +132,18 @@ def test_acceptance_7_property_suite():
 
 
 def test_acceptance_8_fidelity_measurement():
-    spec = InstanceSpec(
-        n_min=3, n_max=11, count=500, seed=808, odd_only=True, pcn_free=True,
+    instances = random_instances(
+        range(3, 12), count=500, seed=808, odd_only=True, pcn_free=True,
         weight_lo=1, weight_hi=100,
     )
-    summary = fuzz_compare(spec)
-    again = fuzz_compare(spec)
+    summary = fuzz_compare(instances)
+    again = fuzz_compare(instances)
     assert summary.to_json_obj() == again.to_json_obj()  # deterministic
     assert summary.violations == 0
     assert len(summary.records) == summary.instances - summary.equal
     for record in summary.records:
         assert record.gap > 0 and record.trace_digest
-    paper = fuzz_compare(instances=PAPER_FAMILY)
+    paper = fuzz_compare(PAPER_FAMILY)
     assert paper.equality_rate == 1.0
     print(
         f"ACCEPTANCE 8 PASS: fidelity run deterministic; measured equality rate "

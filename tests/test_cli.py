@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -7,13 +8,16 @@ import sys
 from pathlib import Path
 
 from alphatree import cli
-from alphatree.cli import EXIT_ENGINE, EXIT_FUZZ_ERRORS, EXIT_INPUT, main
+from alphatree.cli import EXIT_DIVERGENCE, EXIT_ENGINE, EXIT_FUZZ_ERRORS, EXIT_INPUT, main
+from alphatree.ternary import general_solve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # the crossing-circle crash: the pure-ternary engine raises EngineError on
 # the 13-leaf input, the general solver on the 15-leaf one
 CRASH_13 = "31 0 1 30 0 1 31 0 43 0 1 42 20"
 CRASH_15 = "31 1 47 30 45 15 75 1 92 60 94 74 42 89 66"
+# the greedy misses the mixed-arity optimum by one: engine 61, DP 60
+GAP_11 = (1, 1, 1, 3, 1, 4, 1, 7, 1, 5, 4)
 
 
 def run(capsys, *argv):
@@ -212,6 +216,14 @@ class TestVerify:
     def test_malformed(self, capsys):
         assert run(capsys, "verify", "x y")[0] == 1
 
+    def test_divergence(self, capsys):
+        code, out, _ = run(capsys, "verify", " ".join(map(str, GAP_11)))
+        assert code == EXIT_DIVERGENCE == 2
+        assert out == (
+            '{"weights": [1, 1, 1, 3, 1, 4, 1, 7, 1, 5, 4], '
+            '"engine_cost": 61, "oracle_cost": 60, "gap": 1}\n'
+        )
+
     def test_engine_error(self, capsys):
         code, out, err = run(capsys, "verify", CRASH_15)
         assert (code, out) == (EXIT_ENGINE, "")
@@ -230,6 +242,33 @@ class TestFuzzCommand:
         assert summary["instances"] == 20
         assert out_path.exists()
         assert len(out_path.read_text().splitlines()) == len(summary["divergences"])
+
+    def test_fuzz_writes_a_divergence(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "PAPER_FAMILY", (GAP_11,) + cli.PAPER_FAMILY)
+        out_path = tmp_path / "report.jsonl"
+        code, _, _ = run(capsys, "fuzz", "--paper-family", "--out", str(out_path))
+        assert code == 0
+        (line,) = out_path.read_text().splitlines()
+        record = json.loads(line)
+        assert (record["weights"], record["engine_cost"], record["oracle_cost"], record["gap"]) == (
+            list(GAP_11), 61, 60, 1,
+        )
+        trace = json.dumps(general_solve(GAP_11).trace.to_json_obj(), sort_keys=True)
+        assert record["trace_digest"] == hashlib.sha256(trace.encode()).hexdigest()
+
+    def test_fuzz_draws_only_the_listed_sizes(self, capsys, monkeypatch):
+        drawn = []
+        fuzz_compare = cli.fuzz_compare
+
+        def record(instances):
+            drawn.extend(instances)
+            return fuzz_compare(instances[:1])
+
+        monkeypatch.setattr(cli, "fuzz_compare", record)
+        code, _, _ = run(capsys, "fuzz", "--n", "3,5,7", "--count", "200", "--seed", "1")
+        assert code == 0
+        assert len(drawn) == 200
+        assert {len(ws) for ws in drawn} == {3, 5, 7}
 
     def test_fuzz_deterministic(self, capsys):
         a = run(capsys, "fuzz", "--n", "3..7", "--count", "15", "--seed", "3")

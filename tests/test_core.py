@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -111,10 +112,40 @@ class TestJsonRoundTrip:
             CombinationTrace.from_json_obj(obj)
 
 
+def _edit_step(trace, k, **change):
+    steps = list(trace.steps)
+    steps[k] = replace(steps[k], **change)
+    return replace(trace, steps=tuple(steps))
+
+
+def _edit_participant(trace, k, i, **change):
+    parts = list(trace.steps[k].participants)
+    parts[i] = replace(parts[i], **change)
+    return _edit_step(trace, k, participants=tuple(parts))
+
+
 class TestTraceValidation:
     def test_reference_traces_validate(self, seven_trace, fifteen_trace):
         seven_trace.validate((6, 6, 1, 10, 1, 6, 6))
         fifteen_trace.validate((5, 5, 6, 6, 1, 10, 1, 11, 1, 10, 1, 6, 6, 5, 5))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: replace(t, n_leaves=8), "weight count does not match trace leaf count"),
+            (lambda t: _edit_step(t, 0, circle=10), "step 0 creates circle 10, expected 7"),
+            (lambda t: _edit_participant(t, 0, 0, role="middle"), "unknown participant role 'middle'"),
+            (lambda t: _edit_participant(t, 0, 0, sign=2), "bad participant sign 2"),
+            (lambda t: _edit_participant(t, 0, 0, ref=7), "step 0 references unborn node 7"),
+            (lambda t: _edit_participant(t, 2, 2, ref=7), "circle 7 consumed twice"),
+        ],
+        ids=["leaf-count", "circle-id", "role", "sign", "unborn", "consumed-twice"],
+    )
+    def test_one_field_edit_rejected(self, seven_trace, edit, message):
+        # the checks that guard a trace read back with from_json_obj
+        with pytest.raises(TraceError) as exc:
+            edit(seven_trace).validate((6, 6, 1, 10, 1, 6, 6))
+        assert str(exc.value) == message
 
     def test_increment_mismatch_rejected(self, seven_trace):
         steps = list(seven_trace.steps)

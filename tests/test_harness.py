@@ -5,36 +5,39 @@ import pytest
 
 from alphatree.harness import (
     PAPER_FAMILY,
-    InstanceSpec,
     bench_growth,
     check_report,
     fuzz_compare,
+    random_instances,
 )
 from alphatree.ternary import general_solve, is_interior_pair_pcn_free
 
 
-class TestInstanceSpec:
+class TestRandomInstances:
     def test_same_seed_same_instances(self):
-        spec = InstanceSpec(n_min=2, n_max=8, count=25, seed=99)
-        assert spec.generate() == spec.generate()
+        assert random_instances(range(2, 9), count=25, seed=99) == random_instances(
+            range(2, 9), count=25, seed=99
+        )
 
     def test_odd_only_and_pcn_free(self):
-        spec = InstanceSpec(
-            n_min=3, n_max=11, count=40, seed=5, odd_only=True, pcn_free=True
-        )
-        for ws in spec.generate():
+        for ws in random_instances(range(3, 12), count=40, seed=5, odd_only=True, pcn_free=True):
             assert len(ws) % 2 == 1
             assert is_interior_pair_pcn_free(ws)
 
     def test_monotone(self):
-        spec = InstanceSpec(n_min=4, n_max=4, count=10, seed=1, dist="monotone")
-        for ws in spec.generate():
+        for ws in random_instances([4], count=10, seed=1, dist="monotone"):
             assert all(a < b for a, b in zip(ws, ws[1:]))
+
+    def test_sizes_are_a_set(self):
+        # only the listed sizes are drawn; order and repeats do not matter
+        drawn = random_instances([7, 3, 5, 3], count=200, seed=1)
+        assert {len(ws) for ws in drawn} == {3, 5, 7}
+        assert drawn == random_instances([3, 5, 7], count=200, seed=1)
 
 
 class TestFuzzCompare:
     def test_paper_family_always_matches(self):
-        summary = fuzz_compare(instances=PAPER_FAMILY)
+        summary = fuzz_compare(PAPER_FAMILY)
         assert summary.equality_rate == 1.0
         assert summary.records == ()
         assert summary.violations == 0
@@ -43,20 +46,20 @@ class TestFuzzCompare:
         instances = []
         for n in (1, 2, 3):
             instances.extend(itertools.product((1, 2, 3), repeat=n))
-        summary = fuzz_compare(instances=instances)
+        summary = fuzz_compare(instances)
         assert summary.instances == 3 + 9 + 27
         assert all(r.gap >= 0 for r in summary.records)
         assert summary.violations == 0
 
     def test_deterministic_given_seed(self):
-        spec = InstanceSpec(n_min=1, n_max=9, count=60, seed=17)
-        a = fuzz_compare(spec).to_json_obj()
-        b = fuzz_compare(spec).to_json_obj()
+        instances = random_instances(range(1, 10), count=60, seed=17)
+        a = fuzz_compare(instances).to_json_obj()
+        b = fuzz_compare(instances).to_json_obj()
         assert a == b
         assert a["digest"] == b["digest"]
 
     def test_summary_json_shape(self):
-        summary = fuzz_compare(InstanceSpec(n_min=1, n_max=6, count=10, seed=3))
+        summary = fuzz_compare(random_instances(range(1, 7), count=10, seed=3))
         obj = json.loads(json.dumps(summary.to_json_obj()))
         assert set(obj) >= {
             "instances", "equal", "equality_rate", "max_gap", "divergences", "errors", "digest",
@@ -65,7 +68,7 @@ class TestFuzzCompare:
     def test_an_error_is_recorded_and_the_run_goes_on(self):
         # the crossing-circle EngineError, between two instances that solve
         crash = (31, 1, 47, 30, 45, 15, 75, 1, 92, 60, 94, 74, 42, 89, 66)
-        summary = fuzz_compare(instances=[PAPER_FAMILY[0], crash, PAPER_FAMILY[1]])
+        summary = fuzz_compare([PAPER_FAMILY[0], crash, PAPER_FAMILY[1]])
         assert (summary.instances, summary.equal, summary.records) == (3, 2, ())
         (error,) = summary.to_json_obj()["errors"]
         assert error["weights"] == list(crash)
