@@ -45,9 +45,21 @@ def random_instances(
     """Deterministic random instances: same arguments, same instances.
 
     Each instance's length is drawn from exactly the given ``sizes`` (order
-    and repeats do not matter), keeping only odd ones if ``odd_only``."""
+    and repeats do not matter), keeping only odd ones if ``odd_only``.
+    Out-of-range arguments raise ValueError before any draw."""
+    sizes = set(sizes)
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
+    if weight_lo < 0:
+        raise ValueError(f"weight_lo must be at least 0, got {weight_lo}")
+    if weight_lo > weight_hi:
+        raise ValueError(f"weight_lo {weight_lo} exceeds weight_hi {weight_hi}")
+    if dist not in ("uniform", "monotone"):
+        raise ValueError(f"unknown distribution {dist!r}")
     rng = random.Random(seed)
-    sizes = sorted({n for n in sizes if not odd_only or n % 2 == 1})
+    sizes = sorted(n for n in sizes if not odd_only or n % 2 == 1)
     if not sizes:
         raise ValueError("empty size list")
     out = []
@@ -57,10 +69,8 @@ def random_instances(
             if dist == "monotone":
                 span = max(weight_hi - weight_lo + 1, n)
                 ws = tuple(sorted(rng.sample(range(weight_lo, weight_lo + span), n)))
-            elif dist == "uniform":
-                ws = tuple(rng.randint(weight_lo, weight_hi) for _ in range(n))
             else:
-                raise ValueError(f"unknown distribution {dist!r}")
+                ws = tuple(rng.randint(weight_lo, weight_hi) for _ in range(n))
             if not pcn_free or is_interior_pair_pcn_free(ws):
                 out.append(ws)
                 break
@@ -246,6 +256,10 @@ def bench_growth(
     """
     if engine not in ("ternary", "binary"):
         raise ValueError(f"unknown engine {engine!r}")
+    if min(ns, default=1) < 1:
+        raise ValueError(f"sizes must be at least 1, got {min(ns)}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     rows = []
     for n in ns:
         if engine == "ternary" and n % 2 == 0:
@@ -254,7 +268,7 @@ def bench_growth(
         ws = tuple(rng.randint(50, 99) for _ in range(n))
         times = []
         steps = candidates = 0
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             t0 = time.perf_counter_ns()
             if engine == "ternary":
                 report, stats = _solve_pure_ternary(ws)

@@ -525,10 +525,13 @@ def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
 
 @dataclass(frozen=True)
 class _Sol:
-    cost: int  # internal cost of the subtree
     weight: int  # total leaf weight
     steps: tuple  # CombinationStep records, creation order
     ref: int  # node id of the subtree root
+
+    @property
+    def cost(self) -> int:  # each step adds its circle's weight
+        return sum(s.weight for s in self.steps)
 
 
 class _GeneralSolver:
@@ -557,13 +560,17 @@ class _GeneralSolver:
         if key in self._memo:
             return self._memo[key]
         if lo == hi:
-            sol = _Sol(0, self.w[lo], (), lo)
+            sol = _Sol(self.w[lo], (), lo)
+        elif hi == lo + 1:  # the binary pair, or a two-leaf run or run half
+            pair = (Participant(lo, 1, ROLE_PLAIN), Participant(hi, 1, ROLE_PLAIN))
+            step = CombinationStep(self._alloc(), self.w[lo] + self.w[hi], pair)
+            sol = _Sol(step.weight, (step,), step.circle)
         else:
             sol = None
-            for spans, pair in self._plans(lo, hi):
+            for spans in self._plans(lo, hi):
                 if sol is not None and sol.cost == self._optimum_of(lo, hi):
                     break
-                cand = self._run_plan(spans, pair)
+                cand = self._run_plan(spans)
                 if sol is None or cand.cost < sol.cost:
                     sol = cand
         self._memo[key] = sol
@@ -581,18 +588,22 @@ class _GeneralSolver:
         return self._optimum[lo][hi]
 
     def _plans(self, lo: int, hi: int) -> list:
-        """Plans ``(spans, pair)`` to try for leaves lo..hi.  ``spans`` is the
-        sorted list of leaf spans, one per unit: a leaf outside every
-        top-level permanent run, a whole run (one root) or one of the two
-        halves of a split run (two roots).  Every combination of single-root
-        vs split is tried (parity never forces one choice: either can win on
-        cost).  When the unit count is even, ``pair`` is the left leaf of the
-        one binary pair, two adjacent leaves outside every run (a split half
-        of length 1 is never paired); otherwise it is None.  Every such pair
-        is tried: the one binary node of an optimal tree is usually, but not
-        always, a minimum-weight pair, so the cheaper completion decides.
-        Ordered by split count, then by (run, cut), then by pair position,
-        so ties resolve leftmost."""
+        """Plans to try for leaves lo..hi (at least three), each a sorted
+        list of leaf spans, one per unit: a leaf outside every top-level
+        permanent run, a whole run (one root), one of the two halves of a
+        split run (two roots), or the binary pair.  Every combination of
+        single-root vs split is tried (parity never forces one choice:
+        either can win on cost).  When that leaves an even unit count, two
+        adjacent leaves outside every run merge into the two-leaf span
+        (i, i + 1), the one binary pair (a split half of length 1 is never
+        paired).  Every such pair is tried: the one binary node of an
+        optimal tree is usually, but not always, a minimum-weight pair, so
+        the cheaper completion decides.  Ordered by split count, then by
+        (run, cut), then by pair position, so ties resolve leftmost.
+
+        Some plan always exists: splitting one run flips the parity, and
+        with no runs an even span has the pair (lo, lo + 1).  No run is
+        the whole span, so every plan has at least three units."""
         runs = [(p.lo + lo, p.hi + lo) for p in detect_pcns(self.w[lo : hi + 1])]
         if math.prod(b - a + 1 for a, b in runs) > self.VECTOR_CAP:
             single = (None,) * len(runs)
@@ -620,48 +631,22 @@ class _GeneralSolver:
                 spans.extend([(a, b)] if cut is None else [(a, cut), (cut + 1, b)])
             spans.sort()
             if len(spans) % 2 == 1:
-                plans.append((spans, None))
-            else:
-                plans.extend((spans, i) for i in pairs)
-        if not plans:
-            raise EngineError("no feasible unit sequence for this span")
+                plans.append(spans)
+                continue
+            for i in pairs:
+                k = spans.index((i, i))  # (i + 1, i + 1) follows it
+                plans.append(spans[:k] + [(i, i + 1)] + spans[k + 2 :])
         return plans
 
-    def _run_plan(self, spans, pair) -> _Sol:
-        """Solve each unit of a plan left to right, the binary pair (leaves
-        pair and pair + 1) as one circle, then combine the units with the
-        ternary engine."""
+    def _run_plan(self, spans) -> _Sol:
+        """Solve each unit's span with ``solve_tree``, left to right, then
+        combine the units with the ternary engine."""
         units = []
-        own_steps = []
-        own_cost = 0
-        spans = iter(spans)
+        steps = []
         for lo, hi in spans:
-            if lo == pair:
-                next(spans)  # the pair's right leaf
-                circle = self._alloc()
-                w = self.w[lo] + self.w[lo + 1]
-                own_steps.append(
-                    CombinationStep(
-                        circle=circle,
-                        weight=w,
-                        participants=(
-                            Participant(lo, 1, ROLE_PLAIN),
-                            Participant(lo + 1, 1, ROLE_PLAIN),
-                        ),
-                    )
-                )
-                own_cost += w
-                units.append(Unit(w, circle, False))
-            elif lo == hi:
-                units.append(Unit(self.w[lo], lo, True))
-            else:
-                sub = self.solve_tree(lo, hi)
-                own_steps.extend(sub.steps)
-                own_cost += sub.cost
-                units.append(Unit(sub.weight, sub.ref, False))
-        if len(units) == 1:
-            unit = units[0]
-            return _Sol(own_cost, unit.weight, tuple(own_steps), unit.ref)
+            sub = self.solve_tree(lo, hi)
+            steps.extend(sub.steps)
+            units.append(Unit(sub.weight, sub.ref, lo == hi))
         state = EngineState(units, allocator=self._alloc)
         state.run()
         levels = state.unit_levels()
@@ -669,17 +654,14 @@ class _GeneralSolver:
             pure_centre_leaves(levels)  # the final unit levels form one tree
         except InvalidLevelSequence as exc:
             raise _unrealisable(levels, exc) from exc
-        steps = tuple(own_steps) + tuple(state.steps)
-        cost = own_cost + sum(s.weight for s in state.steps)
         weight = sum(u.weight for u in units)
-        return _Sol(cost, weight, steps, state.live[0].ref)
+        return _Sol(weight, (*steps, *state.steps), state.live[0].ref)
 
-    def solve(self) -> tuple:
+    def solve(self) -> CombinationTrace:
         n = len(self.w)
-        sol = self.solve_tree(0, n - 1)
         remap = {}
         steps = []
-        for k, s in enumerate(sol.steps):
+        for k, s in enumerate(self.solve_tree(0, n - 1).steps):
             remap[s.circle] = n + k
             steps.append(
                 CombinationStep(
@@ -692,20 +674,18 @@ class _GeneralSolver:
                     accordion_span=s.accordion_span,
                 )
             )
-        return sol, CombinationTrace(n, tuple(steps))
+        return CombinationTrace(n, tuple(steps))
 
 
 def general_solve(weights: Sequence[int]) -> SolveReport:
-    """Optimal-tree search for arbitrary inputs: resolve permanent runs as
-    one- or two-root subproblems, fix parity with a single binary pair when
-    needed, then run the greedy ternary combination over the units; the
-    cheapest completion wins, the first in plan order among equals.  A span
-    stops trying plans once its best completion costs its mixed-arity DP
-    optimum, which no later plan can beat.  The tree is the replay of the
-    final trace."""
+    """Optimal-tree search for arbitrary inputs.  A plan splits the leaves
+    into spans: single leaves, permanent runs solved as one- or two-root
+    subproblems, and, when parity needs it, one two-leaf binary pair.  Each
+    span is solved once (memoised), then the greedy ternary combination
+    runs over the units; the cheapest completion wins, the first in plan
+    order among equals.  A span stops trying plans once its best
+    completion costs its mixed-arity DP optimum, which no later plan can
+    beat.  The report is the replay of the final trace, which checks the
+    replayed tree's cost against the trace's increments."""
     ws = validate_weights(weights)
-    sol, trace = _GeneralSolver(ws).solve()
-    report = report_from_trace("ternary", trace, ws)
-    if sol.cost != report.cost:
-        raise EngineError(f"cost mismatch: plan {sol.cost}, increments {report.cost}")
-    return report
+    return report_from_trace("ternary", _GeneralSolver(ws).solve(), ws)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from alphatree import cli
 from alphatree.cli import EXIT_DIVERGENCE, EXIT_ENGINE, EXIT_FUZZ_ERRORS, EXIT_INPUT, main
 from alphatree.ternary import general_solve
@@ -290,6 +292,19 @@ class TestFuzzCommand:
     def test_bad_flags(self, capsys):
         assert run(capsys, "fuzz", "--n", "")[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "3", "--count", "-1"], "count must be at least 0, got -1"),
+            (["--n", "0"], "sizes must be at least 1, got 0"),
+            (["--n=-3"], "sizes must be at least 1, got -3"),
+            (["--n", "3", "--wlo", "-1"], "weight_lo must be at least 0, got -1"),
+            (["--n", "3", "--wlo", "5", "--whi", "2"], "weight_lo 5 exceeds weight_hi 2"),
+        ],
+    )
+    def test_out_of_range_instance_options(self, capsys, argv, message):
+        assert run(capsys, "fuzz", *argv) == (EXIT_INPUT, "", f"error: {message}\n")
+
     def test_errors_exit_after_the_summary(self, capsys, monkeypatch):
         # an EngineError on one instance neither ends the run nor hides the
         # summary; the exit code tells that some instance raised
@@ -318,3 +333,14 @@ class TestBenchCommand:
         code, out, _ = run(capsys, "bench", "--n", "5,9", "--repeats", "1")
         assert code == 0
         assert out.startswith("n,median_ns")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "3", "--repeats", "0"], "repeats must be at least 1, got 0"),
+            (["--n", "3", "--repeats", "-4"], "repeats must be at least 1, got -4"),
+            (["--n", "0", "--engine", "binary"], "sizes must be at least 1, got 0"),
+        ],
+    )
+    def test_out_of_range_options(self, capsys, argv, message):
+        assert run(capsys, "bench", *argv) == (EXIT_INPUT, "", f"error: {message}\n")

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import json
 
 import pytest
 
+from alphatree import harness
+from alphatree.binary import hu_tucker
 from alphatree.harness import (
     PAPER_FAMILY,
     bench_growth,
@@ -76,9 +79,71 @@ class TestFuzzCompare:
         assert error["message"].startswith("cannot realise forest")
 
 
+def _edit_root(report, edit):
+    """The report with its root node replaced by ``edit(root)``."""
+    tree = report.tree
+    nodes = list(tree.nodes)
+    nodes[tree.root] = edit(nodes[tree.root])
+    return dataclasses.replace(report, tree=dataclasses.replace(tree, nodes=tuple(nodes)))
+
+
+def _drop_root(report):
+    """The two-root forest under the root, with its trace prefix and levels."""
+    tree = report.tree
+    assert tree.root == len(tree.nodes) - 1
+    forest = dataclasses.replace(
+        tree, nodes=tree.nodes[:-1], roots=tree.nodes[tree.root].children
+    )
+    return dataclasses.replace(
+        report,
+        tree=forest,
+        trace=report.trace.prefix(len(report.trace.steps) - 1),
+        levels=tuple(lv - 1 for lv in report.levels),
+    )
+
+
 class TestCheckReport:
     def test_clean_report_passes(self):
         assert check_report(general_solve((6, 6, 1, 10, 1, 6, 6))) == []
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (
+                lambda r: _edit_root(
+                    r, lambda nd: dataclasses.replace(nd, children=nd.children[::-1])
+                ),
+                "tree is not alphabetic",
+            ),
+            (
+                lambda r: _edit_root(r, lambda nd: dataclasses.replace(nd, weight=nd.weight + 1)),
+                "weighted path length 26 != internal weight sum 27",
+            ),
+            (
+                lambda r: dataclasses.replace(r, trace=r.trace.prefix(len(r.trace.steps) - 1)),
+                "cost 26 != trace increments 13",
+            ),
+            (
+                lambda r: dataclasses.replace(r, levels=(r.levels[0] + 1,) + r.levels[1:]),
+                "levels do not match the tree",
+            ),
+            (_drop_root, "binary node count has the wrong parity"),
+        ],
+        ids=["order", "internal-weight", "increments", "levels", "parity"],
+    )
+    def test_one_field_edit_found(self, edit, problem):
+        report = hu_tucker((4, 2, 3, 4))
+        assert check_report(report) == []
+        assert check_report(edit(report)) == [problem]
+
+    def test_cost_below_the_optimum_is_a_violation(self, monkeypatch):
+        dp_optimal = harness.dp_optimal
+        monkeypatch.setattr(
+            harness, "dp_optimal", lambda ws, arities: (dp_optimal(ws, arities)[0] + 1, None)
+        )
+        summary = fuzz_compare([PAPER_FAMILY[0]])
+        assert summary.violations == 1
+        assert [r.gap for r in summary.records] == [-1]
 
 
 class TestBenchGrowth:

@@ -436,6 +436,25 @@ class TestGeneralSolve:
             binary = sum(1 for a in report.tree.arities() if a == 2)
             assert binary % 2 == (n - 1) % 2
 
+    def test_every_binary_step_pairs_adjacent_leaves(self):
+        # the binary pair of a plan, top-level or inside a subproblem, is
+        # the two-leaf span (i, i + 1) combined as one plain step
+        rng = random.Random(43)
+        several = 0
+        for k in range(300):
+            n = rng.randint(2, 24)
+            ws = tuple(rng.randint(0, (3, 10, 100)[k % 3]) for _ in range(n))
+            try:
+                steps = general_solve(ws).trace.steps
+            except EngineError:
+                continue
+            binary = [s for s in steps if s.arity == 2]
+            for s in binary:
+                (i, si), (j, sj) = ((p.ref, p.sign) for p in s.participants)
+                assert (j, si, sj) == (i + 1, 1, 1) and j < n
+            several += len(binary) > 1
+        assert several > 0
+
 
 def solve_outcome(ws):
     """The whole general_solve output, or the error's type and text."""
