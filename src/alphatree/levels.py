@@ -120,45 +120,67 @@ def _reconstruct(levels, weights, mode, pair_hints=frozenset()):
 
     leftovers = [item for item in stack if item[1] != 0]
     if leftovers:
-        raise InvalidLevelSequence(
-            f"cannot reduce levels {list(levels)} in {mode} mode; "
-            f"stuck with {len(leftovers)} node(s) above level 0"
-        )
+        raise _stuck(levels, mode, len(leftovers))
     return builder.finish([item[0] for item in stack])
 
 
-def pure_centre_leaves(levels: Sequence[int]) -> list:
-    """Centre leaves of the top-level triples of the pure-ternary forest.
+def _stuck(levels, mode: str, count: int) -> InvalidLevelSequence:
+    return InvalidLevelSequence(
+        f"cannot reduce levels {list(levels)} in {mode} mode; "
+        f"stuck with {count} node(s) above level 0"
+    )
+
+
+def pure_top_trees(levels: Sequence[int], start: int = 0):
+    """The top-level trees of the pure-ternary forest, from position
+    ``start`` on, as the stack pass closes them.
 
     Runs the stack pass of ``_reconstruct`` in ``MODE_PURE`` (combine the top
     three items when their levels are equal and positive) but builds no
-    nodes: it returns, left to right, the leaf index of the middle child of
-    each triple that closes at level 0 and whose middle child is a leaf.
-    Raises ``InvalidLevelSequence`` with the text ``_reconstruct`` uses."""
-    levels = tuple(levels)
-    if any(l < 0 for l in levels):
-        raise InvalidLevelSequence(f"negative level in {levels}")
+    nodes.  Yields ``(first, last, centre)`` for each tree as it closes at
+    level 0, left to right: its leaf span, and the leaf index of its root's
+    middle child, or None when that child is combined or the tree is a bare
+    leaf.  A level-0 item never takes part in a later reduction, so each
+    top-level tree parses on its own, and a parse may start at the first
+    leaf of any tree.
+
+    Raises ``InvalidLevelSequence`` with the text ``_reconstruct`` uses: at
+    the first negative level, or, once an item is stuck above level 0, after
+    counting the stuck items through the end of the sequence.  So a parse
+    that starts past a prefix of whole trees raises the whole pass's text."""
     lv = []  # level of each stack item
-    mid = []  # leaf index of each stack item, -1 for a combined node
-    out = []
-    for i, l in enumerate(levels):
-        lv.append(l)
-        mid.append(i)
-        while len(lv) >= 3 and l > 0 and lv[-3] == lv[-2] == l:
-            centre = mid[-2]
-            del lv[-3:], mid[-3:]
+    mid = []  # leaf index of each stack item, None for a combined node
+    first = start
+    stuck = 0
+    for i in range(start, len(levels)):
+        l = levels[i]
+        if l < 0:
+            raise InvalidLevelSequence(f"negative level in {tuple(levels)}")
+        item, centre = i, None
+        while l > 0 and len(lv) >= 2 and lv[-2] == lv[-1] == l:
+            centre = mid.pop()
+            del lv[-2:], mid[-1]
+            item = None
             l -= 1
-            if l == 0 and centre >= 0:
-                out.append(centre)
+        if l > 0:
             lv.append(l)
-            mid.append(-1)
-    stuck = sum(1 for l in lv if l != 0)
-    if stuck:
-        raise InvalidLevelSequence(
-            f"cannot reduce levels {list(levels)} in {MODE_PURE} mode; "
-            f"stuck with {stuck} node(s) above level 0"
-        )
-    return out
+            mid.append(item)
+            continue
+        if lv:  # under a level-0 item, nothing reduces again
+            stuck += len(lv)
+            lv.clear()
+            mid.clear()
+        elif not stuck:
+            yield first, i, centre
+        first = i + 1
+    if stuck or lv:
+        raise _stuck(levels, MODE_PURE, stuck + len(lv))
+
+
+def pure_centre_leaves(levels: Sequence[int]) -> list:
+    """Centre leaves of the top-level triples of the pure-ternary forest,
+    left to right: the whole-sequence pass of ``pure_top_trees``."""
+    return [centre for _f, _l, centre in pure_top_trees(levels) if centre is not None]
 
 
 def reconstruct_from_levels(

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -34,6 +35,7 @@ from .levels import (
     MODE_PURE,
     InvalidLevelSequence,
     pure_centre_leaves,
+    pure_top_trees,
     reconstruct_from_levels,
     report_from_trace,
 )
@@ -134,6 +136,12 @@ class _Live:
     pos: Optional[int]  # unit position for squares
 
 
+_lo = attrgetter("lo")
+_hi = attrgetter("hi")
+_lo_hi = attrgetter("lo", "hi")  # the order of EngineState.live
+_hi_lo = attrgetter("hi", "lo")
+
+
 @dataclass(frozen=True)
 class Candidate:
     """A combinable triple: (left, middle, right) where the middle is either
@@ -152,8 +160,9 @@ class EngineState:
     """Working state of the greedy combination phase over a unit sequence.
 
     Tracks the live sequence, the trace so far, which (leaf, circle)
-    negative pairings are spent, and the most recent circle each unit was
-    combined into.
+    negative pairings are spent, the most recent circle each unit was
+    combined into, and the top-level trees of the forest the signed unit
+    levels realise.
     """
 
     def __init__(self, units: Sequence[Unit], allocator=None):
@@ -174,6 +183,14 @@ class EngineState:
         # per live circle, its (unit position, sign) occurrences, nested ones
         # included: consuming the circle deepens every one of them by one
         self._under: Dict[int, List[tuple]] = {}
+        # the first unit position of each top-level tree of the realised
+        # forest, and the leaf centre of its root triple (None for a bare
+        # unit or a combined centre); no level has changed since they were
+        # parsed while _changed is None, else it holds the hull (lo, hi) of
+        # the unit positions the steps since then touched
+        self._tree_starts = list(range(u))
+        self._tree_centres: List[Optional[int]] = [None] * u
+        self._changed: Optional[Tuple[int, int]] = None
         self.spent: Set[tuple] = set()
         self.last_consumer: Dict[int, int] = {}
         self.stats = {"candidates": 0, "queue_steps": 0}
@@ -190,6 +207,43 @@ class EngineState:
     def unit_levels(self) -> tuple:
         """Signed levels of the units under the combinations made so far."""
         return tuple(self._levels)
+
+    def _top_level_centres(self) -> list:
+        """The leaf centres of the realised forest's top-level triples, left
+        to right.  Only what the steps since the last call changed is parsed
+        again: from the start of the tree that holds the lowest changed
+        position, up to the first tree end at or past the highest one that
+        an old tree start follows (or the end of the sequence).  The trees
+        before and after that stretch are unchanged, since each top-level
+        tree parses on its own.
+
+        When the levels realise a forest, the first tree end at or past the
+        highest changed position is such a point: the unchanged rest is
+        whole new trees, its leaves' 3^-level sum to a whole number, so it
+        cannot start inside an old tree.  Where no old start follows, the
+        rest does not parse into whole trees, and the parse runs on to the
+        error the whole pass raises."""
+        if self._changed is not None:
+            lo, hi = self._changed
+            starts, centres = self._tree_starts, self._tree_centres
+            k = j = bisect_right(starts, lo) - 1
+            new_starts, new_centres = [], []
+            try:
+                for first, last, centre in pure_top_trees(self._levels, starts[k]):
+                    new_starts.append(first)
+                    new_centres.append(centre)
+                    if last >= hi:
+                        j = bisect_right(starts, last, j)
+                        if j < len(starts) and starts[j] == last + 1:
+                            break
+                else:
+                    j = len(starts)
+            except InvalidLevelSequence as exc:
+                raise _unrealisable(self._levels, exc) from exc
+            starts[k:j] = new_starts
+            centres[k:j] = new_centres
+            self._changed = None
+        return [c for c in self._tree_centres if c is not None]
 
     def forest(self):
         """The cross-over-free forest the current levels describe."""
@@ -230,106 +284,128 @@ class EngineState:
     # -- candidate search ---------------------------------------------------
 
     def _window_arrays(self):
-        """Per live index i: ``cap[i]``, the last index a window starting at
-        i may reach (the first unit after i, or the end), and
-        ``min_to_blk[i]``, the minimum weight from i through the first unit
-        at or after i (or the end).  Units (leaves and opaque subproblem
-        roots) block compatibility; only combination circles are
-        transparent."""
+        """One backward pass over the live sequence.  Per live index j:
+        ``cap[j]``, the last index a window starting at j may reach (the
+        first unit after j, or the end); ``pair[j] = w_j + min_to_blk[j +
+        1]``, where ``min_to_blk[k]`` is the minimum weight from k through
+        the first unit at or after k (or the end); and ``need[j]``, the
+        minimum of ``pair`` from j through the first unit at or after j (or
+        m - 2).  Units (leaves and opaque subproblem roots) block
+        compatibility; only combination circles are transparent."""
         live = self.live
         m = len(live)
         cap = [m - 1] * m
-        min_to_blk = [0] * m
+        pair = [0] * (m - 1)
+        need = [0] * (m - 1)
         nxt = m - 1
-        for i in range(m - 1, -1, -1):
-            nd = live[i]
-            cap[i] = nxt
-            if nd.pos is not None or i == m - 1:
-                min_to_blk[i] = nd.weight
-            else:
-                min_to_blk[i] = min(nd.weight, min_to_blk[i + 1])
+        to_blk = live[-1].weight  # min_to_blk[j + 1]
+        for j in range(m - 2, -1, -1):
+            nd = live[j]
+            cap[j] = nxt
+            w = nd.weight
+            pair[j] = q = w + to_blk
             if nd.pos is not None:
-                nxt = i
-        return cap, min_to_blk
+                need[j] = q
+                to_blk = w
+                nxt = j
+            else:
+                need[j] = q if j == m - 2 or q < need[j + 1] else need[j + 1]
+                if w < to_blk:
+                    to_blk = w
+        return cap, pair, need
 
     def _merged_elements(self):
         """Live squares (sign +1), available negatives (sign -1), and live
-        opaque units (sign 0, pure blockers), by unit position."""
+        opaque units (sign 0, pure blockers), by unit position; and the
+        indexes of the negatives among them, in order."""
+        negatives = available_negatives(self)
         elems = [
             (nd.pos, nd.weight, 1 if nd.is_square else 0, nd.ref)
             for nd in self.live
             if nd.pos is not None
         ]
-        for pos, w, _owner in available_negatives(self):
-            elems.append((pos, w, -1, self.units[pos].ref))
+        elems.extend((pos, w, -1, self.units[pos].ref) for pos, w, _owner in negatives)
         elems.sort()
-        return elems
+        return elems, [bisect_left(elems, (pos,)) for pos, _w, _owner in negatives]
 
-    def _accordion_slices(self, elems):
-        """Yield (a, b, slice_weight) for every alternation-respecting slice
-        that starts and ends on a positive element, length >= 2.  Blockers
-        (sign 0) and equal adjacent signs bound the usable segments."""
+    @staticmethod
+    def _accordion_slices(elems, anchors):
+        """(a, b, slice_weight) for every alternation-respecting slice that
+        starts and ends on a positive element, length >= 2, by a then b.
+        Blockers (sign 0) and equal adjacent signs bound the usable
+        segments.  A segment without a negative is a single element, so
+        only the segments around the negatives at ``anchors`` (ascending
+        element indexes) are expanded."""
         p = len(elems)
         out = []
-        seg_start = 0
-        for e in range(p + 1):
-            boundary = e == p or elems[e][2] == 0 or (
-                e > 0 and (elems[e][2] == elems[e - 1][2] or elems[e - 1][2] == 0)
-            )
-            if not boundary:
+        end = 0  # past the last segment expanded
+        for t in anchors:
+            if t < end:
                 continue
-            seg = range(seg_start, e)
-            for a in seg:
-                if elems[a][2] != 1:
-                    continue
+            start = t
+            while start > 0 and elems[start - 1][2] not in (0, elems[start][2]):
+                start -= 1
+            end = t + 1
+            while end < p and elems[end][2] not in (0, elems[end - 1][2]):
+                end += 1
+            # signs alternate inside a segment, so the positives sit two apart
+            for a in range(start if elems[start][2] > 0 else start + 1, end, 2):
                 acc = elems[a][1]
-                b = a + 1
-                while b < e:
-                    acc += elems[b][2] * elems[b][1]
-                    if elems[b][2] > 0:
-                        out.append((a, b, acc))
-                    b += 1
-            seg_start = e
+                for b in range(a + 2, end, 2):
+                    acc += elems[b][1] - elems[b - 1][1]
+                    out.append((a, b, acc))
         return out
 
-    def _gap_outers(self, elems):
-        """The outer nodes the candidate key picks for each gap.
+    def _gap_outers(self, elems, slices):
+        """The outer nodes the candidate key picks for the gaps the slices
+        use; None where no node fits, and at gaps no slice uses.
 
-        left[a]: the lightest node whose span ends before position a, at or
-        after position a-1 (the left outer of a slice starting at element
-        a); ties go to the first in live order, which has the leftmost
-        ``lo``.  right[b]: the lightest node for slices ending at element b,
-        ties to the leftmost ``hi``.  None where no node fits.
+        left[a], for a slice starting at element a: the lightest node whose
+        span ends before position a, at or after position a-1, found by
+        bisection in the live nodes ordered by (hi, lo); ties go to the
+        first in live order, which is ordered by (lo, hi), so to the least
+        (lo, hi), and among equal spans to the first of the stable sort.
+        right[b], for a slice ending at element b: the lightest node whose
+        span starts after position b, at or before position b+1, found by
+        bisection in ``live``; ties go to the leftmost ``hi``, then the
+        first in live order.  A circle ending (starting) exactly on a live
+        unit's position may not skip over it.
         """
-        positions = [p for p, _w, _s, _r in elems]
-        p = len(positions)
+        p = len(elems)
         left = [None] * p
         right = [None] * p
-        blocker_pos = {pos for pos, _w, s, _r in elems if s >= 0}
-        for nd in self.live:
-            a = bisect_right(positions, nd.hi)
-            if a < p:
-                # a circle ending exactly on a live unit's position may not
-                # skip over it
-                blocked = (
-                    nd.pos is None
-                    and a > 0
-                    and positions[a - 1] == nd.hi
-                    and positions[a - 1] in blocker_pos
-                )
-                if not blocked and (left[a] is None or nd.weight < left[a].weight):
-                    left[a] = nd
-            b = bisect_left(positions, nd.lo) - 1
-            if b >= 0:
-                blocked = (
-                    nd.pos is None
-                    and b + 1 < p
-                    and positions[b + 1] == nd.lo
-                    and positions[b + 1] in blocker_pos
-                )
-                cur = right[b]
-                if not blocked and (cur is None or (nd.weight, nd.hi) < (cur.weight, cur.hi)):
-                    right[b] = nd
+        live = self.live
+        by_hi = sorted(live, key=_hi_lo)  # nearly sorted already
+        for a in {a for a, _b, _acc in slices}:
+            pos = elems[a][0]
+            k = 0
+            edge = None  # a live unit's position a circle may not end on
+            if a > 0:
+                prev, _w, sign, _r = elems[a - 1]
+                k = bisect_left(by_hi, prev, key=_hi)
+                edge = prev if sign >= 0 else None
+            best = None
+            for nd in by_hi[k : bisect_left(by_hi, pos, k, key=_hi)]:
+                if nd.pos is None and nd.hi == edge:
+                    continue
+                if best is None or (nd.weight, nd.lo, nd.hi) < (best.weight, best.lo, best.hi):
+                    best = nd
+            left[a] = best
+        for b in {b for _a, b, _acc in slices}:
+            k = bisect_right(live, elems[b][0], key=_lo)
+            stop = len(live)
+            edge = None
+            if b + 1 < p:
+                nxt, _w, sign, _r = elems[b + 1]
+                stop = bisect_right(live, nxt, k, key=_lo)
+                edge = nxt if sign >= 0 else None
+            best = None
+            for nd in live[k:stop]:
+                if nd.pos is None and nd.lo == edge:
+                    continue
+                if best is None or (nd.weight, nd.hi) < (best.weight, best.hi):
+                    best = nd
+            right[b] = best
         return left, right
 
     def _scan(self) -> Candidate:
@@ -341,46 +417,45 @@ class EngineState:
         the running minimum, counts what it scanned in ``stats``, and builds
         only the candidates at the minimum weight, one per accordion slice.
         A window (i, j) takes any third member k in j+1 .. cap[j], so its
-        cheapest completion is ``pair[j] = w_j + min_to_blk[j + 1]``."""
+        cheapest completion is ``pair[j]``; a start i takes j in i+1 ..
+        min(cap[i], m - 2), so its cheapest window costs ``w_i + need[i +
+        1]``."""
         live = self.live
         m = len(live)
-        cap, min_to_blk = self._window_arrays()
-        elems = self._merged_elements()
-        pair = [live[j].weight + min_to_blk[j + 1] for j in range(m - 1)]
-        best = None
-        windows = []  # (i, j), scan order
+        cap, pair, need = self._window_arrays()
+        cheapest = [nd.weight + q for nd, q in zip(live, need[1:])]  # per start i
+        best = min(cheapest)
+        # the windows scanned: min(cap[i], m - 2) - i per start i < m - 2,
+        # where only a cap of m - 1 exceeds m - 2
+        head = cap[: m - 2]
+        scanned = sum(head) - head.count(m - 1) - (m - 2) * (m - 3) // 2
+        elems, anchors = self._merged_elements()
+        slices = self._accordion_slices(elems, anchors)
         hits = []  # (a, b), scan order
-        scanned = 0
-        for i in range(m - 2):
-            # j runs to cap[i], but j = m - 1 leaves no room for a third
-            stop = min(cap[i], m - 2) + 1
-            scanned += stop - i - 1
-            need = min(pair[i + 1 : stop])
-            w = live[i].weight + need
-            if best is None or w < best:
-                best, windows = w, []
-            if w == best:
-                windows.extend((i, j) for j in range(i + 1, stop) if pair[j] == need)
-        slices = self._accordion_slices(elems)
         if slices:
-            left, right = self._gap_outers(elems)
+            scanned += len(slices)
+            left, right = self._gap_outers(elems, slices)
             for a, b, acc in slices:
-                scanned += 1
                 if left[a] is None or right[b] is None:
                     continue
                 w = left[a].weight + acc + right[b].weight
-                if best is None or w < best:
-                    best, windows, hits = w, [], []
+                if w < best:
+                    best, hits = w, []
                 if w == best:
                     hits.append((a, b))
         self.stats["candidates"] += scanned
-        if best is None:
-            raise EngineError("no compatible triple available")
+        windows = (
+            (i, j)
+            for i, w in enumerate(cheapest)
+            if w == best
+            for j in range(i + 1, min(cap[i], m - 2) + 1)
+            if pair[j] == need[i + 1]
+        )
         plain = (
             self._plain_candidate(live[i], live[j], live[k], best)
             for i, j in windows
             for k in range(j + 1, cap[j] + 1)
-            if live[k].weight == min_to_blk[j + 1]
+            if live[k].weight == pair[j] - live[j].weight
         )
         accordions = (
             self._accordion_candidate(left[a], right[b], elems[a : b + 1], best)
@@ -456,15 +531,23 @@ class EngineState:
             self.spent.add((pos, owner))
         for pos in owned:
             self.last_consumer[pos] = circle
-        kept = [nd for nd in self.live if nd.ref not in consumed]
-        kept.append(
-            _Live(circle, cand.weight, cand.span[0], cand.span[1], False, None)
-        )
+        # the levels that changed are those of the positions under the new
+        # circle
+        lo, hi = min(under)[0], max(under)[0]
+        if self._changed is not None:
+            lo, hi = min(lo, self._changed[0]), max(hi, self._changed[1])
+        self._changed = (lo, hi)
+        # every consumed node's lo lies in the span (a plain middle's hi may
+        # lie past it); new nodes go after equal keys, where a stable sort
+        # would put them
+        lo, hi = cand.span
+        live = self.live
+        a, b = bisect_left(live, lo, key=_lo), bisect_right(live, hi, key=_lo)
+        live[a:b] = [nd for nd in live[a:b] if nd.ref not in consumed]
+        insort(live, _Live(circle, cand.weight, lo, hi, False, None), key=_lo_hi)
         for pos in negatives:
             unit = self.units[pos]
-            kept.append(_Live(unit.ref, unit.weight, pos, pos, True, pos))
-        kept.sort(key=lambda nd: (nd.lo, nd.hi))
-        self.live = kept
+            insort(live, _Live(unit.ref, unit.weight, pos, pos, True, pos), key=_lo_hi)
 
 
 def _unrealisable(levels, exc: StructureError) -> EngineError:
@@ -475,7 +558,8 @@ def available_negatives(state: EngineState):
     """Units currently usable with negative weight: original leaves sitting
     as the centre child of a top-level triple of the realised forest, paired
     with the circle that last consumed them.  The forest's top-level triples
-    come from one stack pass over the unit levels; no tree is built.
+    come from the stack pass over the unit levels, redone only over the
+    trees the steps since the last call changed; no tree is built.
 
     A centre leaf that is not a live square was consumed positively, so
     ``last_consumer`` holds its owner; a leaf used negatively is a live
@@ -484,14 +568,9 @@ def available_negatives(state: EngineState):
     refuses a missing or spent pairing all the same."""
     if not state.steps:
         return []
-    levels = state.unit_levels()
-    try:
-        centres = pure_centre_leaves(levels)
-    except InvalidLevelSequence as exc:
-        raise _unrealisable(levels, exc) from exc
     live_squares = state.live_square_positions()
     out = []
-    for pos in centres:
+    for pos in state._top_level_centres():
         if not state.units[pos].is_square or pos in live_squares:
             continue
         out.append((pos, state.units[pos].weight, state.last_consumer.get(pos)))
@@ -587,9 +666,10 @@ class _GeneralSolver:
             self._optimum = _dp_tables(self.w, frozenset((2, 3)))[0]
         return self._optimum[lo][hi]
 
-    def _plans(self, lo: int, hi: int) -> list:
-        """Plans to try for leaves lo..hi (at least three), each a sorted
-        list of leaf spans, one per unit: a leaf outside every top-level
+    def _plans(self, lo: int, hi: int):
+        """Plans to try for leaves lo..hi (at least three), yielded one at a
+        time, so none is built past the one ``solve_tree`` stops at; each a
+        sorted list of leaf spans, one per unit: a leaf outside every top-level
         permanent run, a whole run (one root), one of the two halves of a
         split run (two roots), or the binary pair.  Every combination of
         single-root vs split is tried (parity never forces one choice:
@@ -624,19 +704,17 @@ class _GeneralSolver:
         inside = {i for a, b in runs for i in range(a, b + 1)}
         leaves = [(i, i) for i in range(lo, hi + 1) if i not in inside]
         pairs = [i for i in range(lo, hi) if i not in inside and i + 1 not in inside]
-        plans = []
         for vec in vectors:
             spans = list(leaves)
             for (a, b), cut in zip(runs, vec):
                 spans.extend([(a, b)] if cut is None else [(a, cut), (cut + 1, b)])
             spans.sort()
             if len(spans) % 2 == 1:
-                plans.append(spans)
+                yield spans
                 continue
             for i in pairs:
                 k = spans.index((i, i))  # (i + 1, i + 1) follows it
-                plans.append(spans[:k] + [(i, i + 1)] + spans[k + 2 :])
-        return plans
+                yield spans[:k] + [(i, i + 1)] + spans[k + 2 :]
 
     def _run_plan(self, spans) -> _Sol:
         """Solve each unit's span with ``solve_tree``, left to right, then

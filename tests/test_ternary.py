@@ -14,7 +14,7 @@ from alphatree.core import (
     tree_cost,
 )
 from alphatree.harness import check_report
-from alphatree.levels import signed_levels
+from alphatree.levels import InvalidLevelSequence, pure_centre_leaves, signed_levels
 from alphatree.oracle import dp_optimal
 from alphatree.ternary import (
     EngineError,
@@ -64,6 +64,31 @@ def accordion_block_weights(rng, n):
     return ws[:n]
 
 
+def rebuild_inputs():
+    """Accordion block inputs and random ones with odd n up to 41."""
+    rng = random.Random(61)
+    inputs = [
+        accordion_block_weights(rng, rng.choice(range(11, 42, 2))) for _ in range(30)
+    ]
+    for _ in range(60):
+        n = rng.choice(range(1, 42, 2))
+        inputs.append([rng.randint(0, rng.choice([3, 25, 100])) for _ in range(n)])
+    return inputs
+
+
+def reparsed(before, after, changed):
+    """The top-level centres and tree starts an engine finds for the levels
+    ``after`` when it last parsed ``before`` and the positions in the hull
+    ``changed`` are the ones that differ (an odd count of each)."""
+    state = engine_for([1] * len(before))
+    state._levels[:] = before
+    state._changed = (0, len(before) - 1)
+    state._top_level_centres()
+    state._levels[:] = after
+    state._changed = changed
+    return state._top_level_centres(), state._tree_starts
+
+
 def negatives_from_forest(state):
     """Reference for ``available_negatives``: realise the whole forest and
     read the centre leaves of its top-level triples."""
@@ -107,6 +132,46 @@ def gap_buckets(state, elems, a, b):
     return lefts, rights
 
 
+def merged_elements(state):
+    """Reference for ``EngineState._merged_elements``: the live units by
+    position (sign +1 for a square, 0 for an opaque unit) and the negatives
+    the whole realised forest offers (sign -1)."""
+    elems = [
+        (nd.pos, nd.weight, 1 if nd.is_square else 0, nd.ref)
+        for nd in state.live
+        if nd.pos is not None
+    ]
+    elems += [(pos, w, -1, state.units[pos].ref) for pos, w, _o in negatives_from_forest(state)]
+    return sorted(elems)
+
+
+def accordion_slices(elems):
+    """Reference for ``EngineState._accordion_slices``: every
+    alternation-respecting slice (a, b, slice_weight) that starts and ends on
+    a positive element, length >= 2, found by expanding every segment of the
+    whole sequence.  Blockers (sign 0) and equal adjacent signs bound the
+    segments."""
+    p = len(elems)
+    out = []
+    seg_start = 0
+    for e in range(p + 1):
+        boundary = e == p or elems[e][2] == 0 or (
+            e > 0 and (elems[e][2] == elems[e - 1][2] or elems[e - 1][2] == 0)
+        )
+        if not boundary:
+            continue
+        for a in range(seg_start, e):
+            if elems[a][2] != 1:
+                continue
+            acc = elems[a][1]
+            for b in range(a + 1, e):
+                acc += elems[b][2] * elems[b][1]
+                if elems[b][2] > 0:
+                    out.append((a, b, acc))
+        seg_start = e
+    return out
+
+
 def enumerate_candidates(state):
     """Every legal combination available right now, best first: each plain
     triple of each window, and each accordion slice with each pair of outer
@@ -118,15 +183,16 @@ def enumerate_candidates(state):
         return [state._queue_candidate()]
     live = state.live
     m = len(live)
-    cap, _min_to_blk = state._window_arrays()
+    # a window starting at i reaches the first unit after i, or the end
+    cap = [next((k for k in range(i + 1, m) if live[k].pos is not None), m - 1) for i in range(m)]
     out = []
     for i in range(m - 2):
         for j in range(i + 1, min(cap[i], m - 2) + 1):
             for k in range(j + 1, cap[j] + 1):
                 a, b, c = live[i], live[j], live[k]
                 out.append(state._plain_candidate(a, b, c, a.weight + b.weight + c.weight))
-    elems = state._merged_elements()
-    for a, b, acc in state._accordion_slices(elems):
+    elems = merged_elements(state)
+    for a, b, acc in accordion_slices(elems):
         lefts, rights = gap_buckets(state, elems, a, b)
         for left in lefts:
             for right in rights:
@@ -320,8 +386,16 @@ class TestEnumerateCandidates:
             state = engine_for(ws)
             while not state.done:
                 expected = enumerate_candidates(state)[0]
+                if any(nd.pos is not None for nd in state.live):
+                    # the slices expanded around the negatives are those of
+                    # every segment of the whole sequence
+                    elems, anchors = state._merged_elements()
+                    assert elems == merged_elements(state)
+                    assert state._accordion_slices(elems, anchors) == accordion_slices(elems)
                 chosen = state.advance()
                 assert chosen == expected
+                spans = [(nd.lo, nd.hi) for nd in state.live]
+                assert spans == sorted(spans)
                 accordions += accordion_size(chosen) > 0
                 multi_negative += accordion_size(chosen) > 3
         assert accordions >= 30 and multi_negative >= 1
@@ -563,15 +637,8 @@ class TestStepwiseForest:
         # trace so far implies, the stack pass finds the same available
         # negatives as realising the whole forest, and the owners, the live
         # refs and the accordion span agree with what the steps alone imply
-        rng = random.Random(61)
-        inputs = [
-            accordion_block_weights(rng, rng.choice(range(11, 42, 2))) for _ in range(30)
-        ]
-        for _ in range(60):
-            n = rng.choice(range(1, 42, 2))
-            inputs.append([rng.randint(0, rng.choice([3, 25, 100])) for _ in range(n)])
         accordions = 0
-        for ws in inputs:
+        for ws in rebuild_inputs():
             state = engine_for(ws)
             while not state.done:
                 state.advance()
@@ -589,3 +656,85 @@ class TestStepwiseForest:
                 else:
                     assert step.accordion_span is None
         assert accordions >= 20
+
+    def test_top_level_centres_track_the_full_pass(self):
+        # the engine parses again only the top-level trees that the steps
+        # since its last parse changed; its centres always equal those of
+        # the whole stack pass, whether it parses after every step or after
+        # several
+        rng = random.Random(67)
+        inputs = rebuild_inputs()
+        inputs += [[rng.randint(0, 3) for _ in range(rng.choice(range(11, 42, 2)))] for _ in range(40)]
+        parses = after_several = 0
+        for ws in inputs:
+            state = engine_for(ws)
+            steps = 0
+            while not state.done:
+                state.advance()
+                steps += 1
+                if rng.random() < 0.5:
+                    parses += 1
+                    after_several += steps > 1
+                    steps = 0
+                    assert state._top_level_centres() == pure_centre_leaves(state.unit_levels())
+        assert parses > 500 and after_several > 100
+
+    def test_one_step_merges_three_trees(self):
+        # a circle, a bare leaf and a circle become one triple with leaf
+        # centre 3; the parse stops at 6, where the old tree 7..9 starts
+        before = (1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0)
+        after = (2, 2, 2, 1, 2, 2, 2, 1, 1, 1, 0)
+        assert pure_centre_leaves(before) == [1, 5, 8]
+        assert reparsed(before, after, (0, 6)) == ([3, 8], [0, 7, 10])
+        # a wider hull than the positions that changed parses more, to the
+        # same trees
+        assert reparsed(before, after, (0, 8)) == ([3, 8], [0, 7, 10])
+
+    def test_parse_runs_past_tree_ends_that_no_old_start_follows(self):
+        # the new trees end at 6 and 9, where no old tree starts (old starts
+        # 0, 3, 8, 11, 12); the unchanged rest then cannot parse into whole
+        # trees, and the parse runs on to the stuck leaf 10 and raises the
+        # whole pass's text
+        before = (1, 1, 1, 1, 2, 2, 2, 1, 1, 1, 1, 0, 0)
+        after = (2, 2, 2, 1, 2, 2, 2, 1, 1, 1, 1, 0, 0)
+        with pytest.raises(InvalidLevelSequence) as full:
+            pure_centre_leaves(after)
+        assert "stuck with 1 node(s)" in str(full.value)
+        with pytest.raises(EngineError) as err:
+            reparsed(before, after, (0, 2))
+        assert str(err.value) == f"cannot realise forest for unit levels {list(after)}: {full.value}"
+
+    def test_changed_stretches_match_the_full_pass(self):
+        # any stretch of a whole forest's levels rewritten, valid or not:
+        # the same centres, or the same error text
+        rng = random.Random(71)
+        blocks = test_levels.FOREST_BLOCKS
+        valid = 0
+        for _ in range(3000):
+            # an odd number of odd-length blocks: an engine needs an odd count
+            before = [l for _ in range(rng.choice([1, 3, 5])) for l in rng.choice(blocks)]
+            lo = rng.randrange(len(before))
+            hi = rng.randrange(lo, len(before))
+            after = list(before)
+            for i in range(lo, hi + 1):
+                after[i] = rng.choice([-1, 0, 1, 1, 2, 2, 3])
+            try:
+                want = pure_centre_leaves(after)
+            except InvalidLevelSequence as exc:
+                with pytest.raises(EngineError) as err:
+                    reparsed(before, after, (lo, hi))
+                assert str(err.value) == f"cannot realise forest for unit levels {after}: {exc}"
+                continue
+            valid += 1
+            assert reparsed(before, after, (lo, hi))[0] == want
+        assert valid > 250
+
+    @pytest.mark.parametrize("ws", [CRASH_15, CRASH_13], ids=["crash-15", "crash-13"])
+    def test_crash_text_is_the_full_pass_text(self, ws):
+        state = engine_for(ws)
+        with pytest.raises(EngineError) as err:
+            state.run()
+        levels = state.unit_levels()
+        with pytest.raises(InvalidLevelSequence) as full:
+            pure_centre_leaves(levels)
+        assert str(err.value) == f"cannot realise forest for unit levels {list(levels)}: {full.value}"
