@@ -163,6 +163,14 @@ class EngineState:
     negative pairings are spent, the most recent circle each unit was
     combined into, and the top-level trees of the forest the signed unit
     levels realise.
+
+    It also keeps, between steps, what the accordion search reads: the
+    elements by unit position (live units with sign +1 for a square and 0
+    for an opaque unit, the available negatives with sign -1), the set of
+    negative positions, and one summary per alternating segment that holds
+    a negative (see ``_segment``).  Each step marks the hull of the unit
+    positions it touched, and a scan recomputes only the segments whose
+    reach meets that hull.
     """
 
     def __init__(self, units: Sequence[Unit], allocator=None):
@@ -191,6 +199,19 @@ class EngineState:
         self._tree_starts = list(range(u))
         self._tree_centres: List[Optional[int]] = [None] * u
         self._changed: Optional[Tuple[int, int]] = None
+        # per unit position, whether it holds a live square
+        self._live_square = [unit.is_square for unit in self.units]
+        # (pos, weight, sign, ref) by position, and the positions of sign -1
+        self._elems = [
+            (i, unit.weight, 1 if unit.is_square else 0, unit.ref)
+            for i, unit in enumerate(self.units)
+        ]
+        self._negs: Set[int] = set()
+        # segment summaries by first position, and the hull (lo, hi) of the
+        # positions changed since they were last brought up to date, which
+        # available_negatives passes on from _changed (None when none did)
+        self._segs: Dict[int, tuple] = {}
+        self._dirty: Optional[Tuple[int, int]] = None
         self.spent: Set[tuple] = set()
         self.last_consumer: Dict[int, int] = {}
         self.stats = {"candidates": 0, "queue_steps": 0}
@@ -201,49 +222,9 @@ class EngineState:
     def done(self) -> bool:
         return len(self.live) <= 1
 
-    def live_square_positions(self) -> Set[int]:
-        return {nd.pos for nd in self.live if nd.is_square}
-
     def unit_levels(self) -> tuple:
         """Signed levels of the units under the combinations made so far."""
         return tuple(self._levels)
-
-    def _top_level_centres(self) -> list:
-        """The leaf centres of the realised forest's top-level triples, left
-        to right.  Only what the steps since the last call changed is parsed
-        again: from the start of the tree that holds the lowest changed
-        position, up to the first tree end at or past the highest one that
-        an old tree start follows (or the end of the sequence).  The trees
-        before and after that stretch are unchanged, since each top-level
-        tree parses on its own.
-
-        When the levels realise a forest, the first tree end at or past the
-        highest changed position is such a point: the unchanged rest is
-        whole new trees, its leaves' 3^-level sum to a whole number, so it
-        cannot start inside an old tree.  Where no old start follows, the
-        rest does not parse into whole trees, and the parse runs on to the
-        error the whole pass raises."""
-        if self._changed is not None:
-            lo, hi = self._changed
-            starts, centres = self._tree_starts, self._tree_centres
-            k = j = bisect_right(starts, lo) - 1
-            new_starts, new_centres = [], []
-            try:
-                for first, last, centre in pure_top_trees(self._levels, starts[k]):
-                    new_starts.append(first)
-                    new_centres.append(centre)
-                    if last >= hi:
-                        j = bisect_right(starts, last, j)
-                        if j < len(starts) and starts[j] == last + 1:
-                            break
-                else:
-                    j = len(starts)
-            except InvalidLevelSequence as exc:
-                raise _unrealisable(self._levels, exc) from exc
-            starts[k:j] = new_starts
-            centres[k:j] = new_centres
-            self._changed = None
-        return [c for c in self._tree_centres if c is not None]
 
     def forest(self):
         """The cross-over-free forest the current levels describe."""
@@ -260,7 +241,7 @@ class EngineState:
     def advance(self) -> Candidate:
         if self.done:
             raise EngineError("combination already complete")
-        if any(nd.pos is not None for nd in self.live):
+        if len(self._elems) > len(self._negs):  # a live unit remains
             cand = self._scan()
         else:
             cand = self._queue_candidate()
@@ -314,33 +295,30 @@ class EngineState:
                     to_blk = w
         return cap, pair, need
 
-    def _merged_elements(self):
-        """Live squares (sign +1), available negatives (sign -1), and live
-        opaque units (sign 0, pure blockers), by unit position; and the
-        indexes of the negatives among them, in order."""
-        negatives = available_negatives(self)
-        elems = [
-            (nd.pos, nd.weight, 1 if nd.is_square else 0, nd.ref)
-            for nd in self.live
-            if nd.pos is not None
-        ]
-        elems.extend((pos, w, -1, self.units[pos].ref) for pos, w, _owner in negatives)
-        elems.sort()
-        return elems, [bisect_left(elems, (pos,)) for pos, _w, _owner in negatives]
-
-    @staticmethod
-    def _accordion_slices(elems, anchors):
-        """(a, b, slice_weight) for every alternation-respecting slice that
-        starts and ends on a positive element, length >= 2, by a then b.
-        Blockers (sign 0) and equal adjacent signs bound the usable
-        segments.  A segment without a negative is a single element, so
-        only the segments around the negatives at ``anchors`` (ascending
-        element indexes) are expanded."""
+    def _segments(self):
+        """The summaries of the alternating segments that hold a negative,
+        by first position, brought up to date.  A summary reads only the
+        elements and the live nodes' span ends from the element before its
+        segment through the element after it (its reach), so one whose
+        reach misses the hull of the positions changed since the last call
+        still holds; the others are dropped, and the segments around the
+        negatives in that hull, widened by the dropped segments, are
+        summarised again."""
+        segs = self._segs
+        if self._dirty is None:
+            return segs
+        lo, hi = wlo, whi = self._dirty
+        self._dirty = None
+        for first, (last, reach_lo, reach_hi, _count, _hit) in list(segs.items()):
+            if reach_lo <= hi and lo <= reach_hi:
+                del segs[first]
+                wlo, whi = min(wlo, first), max(whi, last)
+        elems = self._elems
         p = len(elems)
-        out = []
-        end = 0  # past the last segment expanded
-        for t in anchors:
-            if t < end:
+        by_hi = None  # the live nodes by (hi, lo), sorted once if needed
+        end = 0  # past the last segment found
+        for t in range(bisect_left(elems, (wlo,)), bisect_left(elems, (whi + 1,))):
+            if t < end or elems[t][2] >= 0:
                 continue
             start = t
             while start > 0 and elems[start - 1][2] not in (0, elems[start][2]):
@@ -348,36 +326,39 @@ class EngineState:
             end = t + 1
             while end < p and elems[end][2] not in (0, elems[end - 1][2]):
                 end += 1
-            # signs alternate inside a segment, so the positives sit two apart
-            for a in range(start if elems[start][2] > 0 else start + 1, end, 2):
-                acc = elems[a][1]
-                for b in range(a + 2, end, 2):
-                    acc += elems[b][1] - elems[b - 1][1]
-                    out.append((a, b, acc))
-        return out
+            if elems[start][0] not in segs:
+                # only a segment with two positives has a slice to flank
+                if by_hi is None and end - start - (elems[start][2] < 0) >= 3:
+                    by_hi = sorted(self.live, key=_hi_lo)  # nearly sorted already
+                segs[elems[start][0]] = self._segment(start, end, by_hi)
+        return segs
 
-    def _gap_outers(self, elems, slices):
-        """The outer nodes the candidate key picks for the gaps the slices
-        use; None where no node fits, and at gaps no slice uses.
+    def _segment(self, start: int, end: int, by_hi) -> tuple:
+        """The summary of the alternating segment ``_elems[start:end]``:
+        ``(last, reach_lo, reach_hi, count, hit)``, with the position of its
+        last element; its reach, the positions of the elements before and
+        after it (-1 and the unit count past either end); the number of its
+        slices; and ``hit = (key, left, right)`` for its accordion candidate
+        with the least key, or None when no slice has an outer node on both
+        sides.  Blockers (sign 0) and equal adjacent signs bound a segment.
 
-        left[a], for a slice starting at element a: the lightest node whose
-        span ends before position a, at or after position a-1, found by
-        bisection in the live nodes ordered by (hi, lo); ties go to the
-        first in live order, which is ordered by (lo, hi), so to the least
-        (lo, hi), and among equal spans to the first of the stable sort.
-        right[b], for a slice ending at element b: the lightest node whose
-        span starts after position b, at or before position b+1, found by
-        bisection in ``live``; ties go to the leftmost ``hi``, then the
-        first in live order.  A circle ending (starting) exactly on a live
-        unit's position may not skip over it.
-        """
-        p = len(elems)
-        left = [None] * p
-        right = [None] * p
+        A slice runs from a positive element a to a later positive b, and
+        signs alternate, so the positives sit two apart.  Its left outer is
+        the lightest node whose span ends before position a, at or after
+        the element before a, found by bisection in ``by_hi``, the live
+        nodes ordered by (hi, lo); ties go to the least (lo, hi), and among
+        equal spans to the first of the stable sort.  Its right outer is
+        the lightest node whose span starts after position b, at or before
+        the element after b, found by bisection in ``live``; ties go to the
+        leftmost ``hi``, then the first in live order.  A circle ending
+        (starting) exactly on a live unit's position may not skip over
+        it."""
+        elems = self._elems
         live = self.live
-        by_hi = sorted(live, key=_hi_lo)  # nearly sorted already
-        for a in {a for a, _b, _acc in slices}:
-            pos = elems[a][0]
+        p = len(elems)
+        tops = range(start if elems[start][2] > 0 else start + 1, end, 2)
+        lefts = []
+        for a in tops[:-1]:
             k = 0
             edge = None  # a live unit's position a circle may not end on
             if a > 0:
@@ -385,13 +366,14 @@ class EngineState:
                 k = bisect_left(by_hi, prev, key=_hi)
                 edge = prev if sign >= 0 else None
             best = None
-            for nd in by_hi[k : bisect_left(by_hi, pos, k, key=_hi)]:
+            for nd in by_hi[k : bisect_left(by_hi, elems[a][0], k, key=_hi)]:
                 if nd.pos is None and nd.hi == edge:
                     continue
                 if best is None or (nd.weight, nd.lo, nd.hi) < (best.weight, best.lo, best.hi):
                     best = nd
-            left[a] = best
-        for b in {b for _a, b, _acc in slices}:
+            lefts.append(best)
+        rights = []
+        for b in tops[1:]:
             k = bisect_right(live, elems[b][0], key=_lo)
             stop = len(live)
             edge = None
@@ -405,21 +387,39 @@ class EngineState:
                     continue
                 if best is None or (nd.weight, nd.hi) < (best.weight, best.hi):
                     best = nd
-            right[b] = best
-        return left, right
+            rights.append(best)
+        hit = None
+        least = math.inf
+        for i, left in enumerate(lefts):
+            if left is None:
+                continue
+            a = tops[i]
+            acc = left.weight + elems[a][1]  # left outer and elements a..b
+            for b, right in zip(tops[i + 1 :], rights[i:]):
+                acc += elems[b][1] - elems[b - 1][1]
+                if right is None or acc + right.weight > least:
+                    continue
+                key = (acc + right.weight, left.lo, b - a + 1, right.hi, elems[a][0])
+                if hit is None or key < hit[0]:
+                    hit = (key, left, right)
+                    least = key[0]
+        reach_lo = elems[start - 1][0] if start > 0 else -1
+        reach_hi = elems[end][0] if end < p else len(self.units)
+        count = len(tops) * (len(tops) - 1) // 2
+        return elems[end - 1][0], reach_lo, reach_hi, count, hit
 
     def _scan(self) -> Candidate:
-        """One pass over every plain window (i, j) and accordion slice
-        (a, b), with the available negatives found once; returns the step
-        to take, the least candidate by ``key``.
+        """One pass over every plain window (i, j), and the accordion
+        segment summaries brought up to date; returns the step to take, the
+        least candidate by ``key``.
 
-        It keeps the windows and slices whose cheapest completion reaches
-        the running minimum, counts what it scanned in ``stats``, and builds
-        only the candidates at the minimum weight, one per accordion slice.
         A window (i, j) takes any third member k in j+1 .. cap[j], so its
         cheapest completion is ``pair[j]``; a start i takes j in i+1 ..
         min(cap[i], m - 2), so its cheapest window costs ``w_i + need[i +
-        1]``."""
+        1]``.  Each segment summary holds the key of its least accordion
+        candidate, which starts with its weight.  The scan counts every
+        window and slice in ``stats``, and builds only the plain candidates
+        at the least weight and the one accordion with the least key."""
         live = self.live
         m = len(live)
         cap, pair, need = self._window_arrays()
@@ -429,21 +429,17 @@ class EngineState:
         # where only a cap of m - 1 exceeds m - 2
         head = cap[: m - 2]
         scanned = sum(head) - head.count(m - 1) - (m - 2) * (m - 3) // 2
-        elems, anchors = self._merged_elements()
-        slices = self._accordion_slices(elems, anchors)
-        hits = []  # (a, b), scan order
-        if slices:
-            scanned += len(slices)
-            left, right = self._gap_outers(elems, slices)
-            for a, b, acc in slices:
-                if left[a] is None or right[b] is None:
-                    continue
-                w = left[a].weight + acc + right[b].weight
-                if w < best:
-                    best, hits = w, []
-                if w == best:
-                    hits.append((a, b))
+        available_negatives(self)
+        hit = None  # the least of the segments' hits by key
+        for _last, _reach_lo, _reach_hi, count, seg_hit in self._segments().values():
+            scanned += count
+            if seg_hit is not None and (hit is None or seg_hit[0] < hit[0]):
+                hit = seg_hit
         self.stats["candidates"] += scanned
+        accordions = []
+        if hit is not None and hit[0][0] <= best:
+            best = hit[0][0]
+            accordions.append(self._hit_candidate(hit))
         windows = (
             (i, j)
             for i, w in enumerate(cheapest)
@@ -456,10 +452,6 @@ class EngineState:
             for i, j in windows
             for k in range(j + 1, cap[j] + 1)
             if live[k].weight == pair[j] - live[j].weight
-        )
-        accordions = (
-            self._accordion_candidate(left[a], right[b], elems[a : b + 1], best)
-            for a, b in hits
         )
         return min(itertools.chain(plain, accordions), key=lambda c: c.key)
 
@@ -474,6 +466,12 @@ class EngineState:
             ),
             span=(a.lo, c.hi),
         )
+
+    def _hit_candidate(self, hit) -> Candidate:
+        """The accordion candidate of a segment summary's ``hit``."""
+        (w, _lo, size, _hi, first), left, right = hit
+        i = bisect_left(self._elems, (first,))
+        return self._accordion_candidate(left, right, self._elems[i : i + size], w)
 
     def _accordion_candidate(self, left: _Live, right: _Live, elems, w: int) -> Candidate:
         """Blockers (sign 0) bound every slice, so the elements are original
@@ -529,8 +527,16 @@ class EngineState:
             if owner is None or (pos, owner) in self.spent:
                 raise EngineError(f"negative use of unit {pos} without a fresh pairing")
             self.spent.add((pos, owner))
+        elems, live_square = self._elems, self._live_square
         for pos in owned:
             self.last_consumer[pos] = circle
+            live_square[pos] = False
+            del elems[bisect_left(elems, (pos,))]
+        for pos in negatives:  # live squares again
+            live_square[pos] = True
+            self._negs.discard(pos)
+            unit = self.units[pos]
+            elems[bisect_left(elems, (pos,))] = (pos, unit.weight, 1, unit.ref)
         # the levels that changed are those of the positions under the new
         # circle
         lo, hi = min(under)[0], max(under)[0]
@@ -554,27 +560,71 @@ def _unrealisable(levels, exc: StructureError) -> EngineError:
     return EngineError(f"cannot realise forest for unit levels {list(levels)}: {exc}")
 
 
-def available_negatives(state: EngineState):
-    """Units currently usable with negative weight: original leaves sitting
-    as the centre child of a top-level triple of the realised forest, paired
-    with the circle that last consumed them.  The forest's top-level triples
-    come from the stack pass over the unit levels, redone only over the
-    trees the steps since the last call changed; no tree is built.
+def available_negatives(state: EngineState) -> Set[int]:
+    """The unit positions usable with negative weight: original leaves
+    sitting as the centre child of a top-level triple of the realised
+    forest, each paired with the circle that last consumed it.  Returns the
+    engine's own set, brought up to date together with the negatives among
+    its accordion elements.  Where the re-parsed trees' negatives changed,
+    they are replaced, and their old and new positions widen the engine's
+    hull of changed positions.
+
+    The forest's top-level triples come from the stack pass over the unit
+    levels, and only what the steps since the last call changed is parsed
+    again: from the start of the tree that holds the lowest changed
+    position, up to the first tree end at or past the highest one that an
+    old tree start follows (or the end of the sequence).  The trees before
+    and after that stretch are unchanged, since each top-level tree parses
+    on its own, and so are their negatives.  When the levels realise a
+    forest, the first tree end at or past the highest changed position is
+    such a point: the unchanged rest is whole new trees, its leaves'
+    3^-level sum to a whole number, so it cannot start inside an old tree.
+    Where no old start follows, the rest does not parse into whole trees,
+    and the parse runs on to the error the whole pass raises.
 
     A centre leaf that is not a live square was consumed positively, so
     ``last_consumer`` holds its owner; a leaf used negatively is a live
     square again until a new circle consumes it and becomes its owner, so a
     spent pairing cannot show up here either.  ``EngineState._apply``
     refuses a missing or spent pairing all the same."""
-    if not state.steps:
-        return []
-    live_squares = state.live_square_positions()
-    out = []
-    for pos in state._top_level_centres():
-        if not state.units[pos].is_square or pos in live_squares:
-            continue
-        out.append((pos, state.units[pos].weight, state.last_consumer.get(pos)))
-    return out
+    negs = state._negs
+    if state._changed is None:
+        return negs
+    lo, hi = state._changed
+    starts, centres = state._tree_starts, state._tree_centres
+    k = j = bisect_right(starts, lo) - 1
+    new_starts, new_centres = [], []
+    try:
+        for first, last, centre in pure_top_trees(state._levels, starts[k]):
+            new_starts.append(first)
+            new_centres.append(centre)
+            if last >= hi:
+                j = bisect_right(starts, last, j)
+                if j < len(starts) and starts[j] == last + 1:
+                    break
+        else:
+            j = len(starts)
+    except InvalidLevelSequence as exc:
+        raise _unrealisable(state._levels, exc) from exc
+    units, live_square = state.units, state._live_square
+    old = [c for c in centres[k:j] if c in negs]
+    new = [c for c in new_centres if c is not None and units[c].is_square and not live_square[c]]
+    starts[k:j] = new_starts
+    centres[k:j] = new_centres
+    state._changed = None
+    if old != new:
+        elems = state._elems
+        for c in old:
+            del elems[bisect_left(elems, (c,))]
+        for c in new:
+            insort(elems, (c, units[c].weight, -1, units[c].ref))
+        negs.difference_update(old)
+        negs.update(new)
+        lo, hi = min(lo, *old, *new), max(hi, *old, *new)
+    if state._dirty is not None:
+        lo, hi = min(lo, state._dirty[0]), max(hi, state._dirty[1])
+    state._dirty = (lo, hi)
+    return negs
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from alphatree.ternary import (
     EngineState,
     Unit,
     _GeneralSolver,
+    _solve_pure_ternary,
     available_negatives,
     detect_pcns,
     general_solve,
@@ -76,6 +78,26 @@ def rebuild_inputs():
     return inputs
 
 
+def live_square_positions(state):
+    return {nd.pos for nd in state.live if nd.is_square}
+
+
+def top_level_centres(state):
+    """The leaf centres of the realised forest's top-level triples, left to
+    right, as the engine keeps them once ``available_negatives`` has parsed
+    the trees the steps since its last call changed."""
+    available_negatives(state)
+    return [c for c in state._tree_centres if c is not None]
+
+
+def negative_pairings(state):
+    """The engine's available negatives as (position, weight, owner)."""
+    return sorted(
+        (pos, state.units[pos].weight, state.last_consumer.get(pos))
+        for pos in available_negatives(state)
+    )
+
+
 def reparsed(before, after, changed):
     """The top-level centres and tree starts an engine finds for the levels
     ``after`` when it last parsed ``before`` and the positions in the hull
@@ -83,17 +105,17 @@ def reparsed(before, after, changed):
     state = engine_for([1] * len(before))
     state._levels[:] = before
     state._changed = (0, len(before) - 1)
-    state._top_level_centres()
+    top_level_centres(state)
     state._levels[:] = after
     state._changed = changed
-    return state._top_level_centres(), state._tree_starts
+    return top_level_centres(state), state._tree_starts
 
 
 def negatives_from_forest(state):
     """Reference for ``available_negatives``: realise the whole forest and
     read the centre leaves of its top-level triples."""
     forest = state.forest()
-    live_squares = state.live_square_positions()
+    live_squares = live_square_positions(state)
     out = []
     for r in forest.roots:
         nd = forest.nodes[r]
@@ -133,9 +155,9 @@ def gap_buckets(state, elems, a, b):
 
 
 def merged_elements(state):
-    """Reference for ``EngineState._merged_elements``: the live units by
-    position (sign +1 for a square, 0 for an opaque unit) and the negatives
-    the whole realised forest offers (sign -1)."""
+    """Reference for the engine's kept elements: the live units by position
+    (sign +1 for a square, 0 for an opaque unit) and the negatives the whole
+    realised forest offers (sign -1)."""
     elems = [
         (nd.pos, nd.weight, 1 if nd.is_square else 0, nd.ref)
         for nd in state.live
@@ -146,11 +168,10 @@ def merged_elements(state):
 
 
 def accordion_slices(elems):
-    """Reference for ``EngineState._accordion_slices``: every
-    alternation-respecting slice (a, b, slice_weight) that starts and ends on
-    a positive element, length >= 2, found by expanding every segment of the
-    whole sequence.  Blockers (sign 0) and equal adjacent signs bound the
-    segments."""
+    """Every alternation-respecting slice (a, b, slice_weight) that starts
+    and ends on a positive element, length >= 2, found by expanding every
+    segment of the whole sequence.  Blockers (sign 0) and equal adjacent
+    signs bound the segments."""
     p = len(elems)
     out = []
     seg_start = 0
@@ -170,6 +191,41 @@ def accordion_slices(elems):
                     out.append((a, b, acc))
         seg_start = e
     return out
+
+
+def segment_summaries(state):
+    """Reference for the engine's segment summaries: for each alternating
+    segment that holds a negative, by its first position, its slice count
+    and its least accordion candidate by key (None when no slice has outer
+    nodes on both sides), from the whole-sequence slices and every outer
+    node in their gap buckets; equal keys keep the first in live order."""
+    elems = merged_elements(state)
+    starts = []  # the first element of each element's segment
+    for e, (_p, _w, sign, _r) in enumerate(elems):
+        joined = e > 0 and sign != 0 and elems[e - 1][2] not in (0, sign)
+        starts.append(starts[-1] if joined else e)
+    out = {elems[starts[e]][0]: [0, None] for e, el in enumerate(elems) if el[2] < 0}
+    for a, b, acc in accordion_slices(elems):
+        summary = out[elems[starts[a]][0]]
+        summary[0] += 1
+        lefts, rights = gap_buckets(state, elems, a, b)
+        for left in lefts:
+            for right in rights:
+                w = left.weight + acc + right.weight
+                cand = state._accordion_candidate(left, right, elems[a : b + 1], w)
+                if summary[1] is None or cand.key < summary[1].key:
+                    summary[1] = cand
+    return {first: tuple(summary) for first, summary in out.items()}
+
+
+def kept_summaries(state):
+    """The engine's segment summaries, brought up to date, as slice count
+    and least accordion candidate."""
+    available_negatives(state)
+    return {
+        first: (count, None if hit is None else state._hit_candidate(hit))
+        for first, (_last, _rlo, _rhi, count, hit) in state._segments().items()
+    }
 
 
 def enumerate_candidates(state):
@@ -292,22 +348,22 @@ class TestPcnFreeFilter:
 class TestAvailableNegatives:
     def test_seven_node_after_first_combination(self):
         state = engine_for(SEVEN_WEIGHTS, steps=1)
-        assert available_negatives(state) == [(3, 10, 7)]
+        assert negative_pairings(state) == [(3, 10, 7)]
 
     def test_fifteen_node_after_two(self):
         state = engine_for(FIFTEEN_WEIGHTS, steps=2)
-        assert available_negatives(state) == [(5, 10, 15), (9, 10, 16)]
+        assert negative_pairings(state) == [(5, 10, 15), (9, 10, 16)]
 
     def test_fifteen_node_after_three(self):
         state = engine_for(FIFTEEN_WEIGHTS, steps=3)
-        assert available_negatives(state) == [(3, 6, 17), (7, 11, 17), (11, 6, 17)]
+        assert negative_pairings(state) == [(3, 6, 17), (7, 11, 17), (11, 6, 17)]
 
     def test_spent_pairing_not_reissued(self):
         state = engine_for(SEVEN_WEIGHTS, steps=2)
         # step two took leaf 3 negatively from circle 7: the leaf is a live
         # square again, so it cannot be offered as a negative ...
         assert (3, 7) in state.spent
-        assert 3 in state.live_square_positions()
+        assert 3 in live_square_positions(state)
         # ... and a step that reuses the pairing anyway is refused
         cand = state._scan()
         reuse = dataclasses.replace(
@@ -371,7 +427,9 @@ class TestEnumerateCandidates:
         # On accordion block inputs the step's one-pass minimum must pick the
         # head of the full enumeration whenever accordions compete with plain
         # windows; tie-heavy inputs check which of equally light outer nodes
-        # it takes.
+        # it takes.  Before every step, the elements and segment summaries
+        # the engine kept from earlier steps must equal a recomputation from
+        # scratch.
         rng = random.Random(37)
         inputs = [
             accordion_block_weights(rng, rng.choice(range(11, 42, 2))) for _ in range(60)
@@ -386,12 +444,8 @@ class TestEnumerateCandidates:
             state = engine_for(ws)
             while not state.done:
                 expected = enumerate_candidates(state)[0]
-                if any(nd.pos is not None for nd in state.live):
-                    # the slices expanded around the negatives are those of
-                    # every segment of the whole sequence
-                    elems, anchors = state._merged_elements()
-                    assert elems == merged_elements(state)
-                    assert state._accordion_slices(elems, anchors) == accordion_slices(elems)
+                assert kept_summaries(state) == segment_summaries(state)
+                assert state._elems == merged_elements(state)
                 chosen = state.advance()
                 assert chosen == expected
                 spans = [(nd.lo, nd.hi) for nd in state.live]
@@ -435,6 +489,43 @@ class TestPureTernaryPhase1:
         assert report.cost == 62
         assert report.levels == (2, 2, 2, 1, 2, 2, 2)
         assert report.cost == dp_optimal(SEVEN_WEIGHTS, (3,))[0]
+
+    # per weight family at n=201 (random.Random(201) draws the uniform ones):
+    # the trace's sha256 and the candidates scanned; ties, monotone and
+    # sawtooth weights are families no benchmark workload draws
+    FAMILIES = {
+        "uniform-50-99": (
+            lambda r: [r.randint(50, 99) for _ in range(201)],
+            "e73100b950d5c578233f8f02a2cee359e22d3daa31c8197ff41b9f1c2a963c27", 15623,
+        ),
+        "uniform-0-3": (
+            lambda r: [r.randint(0, 3) for _ in range(201)],
+            "5b0a686e45fa2a9b558ca1cc358e5e95716a67d44b2ee3f8769f626cffbe316e", 19162,
+        ),
+        "powers-of-2": (
+            lambda r: [2 ** (i % 20) for i in range(201)],
+            "8527a5fa0d30a170a4abe5c3bc44fba63643fd9630111067a022bb97d00cc25b", 11828,
+        ),
+        "increasing": (
+            lambda r: list(range(1, 202)),
+            "89f9ce39312129e8f70c3282b3ef1f35e09c236cba41dacfd2ee369f06c2415b", 40501,
+        ),
+        "all-equal": (
+            lambda r: [1] * 201,
+            "0aca43e8cb792713f965f6d0fa96a4e82206396ae2e06ac1992bd1af6f465d72", 56849,
+        ),
+        "sawtooth": (
+            lambda r: [9 if i % 2 == 0 else 1 for i in range(201)],
+            "0ee08f7ba4fd67f8917de3faa16cd575ebdbad7ea12f04e6f936f2904a7166c8", 50918,
+        ),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_weight_family_trace_and_candidates(self, family):
+        draw, digest, candidates = self.FAMILIES[family]
+        report, stats = _solve_pure_ternary(draw(random.Random(201)))
+        assert hashlib.sha256(repr(report.trace.to_json_obj()).encode()).hexdigest() == digest
+        assert stats["candidates"] == candidates
 
     def test_misses_the_optimum_without_permanent_runs(self):
         # weights 50..99 have no permanent runs, yet at n=201 the greedy is
@@ -645,7 +736,10 @@ class TestStepwiseForest:
                 step = state.steps[-1]
                 trace = CombinationTrace(len(ws), tuple(state.steps))
                 assert state.unit_levels() == signed_levels(trace)
-                assert available_negatives(state) == negatives_from_forest(state)
+                assert negative_pairings(state) == negatives_from_forest(state)
+                assert [e[0] for e in state._elems if e[2] < 0] == sorted(state._negs)
+                flags = {pos for pos, live in enumerate(state._live_square) if live}
+                assert flags == live_square_positions(state)
                 last_consumer, live = steps_reference(state.steps, len(ws))
                 assert state.last_consumer == last_consumer
                 assert sorted(nd.ref for nd in state.live) == live
@@ -676,7 +770,7 @@ class TestStepwiseForest:
                     parses += 1
                     after_several += steps > 1
                     steps = 0
-                    assert state._top_level_centres() == pure_centre_leaves(state.unit_levels())
+                    assert top_level_centres(state) == pure_centre_leaves(state.unit_levels())
         assert parses > 500 and after_several > 100
 
     def test_one_step_merges_three_trees(self):
