@@ -11,6 +11,7 @@ itself.  Both work in exact integers only.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .core import AlphaTree, Infeasible, TreeBuilder, validate_weights
@@ -71,11 +72,18 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     return cost[0][n - 1], builder.finish(built)
 
 
+@lru_cache(maxsize=1)
 def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
     """The DP tables over validated weights: ``cost[i][j]``, the optimal
     cost of a tree over leaves i..j with internal arities in ``allowed``,
     and ``choice[i][j]``, the leftmost optimal split points of its root.
-    With ``allowed == {3}`` only odd spans are filled."""
+    With ``allowed == {3}`` only odd spans are filled.
+
+    The last table set is cached, so ``general_solve``'s plan-search stop
+    and a ``dp_optimal`` call on the same weights and arities (the fuzz
+    harness, ``alphatree verify`` and the benchmark's check make both)
+    share one build.  Callers treat the tables as read-only.  The cached
+    set stays alive until a call with other arguments replaces it."""
     pure = allowed == {3}
     n = len(ws)
     prefix = [0]

@@ -418,8 +418,9 @@ class EngineState:
         min(cap[i], m - 2), so its cheapest window costs ``w_i + need[i +
         1]``.  Each segment summary holds the key of its least accordion
         candidate, which starts with its weight.  The scan counts every
-        window and slice in ``stats``, and builds only the plain candidates
-        at the least weight and the one accordion with the least key."""
+        window and slice in ``stats``, compares the keys of the plain
+        windows at the least weight without building them, and builds one
+        ``Candidate``, the step it returns."""
         live = self.live
         m = len(live)
         cap, pair, need = self._window_arrays()
@@ -436,24 +437,27 @@ class EngineState:
             if seg_hit is not None and (hit is None or seg_hit[0] < hit[0]):
                 hit = seg_hit
         self.stats["candidates"] += scanned
-        accordions = []
-        if hit is not None and hit[0][0] <= best:
-            best = hit[0][0]
-            accordions.append(self._hit_candidate(hit))
-        windows = (
-            (i, j)
-            for i, w in enumerate(cheapest)
-            if w == best
-            for j in range(i + 1, min(cap[i], m - 2) + 1)
-            if pair[j] == need[i + 1]
-        )
-        plain = (
-            self._plain_candidate(live[i], live[j], live[k], best)
-            for i, j in windows
-            for k in range(j + 1, cap[j] + 1)
-            if live[k].weight == pair[j] - live[j].weight
-        )
-        return min(itertools.chain(plain, accordions), key=lambda c: c.key)
+        if hit is not None and hit[0][0] < best:
+            return self._hit_candidate(hit)
+        # the first least plain key (best, a.lo, 1, c.hi, b.lo) over the
+        # windows at the least weight, in (i, j, k) order
+        least = None
+        for i, w in enumerate(cheapest):
+            if w != best:
+                continue
+            for j in range(i + 1, min(cap[i], m - 2) + 1):
+                if pair[j] != need[i + 1]:
+                    continue
+                third = pair[j] - live[j].weight
+                for k in range(j + 1, cap[j] + 1):
+                    if live[k].weight == third:
+                        key = (best, live[i].lo, 1, live[k].hi, live[j].lo)
+                        if least is None or key < least[0]:
+                            least = key, i, j, k
+        key, i, j, k = least
+        if hit is not None and hit[0] < key:
+            return self._hit_candidate(hit)
+        return self._plain_candidate(live[i], live[j], live[k], best)
 
     def _plain_candidate(self, a: _Live, b: _Live, c: _Live, w: int) -> Candidate:
         return Candidate(
@@ -710,8 +714,10 @@ class _GeneralSolver:
         of every plan is a tree over those leaves with internal arities 2
         and 3, so none costs less; and a later plan wins only on a strictly
         lower cost.  Once the best completion reaches this value, no plan
-        left can replace it.  The table is built on the first read, so a
-        solve that tries one plan per span never builds it."""
+        left can replace it.  The table is fetched on the first read, so a
+        solve that tries one plan per span never builds it; ``_dp_tables``
+        keeps its last table set, so a ``dp_optimal(ws, (2, 3))`` call on
+        the same weights, before or after the solve, shares the build."""
         if self._optimum is None:
             self._optimum = _dp_tables(self.w, frozenset((2, 3)))[0]
         return self._optimum[lo][hi]

@@ -4,8 +4,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alphatree import oracle
 from alphatree.core import Infeasible, TreeBuilder, is_alphabetic, leaf_levels, tree_cost
-from alphatree.oracle import RefusedSize, dp_optimal, exhaustive_optimal
+from alphatree.oracle import RefusedSize, _dp_tables, dp_optimal, exhaustive_optimal
+from alphatree.ternary import general_solve
+from tests import test_levels
 from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS
 
 ARITY_SETS = ((2,), (3,), (2, 3))
@@ -137,6 +140,59 @@ class TestDpOptimal:
         base = dp_optimal(tuple(ws), (2, 3))[0]
         grown = dp_optimal(tuple(ws) + (extra,), (2, 3))[0]
         assert grown >= base
+
+
+class TestSharedTables:
+    """``_dp_tables`` keeps its last table set, so the plan-search stop in
+    ``general_solve`` and ``dp_optimal`` on the same weights build it once."""
+
+    # the 13-leaf crash input: general_solve tries four of its plans, so its
+    # stop reads the (2, 3) table (importing the pinned-output class itself
+    # would collect its tests here a second time)
+    SEVERAL_PLANS = test_levels.TestPinnedSolverOutputs.KNOWN_FAILURES[1]
+
+    def test_general_solve_then_dp_builds_once(self):
+        _dp_tables.cache_clear()
+        assert general_solve(self.SEVERAL_PLANS).cost == 422
+        assert _dp_tables.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert dp_optimal(self.SEVERAL_PLANS, (2, 3))[0] == 422
+        assert _dp_tables.cache_info()[:2] == (1, 1)
+
+    def test_cold_and_warm_calls_agree(self):
+        _dp_tables.cache_clear()
+        cold_cost, cold_tree = dp_optimal(FIFTEEN_WEIGHTS, (2, 3))
+        warm_cost, warm_tree = dp_optimal(FIFTEEN_WEIGHTS, (2, 3))
+        assert _dp_tables.cache_info()[:2] == (1, 1)
+        assert (warm_cost, repr(warm_tree)) == (cold_cost, repr(cold_tree))
+
+    def test_other_arities_miss(self):
+        ws = self.SEVERAL_PLANS
+        _dp_tables.cache_clear()
+        dp_optimal(ws, (2, 3))
+        cost, tree = dp_optimal(ws, (2,))
+        assert _dp_tables.cache_info()[:2] == (0, 2)
+        ref_cost, ref_tree = reference_dp(ws, (2,))
+        assert (cost, repr(tree)) == (ref_cost, repr(ref_tree))
+        assert set(tree.arities()) == {2}
+
+    def test_pinned_digest_after_general_solve(self, monkeypatch):
+        # every (2, 3) call of the pinned DP digest right after general_solve
+        # on the same input, which builds the table on 79 of the 90 inputs
+        original = oracle.dp_optimal
+
+        def after_general_solve(ws, arities):
+            if set(arities) == {2, 3}:
+                try:
+                    general_solve(ws)
+                except RuntimeError:  # EngineError: the DP still runs
+                    pass
+            return original(ws, arities)
+
+        _dp_tables.cache_clear()
+        monkeypatch.setattr(oracle, "dp_optimal", after_general_solve)
+        inputs = test_levels._pinned_inputs(505, 90, range(1, 41))
+        assert test_levels._dp_outcomes(inputs) == test_levels.TestPinnedSolverOutputs.DP
+        assert _dp_tables.cache_info().hits == 79
 
 
 class TestExhaustiveOptimal:

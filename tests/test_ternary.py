@@ -527,6 +527,20 @@ class TestPureTernaryPhase1:
         assert hashlib.sha256(repr(report.trace.to_json_obj()).encode()).hexdigest() == digest
         assert stats["candidates"] == candidates
 
+    def test_one_plain_candidate_per_step(self, monkeypatch):
+        # all-equal weights tie hundreds of plain windows on every scan; the
+        # scan compares their keys and builds only the step it takes
+        built = [0]
+        plain_candidate = EngineState._plain_candidate
+
+        def counted(state, *args):
+            built[0] += 1
+            return plain_candidate(state, *args)
+
+        monkeypatch.setattr(EngineState, "_plain_candidate", counted)
+        report, _stats = _solve_pure_ternary([1] * 201)
+        assert 0 < built[0] <= len(report.trace.steps) == 100
+
     def test_misses_the_optimum_without_permanent_runs(self):
         # weights 50..99 have no permanent runs, yet at n=201 the greedy is
         # one above the optimum; pinned exactly, so a change either way fails
