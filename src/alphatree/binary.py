@@ -126,4 +126,4 @@ def hu_tucker(weights: Sequence[int]) -> SolveReport:
     """Full pipeline: combine, assign levels, reconstruct (the last two are
     the replay of the combination trace)."""
     ws = validate_weights(weights)
-    return report_from_trace("hu-tucker", phase1_combine_binary(ws), ws)
+    return report_from_trace("hu-tucker", _combine(ws)[0], ws)

@@ -61,11 +61,11 @@ def signed_levels(trace: CombinationTrace) -> tuple:
     return tuple(levels)
 
 
-def _reconstruct(levels, weights, mode, pair_hints=frozenset()):
-    """Single left-to-right pass with a stack; combining the top of the stack
-    as soon as a complete group appears is equivalent to repeatedly combining
-    the leftmost maximal run at the current maximum level."""
-    ws = validate_weights(weights)
+def _reconstruct(levels, ws: tuple, mode, pair_hints=frozenset()):
+    """Single left-to-right pass with a stack over validated weights;
+    combining the top of the stack as soon as a complete group appears is
+    equivalent to repeatedly combining the leftmost maximal run at the
+    current maximum level."""
     if len(levels) != len(ws):
         raise StructureError("levels and weights differ in length")
     if any(l < 0 for l in levels):
@@ -196,7 +196,7 @@ def reconstruct_from_levels(
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return _reconstruct(tuple(levels), weights, mode)
+    return _reconstruct(tuple(levels), validate_weights(weights), mode)
 
 
 def report_from_trace(

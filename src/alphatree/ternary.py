@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right, insort
-from operator import attrgetter
+from collections import deque
+from operator import attrgetter, itemgetter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -126,7 +127,7 @@ class Unit:
     is_square: bool  # True for original leaves
 
 
-@dataclass
+@dataclass(slots=True)
 class _Live:
     ref: int
     weight: int
@@ -137,12 +138,19 @@ class _Live:
 
 
 _lo = attrgetter("lo")
-_hi = attrgetter("hi")
 _lo_hi = attrgetter("lo", "hi")  # the order of EngineState.live
-_hi_lo = attrgetter("hi", "lo")
+_ref = attrgetter("ref")
+
+# fields of a segment summary, (first, last, reach_lo, reach_hi, count, hit)
+_reach_lo = itemgetter(2)
+_reach_hi = itemgetter(3)
+_seg_count = itemgetter(4)
+
+_INF = math.inf
+_NO_HIT = (_INF,)  # the key of a segment summary without a hit
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Candidate:
     """A combinable triple: (left, middle, right) where the middle is either
     a single sequence node or an accordion of alternating signed elements.
@@ -164,13 +172,17 @@ class EngineState:
     combined into, and the top-level trees of the forest the signed unit
     levels realise.
 
-    It also keeps, between steps, what the accordion search reads: the
-    elements by unit position (live units with sign +1 for a square and 0
-    for an opaque unit, the available negatives with sign -1), the set of
-    negative positions, and one summary per alternating segment that holds
-    a negative (see ``_segment``).  Each step marks the hull of the unit
-    positions it touched, and a scan recomputes only the segments whose
-    reach meets that hull.
+    It also keeps, between steps, what the scan reads.  For the plain
+    windows, lists parallel to ``live`` (see ``_windows``); a step splices
+    them with ``live`` and recomputes only the stretch whose windows reach
+    the nodes it replaced.  For the accordions: the elements by unit
+    position (live units with sign +1 for a square and 0 for an opaque
+    unit, the available negatives with sign -1), the set of negative
+    positions, the live nodes in (hi, lo) order, and one summary per
+    alternating segment that holds a negative (see ``_segment``), ordered
+    by first position, with the total of their slice counts.  Each step
+    marks the hull of the unit positions it touched, and a scan recomputes
+    only the segments whose reach meets that hull.
     """
 
     def __init__(self, units: Sequence[Unit], allocator=None):
@@ -207,14 +219,29 @@ class EngineState:
             for i, unit in enumerate(self.units)
         ]
         self._negs: Set[int] = set()
-        # segment summaries by first position, and the hull (lo, hi) of the
-        # positions changed since they were last brought up to date, which
-        # available_negatives passes on from _changed (None when none did)
-        self._segs: Dict[int, tuple] = {}
+        # the live nodes as (hi, lo, ref, node), sorted: a unit's span is its
+        # position, so units are in order
+        self._by_hi = [(nd.hi, nd.lo, nd.ref, nd) for nd in self.live]
+        # segment summaries ordered by first position, the keys of their
+        # hits (_NO_HIT for none), the total of their slice counts, and the
+        # hull (lo, hi) of the positions changed since they were last
+        # brought up to date, which available_negatives passes on from
+        # _changed (None when none did)
+        self._segs: List[tuple] = []
+        self._seg_keys: List[tuple] = []
+        self._slices = 0
         self._dirty: Optional[Tuple[int, int]] = None
+        # the live circles in creation order, from the first queue step on
+        self._queue: Optional[deque] = None
         self.spent: Set[tuple] = set()
         self.last_consumer: Dict[int, int] = {}
         self.stats = {"candidates": 0, "queue_steps": 0}
+        self._cap: List[int] = [0] * u
+        self._pair: List[float] = [0] * u
+        self._need: List[float] = [0] * u
+        self._cheap: List[float] = [0] * u
+        self._count: List[int] = [0] * u
+        self._windows(0, u, u)
 
     # -- derived views ----------------------------------------------------
 
@@ -256,66 +283,106 @@ class EngineState:
     # -- queue endgame -----------------------------------------------------
 
     def _queue_candidate(self) -> Candidate:
-        """Only circles remain: combine the three oldest, in creation order."""
-        oldest = sorted(self.live, key=lambda nd: nd.ref)[:3]
-        a, b, c = sorted(oldest, key=lambda nd: (nd.lo, nd.hi))
+        """Only circles remain: combine the three oldest, in creation order.
+        Only an accordion step makes a unit live again, so from the first
+        queue step on no unit returns: the live circles are kept in creation
+        order (``_apply`` replaces the three oldest with the new circle), and
+        the window quantities, which no scan reads again, are no longer
+        kept."""
+        if self._queue is None:
+            self._queue = deque(sorted(self.live, key=_ref))
+        q = self._queue
+        a, b, c = sorted((q[0], q[1], q[2]), key=_lo_hi)
         self.stats["candidates"] += 1
         return self._plain_candidate(a, b, c, a.weight + b.weight + c.weight)
 
     # -- candidate search ---------------------------------------------------
 
-    def _window_arrays(self):
-        """One backward pass over the live sequence.  Per live index j:
-        ``cap[j]``, the last index a window starting at j may reach (the
-        first unit after j, or the end); ``pair[j] = w_j + min_to_blk[j +
-        1]``, where ``min_to_blk[k]`` is the minimum weight from k through
-        the first unit at or after k (or the end); and ``need[j]``, the
-        minimum of ``pair`` from j through the first unit at or after j (or
-        m - 2).  Units (leaves and opaque subproblem roots) block
-        compatibility; only combination circles are transparent."""
+    def _windows(self, start: int, end: int, old_end: int) -> None:
+        """Recompute the window quantities of ``live[start:end]`` in one
+        backward pass and put them in place of the kept ones at
+        ``start:old_end`` (``old_end >= end``); those from ``end`` on are
+        still valid, and the pass starts from the first of them.  Per live
+        index j:
+
+        - ``_cap[j]``, the offset from j to the last index a window starting
+          at j may reach (the first unit after j, or the end);
+        - ``_pair[j] = w_j + min_to_blk[j + 1]``, where ``min_to_blk[k]`` is
+          the minimum weight from k through the first unit at or after k
+          (or the end);
+        - ``_need[j]``, the minimum of ``_pair`` from j through the first
+          unit at or after j (or m - 2);
+        - ``_cheap[j] = w_j + _need[j + 1]``, the weight of the cheapest
+          window starting at j;
+        - ``_count[j] = min(cap[j], m - 2) - j``, the number of windows
+          starting at j.
+
+        Index m - 1 holds an infinite ``_pair``, ``_need`` and ``_cheap``,
+        and m - 2 an infinite ``_cheap``; neither starts a window.  Units (leaves and opaque subproblem roots) block
+        compatibility; only combination circles are transparent.  A start's
+        quantities read the nodes from it through the second unit after it
+        (or the end), and the offsets are relative, so an index keeps its
+        quantities while the nodes from it through there stay."""
         live = self.live
         m = len(live)
-        cap = [m - 1] * m
-        pair = [0] * (m - 1)
-        need = [0] * (m - 1)
-        nxt = m - 1
-        to_blk = live[-1].weight  # min_to_blk[j + 1]
-        for j in range(m - 2, -1, -1):
-            nd = live[j]
-            cap[j] = nxt
+        caps, pairs, needs, cheaps, counts = kept = (
+            self._cap, self._pair, self._need, self._cheap, self._count
+        )
+        if end < m:
+            nd = live[end]
             w = nd.weight
-            pair[j] = q = w + to_blk
+            after = needs[old_end]  # need[j + 1]
             if nd.pos is not None:
-                need[j] = q
-                to_blk = w
-                nxt = j
+                nxt, to_blk = end, w  # cap[j], min_to_blk[j + 1]
             else:
-                need[j] = q if j == m - 2 or q < need[j + 1] else need[j + 1]
+                nxt = end + caps[old_end]
+                to_blk = min(w, pairs[old_end] - w)
+        for values in kept:  # a step leaves two nodes fewer
+            del values[end:old_end]
+        if end == m:
+            end = m - 1
+            nxt, to_blk, after = end, live[end].weight, _INF
+            caps[end], pairs[end], needs[end], cheaps[end], counts[end] = 0, _INF, _INF, _INF, 0
+        last = m - 2
+        for j in range(end - 1, start - 1, -1):
+            nd = live[j]
+            w = nd.weight
+            caps[j] = nxt - j
+            counts[j] = (nxt if nxt <= last else last) - j
+            cheaps[j] = w + after
+            pairs[j] = q = w + to_blk
+            if nd.pos is not None:
+                after, to_blk, nxt = q, w, j
+            else:
+                if q < after:
+                    after = q
                 if w < to_blk:
                     to_blk = w
-        return cap, pair, need
+            needs[j] = after
 
-    def _segments(self):
+    def _segments(self) -> List[tuple]:
         """The summaries of the alternating segments that hold a negative,
-        by first position, brought up to date.  A summary reads only the
-        elements and the live nodes' span ends from the element before its
-        segment through the element after it (its reach), so one whose
-        reach misses the hull of the positions changed since the last call
-        still holds; the others are dropped, and the segments around the
-        negatives in that hull, widened by the dropped segments, are
-        summarised again."""
+        ordered by first position, brought up to date.  A summary reads
+        only the elements and the live nodes' span ends from the element
+        before its segment through the element after it (its reach), so one
+        whose reach misses the hull of the positions changed since the last
+        call still holds.  Reaches grow with the first position, so the
+        others are one run of the list, found by bisection; they are
+        dropped, and the segments around the negatives in that hull,
+        widened by the dropped segments, are summarised again in their
+        place."""
         segs = self._segs
         if self._dirty is None:
             return segs
         lo, hi = wlo, whi = self._dirty
         self._dirty = None
-        for first, (last, reach_lo, reach_hi, _count, _hit) in list(segs.items()):
-            if reach_lo <= hi and lo <= reach_hi:
-                del segs[first]
-                wlo, whi = min(wlo, first), max(whi, last)
+        k = bisect_left(segs, lo, key=_reach_hi)
+        stop = bisect_right(segs, hi, k, key=_reach_lo)
+        if k < stop:
+            wlo, whi = min(wlo, segs[k][0]), max(whi, segs[stop - 1][1])
         elems = self._elems
         p = len(elems)
-        by_hi = None  # the live nodes by (hi, lo), sorted once if needed
+        fresh = []
         end = 0  # past the last segment found
         for t in range(bisect_left(elems, (wlo,)), bisect_left(elems, (whi + 1,))):
             if t < end or elems[t][2] >= 0:
@@ -326,53 +393,67 @@ class EngineState:
             end = t + 1
             while end < p and elems[end][2] not in (0, elems[end - 1][2]):
                 end += 1
-            if elems[start][0] not in segs:
-                # only a segment with two positives has a slice to flank
-                if by_hi is None and end - start - (elems[start][2] < 0) >= 3:
-                    by_hi = sorted(self.live, key=_hi_lo)  # nearly sorted already
-                segs[elems[start][0]] = self._segment(start, end, by_hi)
+            fresh.append(self._segment(start, end))
+        if k < stop or fresh:
+            self._slices += sum(map(_seg_count, fresh)) - sum(map(_seg_count, segs[k:stop]))
+            segs[k:stop] = fresh
+            self._seg_keys[k:stop] = [_NO_HIT if s[5] is None else s[5][0] for s in fresh]
         return segs
 
-    def _segment(self, start: int, end: int, by_hi) -> tuple:
+    def _segment(self, start: int, end: int) -> tuple:
         """The summary of the alternating segment ``_elems[start:end]``:
-        ``(last, reach_lo, reach_hi, count, hit)``, with the position of its
-        last element; its reach, the positions of the elements before and
-        after it (-1 and the unit count past either end); the number of its
-        slices; and ``hit = (key, left, right)`` for its accordion candidate
-        with the least key, or None when no slice has an outer node on both
-        sides.  Blockers (sign 0) and equal adjacent signs bound a segment.
+        ``(first, last, reach_lo, reach_hi, count, hit)``, with the
+        positions of its first and last elements; its reach, the positions
+        of the elements before and after it (-1 and the unit count past
+        either end); the number of its slices; and ``hit = (key, left,
+        right)`` for its accordion candidate with the least key, or None
+        when no slice has an outer node on both sides.  Blockers (sign 0)
+        and equal adjacent signs bound a segment.
 
         A slice runs from a positive element a to a later positive b, and
         signs alternate, so the positives sit two apart.  Its left outer is
         the lightest node whose span ends before position a, at or after
-        the element before a, found by bisection in ``by_hi``, the live
-        nodes ordered by (hi, lo); ties go to the least (lo, hi), and among
-        equal spans to the first of the stable sort.  Its right outer is
+        the element before a, found by bisection in ``_by_hi``, the live
+        nodes ordered by (hi, lo, ref); ties go to the least (lo, hi), and
+        among equal spans to the least ref, the oldest.  Its right outer is
         the lightest node whose span starts after position b, at or before
         the element after b, found by bisection in ``live``; ties go to the
         leftmost ``hi``, then the first in live order.  A circle ending
-        (starting) exactly on a live unit's position may not skip over
-        it."""
+        (starting) exactly on a live unit's position may not skip over it.
+
+        With ``Q[t]`` the signed sum of the segment's weights from element t
+        on, a slice with its outers weighs ``(left + Q[a]) + (right - Q[b +
+        1])``.  Its key is (weight, left.lo, b - a + 1, right.hi, a's
+        position), so for a start a the least is at the end b after it with
+        the least ``right - Q[b + 1]``, the first on ties: one backward pass
+        keeps that suffix minimum and compares the starts' keys."""
         elems = self._elems
         live = self.live
+        by_hi = self._by_hi
         p = len(elems)
         tops = range(start if elems[start][2] > 0 else start + 1, end, 2)
+        first, last = elems[start][0], elems[end - 1][0]
+        reach_lo = elems[start - 1][0] if start > 0 else -1
+        reach_hi = elems[end][0] if end < p else len(self.units)
+        count = len(tops) * (len(tops) - 1) // 2
+        if not count:
+            return first, last, reach_lo, reach_hi, 0, None
         lefts = []
         for a in tops[:-1]:
             k = 0
             edge = None  # a live unit's position a circle may not end on
             if a > 0:
                 prev, _w, sign, _r = elems[a - 1]
-                k = bisect_left(by_hi, prev, key=_hi)
+                k = bisect_left(by_hi, (prev,))
                 edge = prev if sign >= 0 else None
             best = None
-            for nd in by_hi[k : bisect_left(by_hi, elems[a][0], k, key=_hi)]:
+            for _h, _l, _r, nd in by_hi[k : bisect_left(by_hi, (elems[a][0],), k)]:
                 if nd.pos is None and nd.hi == edge:
                     continue
                 if best is None or (nd.weight, nd.lo, nd.hi) < (best.weight, best.lo, best.hi):
                     best = nd
             lefts.append(best)
-        rights = []
+        rights = [None]  # none ends at the first positive
         for b in tops[1:]:
             k = bisect_right(live, elems[b][0], key=_lo)
             stop = len(live)
@@ -388,30 +469,29 @@ class EngineState:
                 if best is None or (nd.weight, nd.hi) < (best.weight, best.hi):
                     best = nd
             rights.append(best)
+        lefts.append(None)  # none starts at the last positive
         hit = None
-        least = math.inf
-        for i, left in enumerate(lefts):
-            if left is None:
-                continue
-            a = tops[i]
-            acc = left.weight + elems[a][1]  # left outer and elements a..b
-            for b, right in zip(tops[i + 1 :], rights[i:]):
-                acc += elems[b][1] - elems[b - 1][1]
-                if right is None or acc + right.weight > least:
-                    continue
-                key = (acc + right.weight, left.lo, b - a + 1, right.hi, elems[a][0])
+        tail = None  # (right - Q[b + 1], b, right), the least over the ends seen
+        q = -elems[end - 1][1] if elems[end - 1][2] < 0 else 0  # Q[a + 1]
+        for a, left, right in zip(reversed(tops), reversed(lefts), reversed(rights)):
+            if left is not None and tail is not None:
+                v, b, end_right = tail
+                w = left.weight + elems[a][1] + q + v
+                key = (w, left.lo, b - a + 1, end_right.hi, elems[a][0])
                 if hit is None or key < hit[0]:
-                    hit = (key, left, right)
-                    least = key[0]
-        reach_lo = elems[start - 1][0] if start > 0 else -1
-        reach_hi = elems[end][0] if end < p else len(self.units)
-        count = len(tops) * (len(tops) - 1) // 2
-        return elems[end - 1][0], reach_lo, reach_hi, count, hit
+                    hit = (key, left, end_right)
+            if right is not None:
+                v = right.weight - q
+                if tail is None or v <= tail[0]:
+                    tail = (v, a, right)
+            if a > start:
+                q += elems[a][1] - elems[a - 1][1]
+        return first, last, reach_lo, reach_hi, count, hit
 
     def _scan(self) -> Candidate:
-        """One pass over every plain window (i, j), and the accordion
-        segment summaries brought up to date; returns the step to take, the
-        least candidate by ``key``.
+        """The step to take, the least candidate by ``key``, from the kept
+        window quantities and the accordion segment summaries brought up to
+        date.
 
         A window (i, j) takes any third member k in j+1 .. cap[j], so its
         cheapest completion is ``pair[j]``; a start i takes j in i+1 ..
@@ -420,43 +500,38 @@ class EngineState:
         candidate, which starts with its weight.  The scan counts every
         window and slice in ``stats``, compares the keys of the plain
         windows at the least weight without building them, and builds one
-        ``Candidate``, the step it returns."""
+        ``Candidate``, the step it returns.  Its passes over the whole
+        sequence are those of ``min``, ``sum``, ``list.count`` and
+        ``list.index``."""
         live = self.live
         m = len(live)
-        cap, pair, need = self._window_arrays()
-        cheapest = [nd.weight + q for nd, q in zip(live, need[1:])]  # per start i
-        best = min(cheapest)
-        # the windows scanned: min(cap[i], m - 2) - i per start i < m - 2,
-        # where only a cap of m - 1 exceeds m - 2
-        head = cap[: m - 2]
-        scanned = sum(head) - head.count(m - 1) - (m - 2) * (m - 3) // 2
+        cap, pair, need, cheap = self._cap, self._pair, self._need, self._cheap
+        best = min(cheap)
         available_negatives(self)
-        hit = None  # the least of the segments' hits by key
-        for _last, _reach_lo, _reach_hi, count, seg_hit in self._segments().values():
-            scanned += count
-            if seg_hit is not None and (hit is None or seg_hit[0] < hit[0]):
-                hit = seg_hit
-        self.stats["candidates"] += scanned
-        if hit is not None and hit[0][0] < best:
-            return self._hit_candidate(hit)
+        segs = self._segments()
+        self.stats["candidates"] += sum(self._count) + self._slices
+        hit_key = min(self._seg_keys, default=_NO_HIT)
+        if hit_key[0] < best:
+            return self._hit_candidate(segs[self._seg_keys.index(hit_key)][5])
         # the first least plain key (best, a.lo, 1, c.hi, b.lo) over the
         # windows at the least weight, in (i, j, k) order
         least = None
-        for i, w in enumerate(cheapest):
-            if w != best:
-                continue
-            for j in range(i + 1, min(cap[i], m - 2) + 1):
-                if pair[j] != need[i + 1]:
+        i = -1
+        for _ in range(cheap.count(best)):
+            i = cheap.index(best, i + 1)
+            lower = need[i + 1]
+            for j in range(i + 1, min(i + cap[i], m - 2) + 1):
+                if pair[j] != lower:
                     continue
                 third = pair[j] - live[j].weight
-                for k in range(j + 1, cap[j] + 1):
+                for k in range(j + 1, j + cap[j] + 1):
                     if live[k].weight == third:
                         key = (best, live[i].lo, 1, live[k].hi, live[j].lo)
                         if least is None or key < least[0]:
                             least = key, i, j, k
         key, i, j, k = least
-        if hit is not None and hit[0] < key:
-            return self._hit_candidate(hit)
+        if hit_key < key:
+            return self._hit_candidate(segs[self._seg_keys.index(hit_key)][5])
         return self._plain_candidate(live[i], live[j], live[k], best)
 
     def _plain_candidate(self, a: _Live, b: _Live, c: _Live, w: int) -> Candidate:
@@ -548,16 +623,46 @@ class EngineState:
             lo, hi = min(lo, self._changed[0]), max(hi, self._changed[1])
         self._changed = (lo, hi)
         # every consumed node's lo lies in the span (a plain middle's hi may
-        # lie past it); new nodes go after equal keys, where a stable sort
-        # would put them
+        # lie past it), and so does every new node's: the step replaces the
+        # stretch live[a:b].  New nodes go after equal keys, where a stable
+        # sort would put them.  Only circles can share a span (a unit's is
+        # its own position, a circle's two or more), so live holds equal
+        # spans in creation order, which is ref order, as _by_hi does.
         lo, hi = cand.span
         live = self.live
         a, b = bisect_left(live, lo, key=_lo), bisect_right(live, hi, key=_lo)
-        live[a:b] = [nd for nd in live[a:b] if nd.ref not in consumed]
-        insort(live, _Live(circle, cand.weight, lo, hi, False, None), key=_lo_hi)
+        node = _Live(circle, cand.weight, lo, hi, False, None)
+        if len(elems) == len(self._negs):
+            # no unit is live, so none returns (see _queue_candidate) and no
+            # scan reads the kept window quantities or _by_hi again
+            live[a:b] = [nd for nd in live[a:b] if nd.ref not in consumed]
+            insort(live, node, key=_lo_hi)
+            if self._queue is not None:
+                for _ in range(3):
+                    self._queue.popleft()
+                self._queue.append(node)
+            return
+        stretch, by_hi = [], self._by_hi
+        for nd in live[a:b]:
+            if nd.ref not in consumed:
+                stretch.append(nd)
+                continue
+            del by_hi[bisect_left(by_hi, (nd.hi, nd.lo, nd.ref))]
+        new = [node]
         for pos in negatives:
             unit = self.units[pos]
-            insort(live, _Live(unit.ref, unit.weight, pos, pos, True, pos), key=_lo_hi)
+            new.append(_Live(unit.ref, unit.weight, pos, pos, True, pos))
+        for nd in new:
+            insort(stretch, nd, key=_lo_hi)
+            insort(by_hi, (nd.hi, nd.lo, nd.ref, nd))
+        live[a:b] = stretch
+        # the window quantities of a start read the nodes through the second
+        # unit after it
+        start, units = a, 0
+        while units < 2 and start > 0:
+            start -= 1
+            units += live[start].pos is not None
+        self._windows(start, a + len(stretch), b)
 
 
 def _unrealisable(levels, exc: StructureError) -> EngineError:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import pytest
 
 from alphatree.binary import hu_tucker, phase1_combine_binary
-from alphatree.core import StructureError
+from alphatree.core import StructureError, validate_weights
 from alphatree.levels import MODE_BINARY, reconstruct_from_levels, signed_levels
 from alphatree.core import leaf_levels
 from alphatree.oracle import dp_optimal
@@ -166,3 +166,36 @@ class TestHuTucker:
             forest = reconstruct_from_levels(levels, ws, MODE_BINARY)
             internal = [nd for nd in forest.nodes if not nd.is_leaf]
             assert len(internal) == k
+
+
+class TestWeightValidation:
+    BAD = [[], [1, -1], [1, 2.5], [True, 1]]
+
+    @pytest.mark.parametrize("ws", BAD, ids=["empty", "negative", "float", "bool"])
+    def test_public_entry_points_reject_bad_weights(self, ws):
+        with pytest.raises(StructureError) as want:
+            validate_weights(ws)
+        entry_points = [
+            hu_tucker,
+            phase1_combine_binary,
+            lambda ws: reconstruct_from_levels([1] * len(ws), ws, MODE_BINARY),
+        ]
+        for entry in entry_points:
+            with pytest.raises(StructureError) as got:
+                entry(ws)
+            assert str(got.value) == str(want.value)
+
+    def test_hu_tucker_checks_its_weights_four_times(self, monkeypatch):
+        # once in hu_tucker, then in report_from_trace, CombinationTrace.validate
+        # and tree_cost, each public; the combination and the replay's
+        # reconstruction read the checked tuple
+        calls = [0]
+
+        def counted(weights):
+            calls[0] += 1
+            return validate_weights(weights)
+
+        for module in ("alphatree.binary", "alphatree.levels", "alphatree.core"):
+            monkeypatch.setattr(f"{module}.validate_weights", counted)
+        assert hu_tucker((4, 2, 3, 4)).cost == 26
+        assert calls[0] == 4

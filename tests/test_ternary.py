@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -224,8 +225,67 @@ def kept_summaries(state):
     available_negatives(state)
     return {
         first: (count, None if hit is None else state._hit_candidate(hit))
-        for first, (_last, _rlo, _rhi, count, hit) in state._segments().items()
+        for first, _last, _rlo, _rhi, count, hit in state._segments()
     }
+
+
+def window_arrays(state):
+    """Reference for the window quantities the engine keeps: one backward
+    pass over the whole live sequence.  Per live index j: the offset from j
+    to ``cap[j]``, the last index a window starting at j may reach (the
+    first unit after j, or the end); ``pair[j] = w_j + min_to_blk[j + 1]``,
+    where ``min_to_blk[k]`` is the minimum weight from k through the first
+    unit at or after k (or the end); ``need[j]``, the minimum of ``pair``
+    from j through the first unit at or after j (or m - 2); the weight of
+    the cheapest window starting at j, ``w_j + need[j + 1]``; and the number
+    of windows starting at j, ``min(cap[j], m - 2) - j``.  Indexes with no
+    value (pair and need at m - 1, the cheapest window at m - 2 and m - 1)
+    hold infinity, and those with no window a count of 0."""
+    live = state.live
+    m = len(live)
+    cap = [m - 1] * m
+    pair = [math.inf] * m
+    need = [math.inf] * m
+    nxt = m - 1
+    to_blk = live[-1].weight  # min_to_blk[j + 1]
+    for j in range(m - 2, -1, -1):
+        nd = live[j]
+        cap[j] = nxt
+        w = nd.weight
+        pair[j] = q = w + to_blk
+        if nd.pos is not None:
+            need[j] = q
+            to_blk = w
+            nxt = j
+        else:
+            need[j] = q if j == m - 2 or q < need[j + 1] else need[j + 1]
+            if w < to_blk:
+                to_blk = w
+    cheap = [nd.weight + q for nd, q in zip(live, need[1 : m - 1])] + [math.inf] * 2
+    count = [min(cap[i], m - 2) - i for i in range(m - 2)] + [0, 0]
+    return [c - j for j, c in enumerate(cap)], pair, need, cheap, count
+
+
+def scans_next(state):
+    """Whether the next step scans: a unit is still live."""
+    return not state.done and len(state._elems) > len(state._negs)
+
+
+def assert_kept_scan_state(state):
+    """The window quantities, the live nodes' (hi, lo) order, the segment
+    summaries with their hit keys, and the total of their slice counts that
+    the engine kept from earlier steps equal a recomputation from
+    scratch."""
+    kept = (state._cap, state._pair, state._need, state._cheap, state._count)
+    assert list(map(list, kept)) == list(window_arrays(state))
+    by_hi = sorted(state.live, key=lambda nd: (nd.hi, nd.lo))  # stable
+    assert [id(e[3]) for e in state._by_hi] == [id(nd) for nd in by_hi]
+    assert all(e[:3] == (e[3].hi, e[3].lo, e[3].ref) for e in state._by_hi)
+    summaries = segment_summaries(state)
+    assert kept_summaries(state) == summaries
+    segs = state._segments()
+    assert state._seg_keys == [(math.inf,) if s[5] is None else s[5][0] for s in segs]
+    assert state._slices == sum(count for count, _hit in summaries.values())
 
 
 def enumerate_candidates(state):
@@ -453,6 +513,73 @@ class TestEnumerateCandidates:
                 accordions += accordion_size(chosen) > 0
                 multi_negative += accordion_size(chosen) > 3
         assert accordions >= 30 and multi_negative >= 1
+
+
+class TestKeptScanState:
+    """The engine keeps what its scan reads from one step to the next, and a
+    step recomputes only the stretch it touched; before every scan, what it
+    kept equals a full pass."""
+
+    def test_tracks_the_full_pass(self):
+        rng = random.Random(73)
+        inputs = [
+            draw(random.Random(n))[:n]
+            for draw, _digest, _count in TestPureTernaryPhase1.FAMILIES.values()
+            for n in (41, 61, 81)
+        ]
+        inputs += [accordion_block_weights(rng, rng.choice(range(41, 82, 2))) for _ in range(40)]
+        inputs += TestEnumerateCandidates.TIED_OUTERS
+        scans = accordions = 0
+        for ws in inputs:
+            state = engine_for(ws)
+            while not state.done:
+                if scans_next(state):
+                    assert_kept_scan_state(state)
+                    scans += 1
+                accordions += accordion_size(state.advance()) > 0
+        assert scans > 1200 and accordions > 60
+
+    def test_tracks_the_full_pass_inside_general_solve(self, monkeypatch):
+        # the units of a plan include opaque subproblem roots, with sign 0:
+        # they block windows and bound segments
+        checked = {"scans": 0, "opaque": 0}
+        advance = EngineState.advance
+
+        def checked_advance(state):
+            if scans_next(state):
+                assert_kept_scan_state(state)
+                checked["scans"] += 1
+                checked["opaque"] += not all(u.is_square for u in state.units)
+            return advance(state)
+
+        monkeypatch.setattr(EngineState, "advance", checked_advance)
+        rng = random.Random(79)
+        for _ in range(60):
+            ws = [rng.randint(0, rng.choice([3, 25, 100])) for _ in range(rng.randint(8, 20))]
+            try:
+                general_solve(ws)
+            except EngineError:
+                pass
+        assert checked["scans"] > 1500 and checked["opaque"] > 1400
+
+    def test_queue_takes_the_three_oldest_circles(self):
+        # once only circles remain, each step combines the three with the
+        # least refs, the oldest, and the engine keeps the live circles in
+        # creation order from then on
+        rng = random.Random(83)
+        queue_steps = 0
+        for _ in range(30):
+            state = engine_for([rng.randint(0, 100) for _ in range(rng.choice(range(21, 62, 2)))])
+            while not state.done:
+                if scans_next(state):
+                    state.advance()
+                    continue
+                oldest = sorted(nd.ref for nd in state.live)[:3]
+                step = state.advance()
+                assert sorted(p.ref for p in step.participants) == oldest
+                assert [nd.ref for nd in state._queue] == sorted(nd.ref for nd in state.live)
+                queue_steps += 1
+        assert queue_steps > 140
 
 
 class TestPureTernaryPhase1:
