@@ -190,11 +190,14 @@ def _parse_sizes(text: str) -> list:
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        try:
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+        except ValueError:
+            raise ValueError(f"--n takes sizes such as 5,9 or 3..7, got {part!r}") from None
     if not out:
         raise ValueError("empty size list")
     return out

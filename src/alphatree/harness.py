@@ -62,13 +62,17 @@ def random_instances(
     sizes = sorted(n for n in sizes if not odd_only or n % 2 == 1)
     if not sizes:
         raise ValueError("empty size list")
+    if dist == "monotone" and weight_hi - weight_lo + 1 < sizes[-1]:
+        raise ValueError(
+            f"monotone instances of size {sizes[-1]} need {sizes[-1]} distinct weights, "
+            f"but weight_lo {weight_lo} to weight_hi {weight_hi} holds {weight_hi - weight_lo + 1}"
+        )
     out = []
     for _ in range(count):
         n = rng.choice(sizes)
         for _attempt in range(100_000):
             if dist == "monotone":
-                span = max(weight_hi - weight_lo + 1, n)
-                ws = tuple(sorted(rng.sample(range(weight_lo, weight_lo + span), n)))
+                ws = tuple(sorted(rng.sample(range(weight_lo, weight_hi + 1), n)))
             else:
                 ws = tuple(rng.randint(weight_lo, weight_hi) for _ in range(n))
             if not pcn_free or is_interior_pair_pcn_free(ws):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right, insort
-from collections import deque
 from operator import attrgetter, itemgetter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -133,21 +132,19 @@ class _Live:
     weight: int
     lo: int  # unit-coordinate span
     hi: int
-    is_square: bool
-    pos: Optional[int]  # unit position for squares
+    pos: Optional[int]  # unit position for units
 
 
 _lo = attrgetter("lo")
-_lo_hi = attrgetter("lo", "hi")  # the order of EngineState.live
+_lo_hi = attrgetter("lo", "hi")  # the order of EngineState.live until the endgame
 _ref = attrgetter("ref")
 
-# fields of a segment summary, (first, last, reach_lo, reach_hi, count, hit)
+# fields of a segment summary, (first, last, reach_lo, reach_hi, count,
+# key, left, right)
 _reach_lo = itemgetter(2)
 _reach_hi = itemgetter(3)
 _seg_count = itemgetter(4)
-
-_INF = math.inf
-_NO_HIT = (_INF,)  # the key of a segment summary without a hit
+_seg_key = itemgetter(5)
 
 
 @dataclass(slots=True)
@@ -180,9 +177,12 @@ class EngineState:
     unit, the available negatives with sign -1), the set of negative
     positions, the live nodes in (hi, lo) order, and one summary per
     alternating segment that holds a negative (see ``_segment``), ordered
-    by first position, with the total of their slice counts.  Each step
-    marks the hull of the unit positions it touched, and a scan recomputes
-    only the segments whose reach meets that hull.
+    by first position.  Each step brings all of it up to date over one
+    hull, the unit positions under its new circle: ``available_negatives``
+    parses the changed trees again and widens the hull by the negatives
+    that changed, and ``_segments`` summarises the segments whose reach
+    meets it again.  ``_scan`` only reads.  A step that leaves no unit live
+    starts the queue endgame, where none of this is read again.
     """
 
     def __init__(self, units: Sequence[Unit], allocator=None):
@@ -193,9 +193,13 @@ class EngineState:
         if allocator is None:
             allocator = itertools.count(u).__next__
         self._alloc = allocator
+        # the exact sentinel for no window and no hit: the live weights sum
+        # to the total, so a window or slice of nonnegative live weights
+        # weighs no more, and twice the total plus one keeps a margin
+        self._bound = 2 * sum(unit.weight for unit in self.units) + 1
+        self._no_hit = (self._bound,)  # the key of a segment without a hit
         self.live: List[_Live] = [
-            _Live(unit.ref, unit.weight, i, i, unit.is_square, i)
-            for i, unit in enumerate(self.units)
+            _Live(unit.ref, unit.weight, i, i, i) for i, unit in enumerate(self.units)
         ]
         self.steps: List[CombinationStep] = []
         self._unit_at = {unit.ref: i for i, unit in enumerate(self.units)}
@@ -204,15 +208,8 @@ class EngineState:
         # included: consuming the circle deepens every one of them by one
         self._under: Dict[int, List[tuple]] = {}
         # the first unit position of each top-level tree of the realised
-        # forest, and the leaf centre of its root triple (None for a bare
-        # unit or a combined centre); no level has changed since they were
-        # parsed while _changed is None, else it holds the hull (lo, hi) of
-        # the unit positions the steps since then touched
+        # forest
         self._tree_starts = list(range(u))
-        self._tree_centres: List[Optional[int]] = [None] * u
-        self._changed: Optional[Tuple[int, int]] = None
-        # per unit position, whether it holds a live square
-        self._live_square = [unit.is_square for unit in self.units]
         # (pos, weight, sign, ref) by position, and the positions of sign -1
         self._elems = [
             (i, unit.weight, 1 if unit.is_square else 0, unit.ref)
@@ -222,24 +219,15 @@ class EngineState:
         # the live nodes as (hi, lo, ref, node), sorted: a unit's span is its
         # position, so units are in order
         self._by_hi = [(nd.hi, nd.lo, nd.ref, nd) for nd in self.live]
-        # segment summaries ordered by first position, the keys of their
-        # hits (_NO_HIT for none), the total of their slice counts, and the
-        # hull (lo, hi) of the positions changed since they were last
-        # brought up to date, which available_negatives passes on from
-        # _changed (None when none did)
+        # segment summaries ordered by first position
         self._segs: List[tuple] = []
-        self._seg_keys: List[tuple] = []
-        self._slices = 0
-        self._dirty: Optional[Tuple[int, int]] = None
-        # the live circles in creation order, from the first queue step on
-        self._queue: Optional[deque] = None
         self.spent: Set[tuple] = set()
         self.last_consumer: Dict[int, int] = {}
         self.stats = {"candidates": 0, "queue_steps": 0}
         self._cap: List[int] = [0] * u
-        self._pair: List[float] = [0] * u
-        self._need: List[float] = [0] * u
-        self._cheap: List[float] = [0] * u
+        self._pair: List[int] = [0] * u
+        self._need: List[int] = [0] * u
+        self._cheap: List[int] = [0] * u
         self._count: List[int] = [0] * u
         self._windows(0, u, u)
 
@@ -284,15 +272,12 @@ class EngineState:
 
     def _queue_candidate(self) -> Candidate:
         """Only circles remain: combine the three oldest, in creation order.
-        Only an accordion step makes a unit live again, so from the first
-        queue step on no unit returns: the live circles are kept in creation
-        order (``_apply`` replaces the three oldest with the new circle), and
-        the window quantities, which no scan reads again, are no longer
-        kept."""
-        if self._queue is None:
-            self._queue = deque(sorted(self.live, key=_ref))
-        q = self._queue
-        a, b, c = sorted((q[0], q[1], q[2]), key=_lo_hi)
+        Only an accordion step makes a unit live again, so once no unit is
+        live none returns: from then on ``live`` holds the circles in
+        creation order (``_apply`` replaces the three oldest with the new
+        circle), and the scan's inputs, which no scan reads again, are no
+        longer kept."""
+        a, b, c = sorted(self.live[:3], key=_lo_hi)
         self.stats["candidates"] += 1
         return self._plain_candidate(a, b, c, a.weight + b.weight + c.weight)
 
@@ -317,14 +302,16 @@ class EngineState:
         - ``_count[j] = min(cap[j], m - 2) - j``, the number of windows
           starting at j.
 
-        Index m - 1 holds an infinite ``_pair``, ``_need`` and ``_cheap``,
-        and m - 2 an infinite ``_cheap``; neither starts a window.  Units (leaves and opaque subproblem roots) block
-        compatibility; only combination circles are transparent.  A start's
-        quantities read the nodes from it through the second unit after it
-        (or the end), and the offsets are relative, so an index keeps its
-        quantities while the nodes from it through there stay."""
+        Index m - 1 holds the engine's bound in ``_pair``, ``_need`` and
+        ``_cheap``, so m - 2 holds its weight plus the bound in ``_cheap``;
+        neither starts a window.  Units (leaves and opaque subproblem roots)
+        block compatibility; only combination circles are transparent.  A
+        start's quantities read the nodes from it through the second unit
+        after it (or the end), and the offsets are relative, so an index
+        keeps its quantities while the nodes from it through there stay."""
         live = self.live
         m = len(live)
+        bound = self._bound
         caps, pairs, needs, cheaps, counts = kept = (
             self._cap, self._pair, self._need, self._cheap, self._count
         )
@@ -341,8 +328,8 @@ class EngineState:
             del values[end:old_end]
         if end == m:
             end = m - 1
-            nxt, to_blk, after = end, live[end].weight, _INF
-            caps[end], pairs[end], needs[end], cheaps[end], counts[end] = 0, _INF, _INF, _INF, 0
+            nxt, to_blk, after = end, live[end].weight, bound
+            caps[end], pairs[end], needs[end], cheaps[end], counts[end] = 0, bound, bound, bound, 0
         last = m - 2
         for j in range(end - 1, start - 1, -1):
             nd = live[j]
@@ -360,31 +347,25 @@ class EngineState:
                     to_blk = w
             needs[j] = after
 
-    def _segments(self) -> List[tuple]:
-        """The summaries of the alternating segments that hold a negative,
-        ordered by first position, brought up to date.  A summary reads
-        only the elements and the live nodes' span ends from the element
-        before its segment through the element after it (its reach), so one
-        whose reach misses the hull of the positions changed since the last
-        call still holds.  Reaches grow with the first position, so the
-        others are one run of the list, found by bisection; they are
-        dropped, and the segments around the negatives in that hull,
-        widened by the dropped segments, are summarised again in their
-        place."""
+    def _segments(self, lo: int, hi: int) -> None:
+        """Bring the segment summaries up to date after a step that changed
+        the unit positions ``lo..hi``.  A summary reads only the elements
+        and the live nodes' span ends from the element before its segment
+        through the element after it (its reach), so one whose reach misses
+        that hull still holds.  Reaches grow with the first position, so
+        the others are one run of the list, found by bisection; they are
+        dropped, and the segments around the negatives in the hull, widened
+        by the dropped segments, are summarised again in their place."""
         segs = self._segs
-        if self._dirty is None:
-            return segs
-        lo, hi = wlo, whi = self._dirty
-        self._dirty = None
         k = bisect_left(segs, lo, key=_reach_hi)
         stop = bisect_right(segs, hi, k, key=_reach_lo)
         if k < stop:
-            wlo, whi = min(wlo, segs[k][0]), max(whi, segs[stop - 1][1])
+            lo, hi = min(lo, segs[k][0]), max(hi, segs[stop - 1][1])
         elems = self._elems
         p = len(elems)
         fresh = []
         end = 0  # past the last segment found
-        for t in range(bisect_left(elems, (wlo,)), bisect_left(elems, (whi + 1,))):
+        for t in range(bisect_left(elems, (lo,)), bisect_left(elems, (hi + 1,))):
             if t < end or elems[t][2] >= 0:
                 continue
             start = t
@@ -394,21 +375,17 @@ class EngineState:
             while end < p and elems[end][2] not in (0, elems[end - 1][2]):
                 end += 1
             fresh.append(self._segment(start, end))
-        if k < stop or fresh:
-            self._slices += sum(map(_seg_count, fresh)) - sum(map(_seg_count, segs[k:stop]))
-            segs[k:stop] = fresh
-            self._seg_keys[k:stop] = [_NO_HIT if s[5] is None else s[5][0] for s in fresh]
-        return segs
+        segs[k:stop] = fresh
 
     def _segment(self, start: int, end: int) -> tuple:
         """The summary of the alternating segment ``_elems[start:end]``:
-        ``(first, last, reach_lo, reach_hi, count, hit)``, with the
-        positions of its first and last elements; its reach, the positions
-        of the elements before and after it (-1 and the unit count past
-        either end); the number of its slices; and ``hit = (key, left,
-        right)`` for its accordion candidate with the least key, or None
-        when no slice has an outer node on both sides.  Blockers (sign 0)
-        and equal adjacent signs bound a segment.
+        ``(first, last, reach_lo, reach_hi, count, key, left, right)``, with
+        the positions of its first and last elements; its reach, the
+        positions of the elements before and after it (-1 and the unit count
+        past either end); the number of its slices; and the key and outer
+        nodes of its accordion candidate with the least key, or ``_no_hit``
+        and None when no slice has an outer node on both sides.  Blockers
+        (sign 0) and equal adjacent signs bound a segment.
 
         A slice runs from a positive element a to a later positive b, and
         signs alternate, so the positives sit two apart.  Its left outer is
@@ -436,8 +413,9 @@ class EngineState:
         reach_lo = elems[start - 1][0] if start > 0 else -1
         reach_hi = elems[end][0] if end < p else len(self.units)
         count = len(tops) * (len(tops) - 1) // 2
+        hit = self._no_hit, None, None  # (key, left, right)
         if not count:
-            return first, last, reach_lo, reach_hi, 0, None
+            return first, last, reach_lo, reach_hi, 0, *hit
         lefts = []
         for a in tops[:-1]:
             k = 0
@@ -470,7 +448,6 @@ class EngineState:
                     best = nd
             rights.append(best)
         lefts.append(None)  # none starts at the last positive
-        hit = None
         tail = None  # (right - Q[b + 1], b, right), the least over the ends seen
         q = -elems[end - 1][1] if elems[end - 1][2] < 0 else 0  # Q[a + 1]
         for a, left, right in zip(reversed(tops), reversed(lefts), reversed(rights)):
@@ -478,20 +455,19 @@ class EngineState:
                 v, b, end_right = tail
                 w = left.weight + elems[a][1] + q + v
                 key = (w, left.lo, b - a + 1, end_right.hi, elems[a][0])
-                if hit is None or key < hit[0]:
-                    hit = (key, left, end_right)
+                if key < hit[0]:
+                    hit = key, left, end_right
             if right is not None:
                 v = right.weight - q
                 if tail is None or v <= tail[0]:
                     tail = (v, a, right)
             if a > start:
                 q += elems[a][1] - elems[a - 1][1]
-        return first, last, reach_lo, reach_hi, count, hit
+        return first, last, reach_lo, reach_hi, count, *hit
 
     def _scan(self) -> Candidate:
         """The step to take, the least candidate by ``key``, from the kept
-        window quantities and the accordion segment summaries brought up to
-        date.
+        window quantities and the accordion segment summaries.
 
         A window (i, j) takes any third member k in j+1 .. cap[j], so its
         cheapest completion is ``pair[j]``; a start i takes j in i+1 ..
@@ -507,12 +483,12 @@ class EngineState:
         m = len(live)
         cap, pair, need, cheap = self._cap, self._pair, self._need, self._cheap
         best = min(cheap)
-        available_negatives(self)
-        segs = self._segments()
-        self.stats["candidates"] += sum(self._count) + self._slices
-        hit_key = min(self._seg_keys, default=_NO_HIT)
+        segs = self._segs
+        self.stats["candidates"] += sum(self._count) + sum(map(_seg_count, segs))
+        hit = min(segs, key=_seg_key, default=None)
+        hit_key = self._no_hit if hit is None else hit[5]
         if hit_key[0] < best:
-            return self._hit_candidate(segs[self._seg_keys.index(hit_key)][5])
+            return self._hit_candidate(hit)
         # the first least plain key (best, a.lo, 1, c.hi, b.lo) over the
         # windows at the least weight, in (i, j, k) order
         least = None
@@ -531,7 +507,7 @@ class EngineState:
                             least = key, i, j, k
         key, i, j, k = least
         if hit_key < key:
-            return self._hit_candidate(segs[self._seg_keys.index(hit_key)][5])
+            return self._hit_candidate(hit)
         return self._plain_candidate(live[i], live[j], live[k], best)
 
     def _plain_candidate(self, a: _Live, b: _Live, c: _Live, w: int) -> Candidate:
@@ -546,9 +522,9 @@ class EngineState:
             span=(a.lo, c.hi),
         )
 
-    def _hit_candidate(self, hit) -> Candidate:
-        """The accordion candidate of a segment summary's ``hit``."""
-        (w, _lo, size, _hi, first), left, right = hit
+    def _hit_candidate(self, seg: tuple) -> Candidate:
+        """The accordion candidate of a segment summary with a hit."""
+        (w, _lo, size, _hi, first), left, right = seg[5:]
         i = bisect_left(self._elems, (first,))
         return self._accordion_candidate(left, right, self._elems[i : i + size], w)
 
@@ -606,42 +582,33 @@ class EngineState:
             if owner is None or (pos, owner) in self.spent:
                 raise EngineError(f"negative use of unit {pos} without a fresh pairing")
             self.spent.add((pos, owner))
-        elems, live_square = self._elems, self._live_square
+        elems = self._elems
         for pos in owned:
             self.last_consumer[pos] = circle
-            live_square[pos] = False
             del elems[bisect_left(elems, (pos,))]
         for pos in negatives:  # live squares again
-            live_square[pos] = True
             self._negs.discard(pos)
             unit = self.units[pos]
             elems[bisect_left(elems, (pos,))] = (pos, unit.weight, 1, unit.ref)
-        # the levels that changed are those of the positions under the new
-        # circle
-        lo, hi = min(under)[0], max(under)[0]
-        if self._changed is not None:
-            lo, hi = min(lo, self._changed[0]), max(hi, self._changed[1])
-        self._changed = (lo, hi)
+        live = self.live
+        node = _Live(circle, cand.weight, *cand.span, None)
+        if len(elems) == len(self._negs):
+            # no unit is live, so none returns (see _queue_candidate) and no
+            # scan reads what the engine keeps for it again
+            if owned:  # the step that took the last units
+                live[:] = sorted((nd for nd in live if nd.ref not in consumed), key=_ref)
+            else:  # a queue step took live[:3]
+                del live[:3]
+            live.append(node)
+            return
         # every consumed node's lo lies in the span (a plain middle's hi may
         # lie past it), and so does every new node's: the step replaces the
         # stretch live[a:b].  New nodes go after equal keys, where a stable
         # sort would put them.  Only circles can share a span (a unit's is
         # its own position, a circle's two or more), so live holds equal
         # spans in creation order, which is ref order, as _by_hi does.
-        lo, hi = cand.span
-        live = self.live
-        a, b = bisect_left(live, lo, key=_lo), bisect_right(live, hi, key=_lo)
-        node = _Live(circle, cand.weight, lo, hi, False, None)
-        if len(elems) == len(self._negs):
-            # no unit is live, so none returns (see _queue_candidate) and no
-            # scan reads the kept window quantities or _by_hi again
-            live[a:b] = [nd for nd in live[a:b] if nd.ref not in consumed]
-            insort(live, node, key=_lo_hi)
-            if self._queue is not None:
-                for _ in range(3):
-                    self._queue.popleft()
-                self._queue.append(node)
-            return
+        a = bisect_left(live, node.lo, key=_lo)
+        b = bisect_right(live, node.hi, key=_lo)
         stretch, by_hi = [], self._by_hi
         for nd in live[a:b]:
             if nd.ref not in consumed:
@@ -651,7 +618,7 @@ class EngineState:
         new = [node]
         for pos in negatives:
             unit = self.units[pos]
-            new.append(_Live(unit.ref, unit.weight, pos, pos, True, pos))
+            new.append(_Live(unit.ref, unit.weight, pos, pos, pos))
         for nd in new:
             insort(stretch, nd, key=_lo_hi)
             insort(by_hi, (nd.hi, nd.lo, nd.ref, nd))
@@ -663,50 +630,53 @@ class EngineState:
             start -= 1
             units += live[start].pos is not None
         self._windows(start, a + len(stretch), b)
+        # the levels that changed are those of the positions under the new
+        # circle
+        lo, hi = available_negatives(self, min(under)[0], max(under)[0])
+        self._segments(lo, hi)
 
 
 def _unrealisable(levels, exc: StructureError) -> EngineError:
     return EngineError(f"cannot realise forest for unit levels {list(levels)}: {exc}")
 
 
-def available_negatives(state: EngineState) -> Set[int]:
-    """The unit positions usable with negative weight: original leaves
-    sitting as the centre child of a top-level triple of the realised
-    forest, each paired with the circle that last consumed it.  Returns the
-    engine's own set, brought up to date together with the negatives among
-    its accordion elements.  Where the re-parsed trees' negatives changed,
-    they are replaced, and their old and new positions widen the engine's
-    hull of changed positions.
+def available_negatives(state: EngineState, lo: int, hi: int) -> Tuple[int, int]:
+    """Bring the engine's available negatives up to date after a step that
+    changed the levels of the unit positions ``lo..hi``, and return that
+    hull widened by the positions of the negatives that changed.
+
+    The available negatives are the unit positions usable with negative
+    weight: original leaves sitting as the centre child of a top-level
+    triple of the realised forest, each paired with the circle that last
+    consumed it.  The engine keeps them as ``_negs`` and as the sign -1
+    entries of ``_elems``; where the re-parsed trees' negatives changed,
+    both are replaced.
 
     The forest's top-level triples come from the stack pass over the unit
-    levels, and only what the steps since the last call changed is parsed
-    again: from the start of the tree that holds the lowest changed
-    position, up to the first tree end at or past the highest one that an
-    old tree start follows (or the end of the sequence).  The trees before
-    and after that stretch are unchanged, since each top-level tree parses
-    on its own, and so are their negatives.  When the levels realise a
-    forest, the first tree end at or past the highest changed position is
-    such a point: the unchanged rest is whole new trees, its leaves'
-    3^-level sum to a whole number, so it cannot start inside an old tree.
-    Where no old start follows, the rest does not parse into whole trees,
-    and the parse runs on to the error the whole pass raises.
+    levels, and only what the step changed is parsed again: from the start
+    of the tree that holds ``lo``, up to the first tree end at or past
+    ``hi`` that an old tree start follows (or the end of the sequence).
+    The trees before and after that stretch are unchanged, since each
+    top-level tree parses on its own, and so are their negatives.  When the
+    levels realise a forest, the first tree end at or past ``hi`` is such a
+    point: the unchanged rest is whole new trees, its leaves' 3^-level sum
+    to a whole number, so it cannot start inside an old tree.  Where no old
+    start follows, the rest does not parse into whole trees, and the parse
+    runs on to the error the whole pass raises.
 
     A centre leaf that is not a live square was consumed positively, so
     ``last_consumer`` holds its owner; a leaf used negatively is a live
     square again until a new circle consumes it and becomes its owner, so a
     spent pairing cannot show up here either.  ``EngineState._apply``
     refuses a missing or spent pairing all the same."""
-    negs = state._negs
-    if state._changed is None:
-        return negs
-    lo, hi = state._changed
-    starts, centres = state._tree_starts, state._tree_centres
+    starts = state._tree_starts
     k = j = bisect_right(starts, lo) - 1
-    new_starts, new_centres = [], []
+    new_starts, centres = [], []
     try:
         for first, last, centre in pure_top_trees(state._levels, starts[k]):
             new_starts.append(first)
-            new_centres.append(centre)
+            if centre is not None:
+                centres.append(centre)
             if last >= hi:
                 j = bisect_right(starts, last, j)
                 if j < len(starts) and starts[j] == last + 1:
@@ -715,25 +685,24 @@ def available_negatives(state: EngineState) -> Set[int]:
             j = len(starts)
     except InvalidLevelSequence as exc:
         raise _unrealisable(state._levels, exc) from exc
-    units, live_square = state.units, state._live_square
-    old = [c for c in centres[k:j] if c in negs]
-    new = [c for c in new_centres if c is not None and units[c].is_square and not live_square[c]]
+    # the old negatives of the re-parsed trees are the sign -1 elements in
+    # their positions, and a centre that is a live square has a sign +1 one
+    elems, units = state._elems, state.units
+    stop = starts[j] if j < len(starts) else len(units)
+    stretch = elems[bisect_left(elems, (starts[k],)) : bisect_left(elems, (stop,))]
+    old = [pos for pos, _w, sign, _r in stretch if sign < 0]
+    squares = {pos for pos, _w, sign, _r in stretch if sign > 0}
+    new = [c for c in centres if units[c].is_square and c not in squares]
     starts[k:j] = new_starts
-    centres[k:j] = new_centres
-    state._changed = None
     if old != new:
-        elems = state._elems
         for c in old:
             del elems[bisect_left(elems, (c,))]
         for c in new:
             insort(elems, (c, units[c].weight, -1, units[c].ref))
-        negs.difference_update(old)
-        negs.update(new)
+        state._negs.difference_update(old)
+        state._negs.update(new)
         lo, hi = min(lo, *old, *new), max(hi, *old, *new)
-    if state._dirty is not None:
-        lo, hi = min(lo, state._dirty[0]), max(hi, state._dirty[1])
-    state._dirty = (lo, hi)
-    return negs
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

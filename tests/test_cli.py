@@ -293,6 +293,14 @@ class TestFuzzCommand:
         assert run(capsys, "fuzz", "--n", "")[0] == 1
 
     @pytest.mark.parametrize(
+        "argv, token",
+        [(["fuzz", "--n", "3,x"], "x"), (["bench", "--n", "a"], "a"), (["fuzz", "--n", "3..y"], "3..y")],
+    )
+    def test_bad_size_names_the_option_and_token(self, capsys, argv, token):
+        message = f"error: --n takes sizes such as 5,9 or 3..7, got {token!r}\n"
+        assert run(capsys, *argv) == (EXIT_INPUT, "", message)
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["--n", "3", "--count", "-1"], "count must be at least 0, got -1"),
@@ -300,6 +308,11 @@ class TestFuzzCommand:
             (["--n=-3"], "sizes must be at least 1, got -3"),
             (["--n", "3", "--wlo", "-1"], "weight_lo must be at least 0, got -1"),
             (["--n", "3", "--wlo", "5", "--whi", "2"], "weight_lo 5 exceeds weight_hi 2"),
+            (
+                ["--n", "5", "--count", "2", "--dist", "monotone", "--wlo", "10", "--whi", "12"],
+                "monotone instances of size 5 need 5 distinct weights, "
+                "but weight_lo 10 to weight_hi 12 holds 3",
+            ),
         ],
     )
     def test_out_of_range_instance_options(self, capsys, argv, message):

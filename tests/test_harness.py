@@ -31,6 +31,14 @@ class TestRandomInstances:
         for ws in random_instances([4], count=10, seed=1, dist="monotone"):
             assert all(a < b for a, b in zip(ws, ws[1:]))
 
+    def test_monotone_refuses_a_range_narrower_than_the_size(self):
+        # strictly increasing weights need as many values as the largest
+        # size; a range that holds exactly that many still draws
+        with pytest.raises(ValueError, match="weight_hi 12 holds 3"):
+            random_instances([3, 5], count=2, seed=1, dist="monotone", weight_lo=10, weight_hi=12)
+        drawn = random_instances([3], count=2, seed=1, dist="monotone", weight_lo=10, weight_hi=12)
+        assert drawn == [(10, 11, 12)] * 2
+
     def test_sizes_are_a_set(self):
         # only the listed sizes are drawn; order and repeats do not matter
         drawn = random_instances([7, 3, 5, 3], count=200, seed=1)

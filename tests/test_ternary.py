@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import math
 import random
 
 import pytest
@@ -16,7 +15,12 @@ from alphatree.core import (
     tree_cost,
 )
 from alphatree.harness import check_report
-from alphatree.levels import InvalidLevelSequence, pure_centre_leaves, signed_levels
+from alphatree.levels import (
+    InvalidLevelSequence,
+    pure_centre_leaves,
+    pure_top_trees,
+    signed_levels,
+)
 from alphatree.oracle import dp_optimal
 from alphatree.ternary import (
     EngineError,
@@ -80,36 +84,39 @@ def rebuild_inputs():
 
 
 def live_square_positions(state):
-    return {nd.pos for nd in state.live if nd.is_square}
+    return {nd.pos for nd in state.live if nd.pos is not None and state.units[nd.pos].is_square}
 
 
-def top_level_centres(state):
-    """The leaf centres of the realised forest's top-level triples, left to
-    right, as the engine keeps them once ``available_negatives`` has parsed
-    the trees the steps since its last call changed."""
-    available_negatives(state)
-    return [c for c in state._tree_centres if c is not None]
+def negatives_from_stack_pass(state, levels):
+    """The available negatives the stack pass over ``levels`` implies: the
+    leaf centres of the top-level triples that are not live squares."""
+    live_squares = live_square_positions(state)
+    return [
+        c for c in pure_centre_leaves(levels)
+        if state.units[c].is_square and c not in live_squares
+    ]
 
 
 def negative_pairings(state):
     """The engine's available negatives as (position, weight, owner)."""
     return sorted(
         (pos, state.units[pos].weight, state.last_consumer.get(pos))
-        for pos in available_negatives(state)
+        for pos in state._negs
     )
 
 
 def reparsed(before, after, changed):
     """The top-level centres and tree starts an engine finds for the levels
-    ``after`` when it last parsed ``before`` and the positions in the hull
-    ``changed`` are the ones that differ (an odd count of each)."""
+    ``after`` when it last parsed ``before`` and ``available_negatives`` gets
+    the hull ``changed`` of the positions that differ (an odd count of
+    each).  No unit is live, so every centre is an available negative."""
     state = engine_for([1] * len(before))
+    state._elems.clear()
     state._levels[:] = before
-    state._changed = (0, len(before) - 1)
-    top_level_centres(state)
+    available_negatives(state, 0, len(before) - 1)
     state._levels[:] = after
-    state._changed = changed
-    return top_level_centres(state), state._tree_starts
+    available_negatives(state, *changed)
+    return sorted(state._negs), state._tree_starts
 
 
 def negatives_from_forest(state):
@@ -160,7 +167,7 @@ def merged_elements(state):
     (sign +1 for a square, 0 for an opaque unit) and the negatives the whole
     realised forest offers (sign -1)."""
     elems = [
-        (nd.pos, nd.weight, 1 if nd.is_square else 0, nd.ref)
+        (nd.pos, nd.weight, 1 if state.units[nd.pos].is_square else 0, nd.ref)
         for nd in state.live
         if nd.pos is not None
     ]
@@ -220,13 +227,17 @@ def segment_summaries(state):
 
 
 def kept_summaries(state):
-    """The engine's segment summaries, brought up to date, as slice count
-    and least accordion candidate."""
-    available_negatives(state)
+    """The engine's segment summaries as slice count and least accordion
+    candidate."""
     return {
-        first: (count, None if hit is None else state._hit_candidate(hit))
-        for first, _last, _rlo, _rhi, count, hit in state._segments()
+        seg[0]: (seg[4], None if seg[6] is None else state._hit_candidate(seg))
+        for seg in state._segs
     }
+
+
+def engine_bound(state):
+    """The engine's exact sentinel: twice the total unit weight plus one."""
+    return 2 * sum(unit.weight for unit in state.units) + 1
 
 
 def window_arrays(state):
@@ -238,14 +249,16 @@ def window_arrays(state):
     unit at or after k (or the end); ``need[j]``, the minimum of ``pair``
     from j through the first unit at or after j (or m - 2); the weight of
     the cheapest window starting at j, ``w_j + need[j + 1]``; and the number
-    of windows starting at j, ``min(cap[j], m - 2) - j``.  Indexes with no
-    value (pair and need at m - 1, the cheapest window at m - 2 and m - 1)
-    hold infinity, and those with no window a count of 0."""
+    of windows starting at j, ``min(cap[j], m - 2) - j``.  Pair, need and
+    the cheapest window at m - 1 hold the engine's bound, twice the total
+    weight plus one, and the cheapest window at m - 2 its weight plus the
+    bound; indexes with no window count 0."""
     live = state.live
     m = len(live)
+    bound = engine_bound(state)
     cap = [m - 1] * m
-    pair = [math.inf] * m
-    need = [math.inf] * m
+    pair = [bound] * m
+    need = [bound] * m
     nxt = m - 1
     to_blk = live[-1].weight  # min_to_blk[j + 1]
     for j in range(m - 2, -1, -1):
@@ -261,7 +274,7 @@ def window_arrays(state):
             need[j] = q if j == m - 2 or q < need[j + 1] else need[j + 1]
             if w < to_blk:
                 to_blk = w
-    cheap = [nd.weight + q for nd, q in zip(live, need[1 : m - 1])] + [math.inf] * 2
+    cheap = [nd.weight + q for nd, q in zip(live, need[1:])] + [bound]
     count = [min(cap[i], m - 2) - i for i in range(m - 2)] + [0, 0]
     return [c - j for j, c in enumerate(cap)], pair, need, cheap, count
 
@@ -272,20 +285,23 @@ def scans_next(state):
 
 
 def assert_kept_scan_state(state):
-    """The window quantities, the live nodes' (hi, lo) order, the segment
-    summaries with their hit keys, and the total of their slice counts that
-    the engine kept from earlier steps equal a recomputation from
-    scratch."""
+    """The window quantities, the live nodes' (hi, lo) order and the segment
+    summaries with their hit keys that the engine kept from earlier steps
+    equal a recomputation from scratch.  Returns the number of candidates
+    the next scan counts: every window and every slice."""
     kept = (state._cap, state._pair, state._need, state._cheap, state._count)
-    assert list(map(list, kept)) == list(window_arrays(state))
+    windows = window_arrays(state)
+    assert list(map(list, kept)) == list(windows)
     by_hi = sorted(state.live, key=lambda nd: (nd.hi, nd.lo))  # stable
     assert [id(e[3]) for e in state._by_hi] == [id(nd) for nd in by_hi]
     assert all(e[:3] == (e[3].hi, e[3].lo, e[3].ref) for e in state._by_hi)
     summaries = segment_summaries(state)
     assert kept_summaries(state) == summaries
-    segs = state._segments()
-    assert state._seg_keys == [(math.inf,) if s[5] is None else s[5][0] for s in segs]
-    assert state._slices == sum(count for count, _hit in summaries.values())
+    assert [s[5] for s in state._segs] == [
+        (engine_bound(state),) if hit is None else hit.key
+        for _count, hit in summaries.values()
+    ]
+    return sum(windows[4]) + sum(count for count, _hit in summaries.values())
 
 
 def enumerate_candidates(state):
@@ -504,12 +520,17 @@ class TestEnumerateCandidates:
             state = engine_for(ws)
             while not state.done:
                 expected = enumerate_candidates(state)[0]
-                assert kept_summaries(state) == segment_summaries(state)
-                assert state._elems == merged_elements(state)
+                if scans_next(state):
+                    assert kept_summaries(state) == segment_summaries(state)
+                    assert state._elems == merged_elements(state)
                 chosen = state.advance()
                 assert chosen == expected
-                spans = [(nd.lo, nd.hi) for nd in state.live]
-                assert spans == sorted(spans)
+                if scans_next(state):  # live in span order
+                    spans = [(nd.lo, nd.hi) for nd in state.live]
+                    assert spans == sorted(spans)
+                else:  # the queue endgame: live in creation order
+                    refs = [nd.ref for nd in state.live]
+                    assert refs == sorted(refs)
                 accordions += accordion_size(chosen) > 0
                 multi_negative += accordion_size(chosen) > 3
         assert accordions >= 30 and multi_negative >= 1
@@ -524,7 +545,7 @@ class TestKeptScanState:
         rng = random.Random(73)
         inputs = [
             draw(random.Random(n))[:n]
-            for draw, _digest, _count in TestPureTernaryPhase1.FAMILIES.values()
+            for draw, *_pinned in TestPureTernaryPhase1.FAMILIES.values()
             for n in (41, 61, 81)
         ]
         inputs += [accordion_block_weights(rng, rng.choice(range(41, 82, 2))) for _ in range(40)]
@@ -534,9 +555,13 @@ class TestKeptScanState:
             state = engine_for(ws)
             while not state.done:
                 if scans_next(state):
-                    assert_kept_scan_state(state)
+                    counted = assert_kept_scan_state(state)
                     scans += 1
+                else:
+                    counted = 1  # a queue step counts its one triple
+                before = state.stats["candidates"]
                 accordions += accordion_size(state.advance()) > 0
+                assert state.stats["candidates"] - before == counted
         assert scans > 1200 and accordions > 60
 
     def test_tracks_the_full_pass_inside_general_solve(self, monkeypatch):
@@ -546,11 +571,14 @@ class TestKeptScanState:
         advance = EngineState.advance
 
         def checked_advance(state):
-            if scans_next(state):
-                assert_kept_scan_state(state)
-                checked["scans"] += 1
-                checked["opaque"] += not all(u.is_square for u in state.units)
-            return advance(state)
+            if not scans_next(state):
+                return advance(state)
+            counted = state.stats["candidates"] + assert_kept_scan_state(state)
+            checked["scans"] += 1
+            checked["opaque"] += not all(u.is_square for u in state.units)
+            step = advance(state)
+            assert state.stats["candidates"] == counted
+            return step
 
         monkeypatch.setattr(EngineState, "advance", checked_advance)
         rng = random.Random(79)
@@ -563,9 +591,9 @@ class TestKeptScanState:
         assert checked["scans"] > 1500 and checked["opaque"] > 1400
 
     def test_queue_takes_the_three_oldest_circles(self):
-        # once only circles remain, each step combines the three with the
-        # least refs, the oldest, and the engine keeps the live circles in
-        # creation order from then on
+        # once only circles remain, live holds them in creation order, and
+        # each step combines live[:3], the three with the least refs, the
+        # oldest, and appends the new circle
         rng = random.Random(83)
         queue_steps = 0
         for _ in range(30):
@@ -574,10 +602,11 @@ class TestKeptScanState:
                 if scans_next(state):
                     state.advance()
                     continue
-                oldest = sorted(nd.ref for nd in state.live)[:3]
+                refs = [nd.ref for nd in state.live]
+                assert refs == sorted(refs)
                 step = state.advance()
-                assert sorted(p.ref for p in step.participants) == oldest
-                assert [nd.ref for nd in state._queue] == sorted(nd.ref for nd in state.live)
+                assert sorted(p.ref for p in step.participants) == refs[:3]
+                assert [nd.ref for nd in state.live] == refs[3:] + [state.steps[-1].circle]
                 queue_steps += 1
         assert queue_steps > 140
 
@@ -618,41 +647,42 @@ class TestPureTernaryPhase1:
         assert report.cost == dp_optimal(SEVEN_WEIGHTS, (3,))[0]
 
     # per weight family at n=201 (random.Random(201) draws the uniform ones):
-    # the trace's sha256 and the candidates scanned; ties, monotone and
-    # sawtooth weights are families no benchmark workload draws
+    # the trace's sha256, the candidates scanned and the queue steps; ties,
+    # monotone and sawtooth weights are families no benchmark workload draws
     FAMILIES = {
         "uniform-50-99": (
             lambda r: [r.randint(50, 99) for _ in range(201)],
-            "e73100b950d5c578233f8f02a2cee359e22d3daa31c8197ff41b9f1c2a963c27", 15623,
+            "e73100b950d5c578233f8f02a2cee359e22d3daa31c8197ff41b9f1c2a963c27", 15623, 33,
         ),
         "uniform-0-3": (
             lambda r: [r.randint(0, 3) for _ in range(201)],
-            "5b0a686e45fa2a9b558ca1cc358e5e95716a67d44b2ee3f8769f626cffbe316e", 19162,
+            "5b0a686e45fa2a9b558ca1cc358e5e95716a67d44b2ee3f8769f626cffbe316e", 19162, 22,
         ),
         "powers-of-2": (
             lambda r: [2 ** (i % 20) for i in range(201)],
-            "8527a5fa0d30a170a4abe5c3bc44fba63643fd9630111067a022bb97d00cc25b", 11828,
+            "8527a5fa0d30a170a4abe5c3bc44fba63643fd9630111067a022bb97d00cc25b", 11828, 3,
         ),
         "increasing": (
             lambda r: list(range(1, 202)),
-            "89f9ce39312129e8f70c3282b3ef1f35e09c236cba41dacfd2ee369f06c2415b", 40501,
+            "89f9ce39312129e8f70c3282b3ef1f35e09c236cba41dacfd2ee369f06c2415b", 40501, 24,
         ),
         "all-equal": (
             lambda r: [1] * 201,
-            "0aca43e8cb792713f965f6d0fa96a4e82206396ae2e06ac1992bd1af6f465d72", 56849,
+            "0aca43e8cb792713f965f6d0fa96a4e82206396ae2e06ac1992bd1af6f465d72", 56849, 33,
         ),
         "sawtooth": (
             lambda r: [9 if i % 2 == 0 else 1 for i in range(201)],
-            "0ee08f7ba4fd67f8917de3faa16cd575ebdbad7ea12f04e6f936f2904a7166c8", 50918,
+            "0ee08f7ba4fd67f8917de3faa16cd575ebdbad7ea12f04e6f936f2904a7166c8", 50918, 33,
         ),
     }
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_weight_family_trace_and_candidates(self, family):
-        draw, digest, candidates = self.FAMILIES[family]
+        draw, digest, candidates, queue_steps = self.FAMILIES[family]
         report, stats = _solve_pure_ternary(draw(random.Random(201)))
         assert hashlib.sha256(repr(report.trace.to_json_obj()).encode()).hexdigest() == digest
         assert stats["candidates"] == candidates
+        assert stats["queue_steps"] == queue_steps
 
     def test_one_plain_candidate_per_step(self, monkeypatch):
         # all-equal weights tie hundreds of plain windows on every scan; the
@@ -877,10 +907,11 @@ class TestStepwiseForest:
                 step = state.steps[-1]
                 trace = CombinationTrace(len(ws), tuple(state.steps))
                 assert state.unit_levels() == signed_levels(trace)
-                assert negative_pairings(state) == negatives_from_forest(state)
+                if scans_next(state):  # the queue endgame reads no negative
+                    assert negative_pairings(state) == negatives_from_forest(state)
                 assert [e[0] for e in state._elems if e[2] < 0] == sorted(state._negs)
-                flags = {pos for pos, live in enumerate(state._live_square) if live}
-                assert flags == live_square_positions(state)
+                squares = {e[0] for e in state._elems if e[2] > 0}
+                assert squares == live_square_positions(state)
                 last_consumer, live = steps_reference(state.steps, len(ws))
                 assert state.last_consumer == last_consumer
                 assert sorted(nd.ref for nd in state.live) == live
@@ -893,26 +924,24 @@ class TestStepwiseForest:
         assert accordions >= 20
 
     def test_top_level_centres_track_the_full_pass(self):
-        # the engine parses again only the top-level trees that the steps
-        # since its last parse changed; its centres always equal those of
-        # the whole stack pass, whether it parses after every step or after
-        # several
+        # each step that leaves a unit live parses again only the top-level
+        # trees it changed; the kept tree starts then equal those of the
+        # whole stack pass, and the kept negatives equal its centres that
+        # are not live squares
         rng = random.Random(67)
         inputs = rebuild_inputs()
         inputs += [[rng.randint(0, 3) for _ in range(rng.choice(range(11, 42, 2)))] for _ in range(40)]
-        parses = after_several = 0
+        parses = 0
         for ws in inputs:
             state = engine_for(ws)
-            steps = 0
             while not state.done:
                 state.advance()
-                steps += 1
-                if rng.random() < 0.5:
+                if scans_next(state):
                     parses += 1
-                    after_several += steps > 1
-                    steps = 0
-                    assert top_level_centres(state) == pure_centre_leaves(state.unit_levels())
-        assert parses > 500 and after_several > 100
+                    levels = state.unit_levels()
+                    assert state._tree_starts == [first for first, _l, _c in pure_top_trees(levels)]
+                    assert sorted(state._negs) == negatives_from_stack_pass(state, levels)
+        assert parses > 1000
 
     def test_one_step_merges_three_trees(self):
         # a circle, a bare leaf and a circle become one triple with leaf
@@ -973,3 +1002,24 @@ class TestStepwiseForest:
         with pytest.raises(InvalidLevelSequence) as full:
             pure_centre_leaves(levels)
         assert str(err.value) == f"cannot realise forest for unit levels {list(levels)}: {full.value}"
+
+
+HUGE = 10**400  # past the float range: 2**1024 is about 1.8e308
+
+
+@pytest.mark.parametrize(
+    "solver, ws, arities, levels",
+    [
+        (solve_pure_ternary, [HUGE] * 5, (3,), (2, 2, 2, 1, 1)),
+        (solve_pure_ternary, [HUGE, 1, HUGE, 1, HUGE], (3,), (1, 2, 2, 2, 1)),
+        (general_solve, [1, 2, HUGE, 3, 4, 5, 6], (2, 3), (2, 2, 1, 3, 3, 2, 2)),
+        (general_solve, [HUGE] * 6, (2, 3), (2, 2, 2, 2, 2, 1)),
+    ],
+    ids=["pure-equal", "pure-alternating", "general-one-huge", "general-equal"],
+)
+def test_weights_past_the_float_range_stay_exact(solver, ws, arities, levels):
+    # the engine's sentinels are exact integers, so no weight meets a float
+    report = solver(ws)
+    assert report.levels == levels
+    assert report.cost == dp_optimal(ws, arities)[0]
+    assert check_report(report) == []
