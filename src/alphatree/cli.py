@@ -190,16 +190,17 @@ def _parse_sizes(text: str) -> list:
         part = part.strip()
         if not part:
             continue
+        lo, dots, hi = part.partition("..")
         try:
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(part))
+            lo = int(lo)
+            hi = int(hi) if dots else lo
         except ValueError:
             raise ValueError(f"--n takes sizes such as 5,9 or 3..7, got {part!r}") from None
+        if hi < lo:
+            raise ValueError(f"--n range {part!r} runs backwards; write {hi}..{lo}")
+        out.extend(range(lo, hi + 1))
     if not out:
-        raise ValueError("empty size list")
+        raise ValueError(f"--n takes sizes such as 5,9 or 3..7, got {text!r}")
     return out
 
 

@@ -107,30 +107,27 @@ class AlphaTree:
     @classmethod
     def from_nested(cls, nested) -> "AlphaTree":
         """Rebuild a single-root tree from its nested-array form."""
+        weights = []
 
-        def count(node):
+        def collect(node):
             if isinstance(node, int):
-                return 1
-            if isinstance(node, (list, tuple)) and len(node) in (2, 3):
-                return sum(count(c) for c in node)
-            raise StructureError(f"bad nested tree node: {node!r}")
+                weights.append(node)
+            elif isinstance(node, (list, tuple)) and len(node) in (2, 3):
+                for child in node:
+                    collect(child)
+            else:
+                raise StructureError(f"bad nested tree node: {node!r}")
 
-        n = count(nested)
-        builder = TreeBuilder([0] * n)
-        next_leaf = 0
+        collect(nested)
+        builder = TreeBuilder(validate_weights(weights))
+        leaf_ids = iter(range(len(weights)))
 
         def rec(node):
-            nonlocal next_leaf
             if isinstance(node, int):
-                validate_weights([node])
-                lid = next_leaf
-                next_leaf += 1
-                builder.set_leaf_weight(lid, node)
-                return lid
+                return next(leaf_ids)
             return builder.internal([rec(c) for c in node])
 
-        root = rec(nested)
-        return builder.finish([root])
+        return builder.finish([rec(nested)])
 
 
 class TreeBuilder:
@@ -138,9 +135,6 @@ class TreeBuilder:
 
     def __init__(self, leaf_weights: Sequence[int]):
         self._nodes = [Node((), i, w) for i, w in enumerate(leaf_weights)]
-
-    def set_leaf_weight(self, leaf_id: int, weight: int):
-        self._nodes[leaf_id] = Node((), leaf_id, weight)
 
     def internal(self, children: Sequence[int]) -> int:
         kids = tuple(children)

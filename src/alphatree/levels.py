@@ -25,7 +25,6 @@ from .core import (
 MODE_BINARY = "binary"
 MODE_MIXED = "ternary-mixed"
 MODE_PURE = "pure-ternary"
-_MODES = (MODE_BINARY, MODE_MIXED, MODE_PURE)
 
 
 class InvalidLevelSequence(StructureError):
@@ -61,67 +60,41 @@ def signed_levels(trace: CombinationTrace) -> tuple:
     return tuple(levels)
 
 
-def _reconstruct(levels, ws: tuple, mode, pair_hints=frozenset()):
-    """Single left-to-right pass with a stack over validated weights;
-    combining the top of the stack as soon as a complete group appears is
-    equivalent to repeatedly combining the leftmost maximal run at the
-    current maximum level."""
+def _reconstruct(levels, ws: tuple, mode, pairs=frozenset()):
+    """Single left-to-right pass with a stack over validated weights.
+
+    Each leaf is pushed, then the top of the stack merges as long as it
+    holds a complete group: in binary mode two items at one positive level,
+    in the ternary modes three.  A binary node of a ternary tree comes only
+    from ``pairs``, the leaf spans of the trace's two-leaf steps: it forms
+    as its right leaf ``i`` is pushed, if leaf ``i - 1`` is the item below
+    it, at the same positive level, and the pair starts its run.  Merging
+    as soon as a group appears is equivalent to repeatedly combining the
+    leftmost maximal run at the current maximum level."""
     if len(levels) != len(ws):
         raise StructureError("levels and weights differ in length")
     if any(l < 0 for l in levels):
         raise InvalidLevelSequence(f"negative level in {levels}")
     builder = TreeBuilder(ws)
-    hints = frozenset(pair_hints)
-    stack = []  # (node id, level, leftmost leaf, rightmost leaf)
-
-    def hint_pair_on_top():
-        if len(stack) < 2:
-            return False
-        a, b = stack[-2], stack[-1]
-        if a[1] != b[1] or a[1] == 0:
-            return False
-        if len(stack) >= 3 and stack[-3][1] == a[1]:
-            return False  # pair must start its run
-        return a[2] == a[3] and b[2] == b[3] and (a[2], b[2]) in hints
-
-    def cascade(lookahead: int):
-        while True:
-            if hints and mode != MODE_BINARY and hint_pair_on_top():
-                b = stack.pop()
-                a = stack.pop()
-                nid = builder.internal((a[0], b[0]))
-                stack.append((nid, a[1] - 1, a[2], b[3]))
-                continue
-            if mode != MODE_BINARY and len(stack) >= 3:
-                c3, c2, c1 = stack[-3], stack[-2], stack[-1]
-                if c1[1] == c2[1] == c3[1] and c1[1] > 0:
-                    stack.pop(), stack.pop(), stack.pop()
-                    nid = builder.internal((c3[0], c2[0], c1[0]))
-                    stack.append((nid, c1[1] - 1, c3[2], c1[3]))
-                    continue
-            if mode != MODE_PURE and len(stack) >= 2:
-                b, a = stack[-1], stack[-2]
-                if a[1] == b[1] and a[1] > 0:
-                    # A run of exactly two may close as a pair only once no
-                    # upcoming item can deepen or rejoin it (lookahead < run
-                    # level: deeper runs reduce upward and could extend it).
-                    run_of_two = len(stack) < 3 or stack[-3][1] != a[1]
-                    if mode == MODE_BINARY or (run_of_two and lookahead < a[1]):
-                        stack.pop(), stack.pop()
-                        nid = builder.internal((a[0], b[0]))
-                        stack.append((nid, a[1] - 1, a[2], b[3]))
-                        continue
-            break
-
-    for i, lvl in enumerate(levels):
-        cascade(lvl)
-        stack.append((i, lvl, i, i))
-    cascade(-1)
-
-    leftovers = [item for item in stack if item[1] != 0]
+    size = 2 if mode == MODE_BINARY else 3
+    ids, lv = [], []  # node id (a leaf's is its index) and level of each item
+    for i, l in enumerate(levels):
+        k = size
+        if pairs and (i - 1, i) in pairs and ids[-1:] == [i - 1] and lv[-2:-1] != [l]:
+            k = 2  # a trace pair that starts its run: the loop checks its levels
+        ids.append(i)
+        lv.append(l)
+        while l > 0 and lv[-k:].count(l) == k:
+            node = builder.internal(ids[-k:])
+            del ids[-k:], lv[-k:]
+            l -= 1
+            ids.append(node)
+            lv.append(l)
+            k = size
+    leftovers = len(lv) - lv.count(0)
     if leftovers:
-        raise _stuck(levels, mode, len(leftovers))
-    return builder.finish([item[0] for item in stack])
+        raise _stuck(levels, mode, leftovers)
+    return builder.finish(ids)
 
 
 def _stuck(levels, mode: str, count: int) -> InvalidLevelSequence:
@@ -184,17 +157,22 @@ def pure_centre_leaves(levels: Sequence[int]) -> list:
 
 
 def reconstruct_from_levels(
-    levels: Sequence[int], weights: Sequence[int], mode: str = MODE_MIXED
+    levels: Sequence[int], weights: Sequence[int], mode: str
 ) -> AlphaTree:
-    """Rebuild the forest/tree a level sequence describes.
+    """Rebuild the binary or pure-ternary forest a level sequence describes.
 
-    Scans runs of maximum-level nodes left to right.  Binary mode combines
-    the leftmost adjacent pair; ternary modes combine the leftmost three of
-    a run (a run of exactly two becomes a pair only when the mode permits
-    binary nodes).  Raises InvalidLevelSequence when this cannot terminate,
-    e.g. a singleton run, or a leftover pair in pure-ternary mode.
+    Scans runs of maximum-level nodes left to right and combines the
+    leftmost two (``MODE_BINARY``) or three (``MODE_PURE``) of a run.
+    Raises InvalidLevelSequence when this cannot terminate, e.g. a singleton
+    run, or a leftover pair in pure-ternary mode.  Levels alone do not say
+    where a mixed tree's binary nodes sit, so ``MODE_MIXED`` raises
+    ValueError: those come from the tree's trace (``report_from_trace``).
     """
-    if mode not in _MODES:
+    if mode == MODE_MIXED:
+        raise ValueError(
+            "a mixed tree's binary nodes come from its trace; use report_from_trace"
+        )
+    if mode not in (MODE_BINARY, MODE_PURE):
         raise ValueError(f"unknown mode {mode!r}")
     return _reconstruct(tuple(levels), validate_weights(weights), mode)
 
@@ -214,15 +192,14 @@ def report_from_trace(
     trace.validate(ws)
     levels = signed_levels(trace)
     arities = {s.arity for s in trace.steps}
-    if not trace.steps:
-        mode, hints = MODE_BINARY, frozenset()
-    elif arities == {2}:
-        mode, hints = MODE_BINARY, frozenset()
+    pairs = frozenset()
+    if arities <= {2}:
+        mode = MODE_BINARY
     elif 2 in {len(s.positive_refs()) for s in trace.steps}:
-        mode, hints = MODE_MIXED, frozenset(trace.pair_steps())
+        mode, pairs = MODE_MIXED, frozenset(trace.pair_steps())
     else:
-        mode, hints = MODE_PURE, frozenset()
-    tree = _reconstruct(levels, ws, mode, hints)
+        mode = MODE_PURE
+    tree = _reconstruct(levels, ws, mode, pairs)
     got = tree_cost(tree, ws)
     want = trace.total()
     if got != want:

@@ -294,10 +294,29 @@ class TestFuzzCommand:
 
     @pytest.mark.parametrize(
         "argv, token",
-        [(["fuzz", "--n", "3,x"], "x"), (["bench", "--n", "a"], "a"), (["fuzz", "--n", "3..y"], "3..y")],
+        [
+            (["fuzz", "--n", "3,x"], "x"),
+            (["bench", "--n", "a"], "a"),
+            (["fuzz", "--n", "3..y"], "3..y"),
+            (["fuzz", "--n", " , "], " , "),
+        ],
     )
     def test_bad_size_names_the_option_and_token(self, capsys, argv, token):
         message = f"error: --n takes sizes such as 5,9 or 3..7, got {token!r}\n"
+        assert run(capsys, *argv) == (EXIT_INPUT, "", message)
+
+    @pytest.mark.parametrize(
+        "argv, part",
+        [
+            (["fuzz", "--n", "5..3"], "5..3"),
+            # the forward part alone would run five size-3 instances
+            (["fuzz", "--n", "3,9..5", "--count", "5"], "9..5"),
+            (["bench", "--n", "7..5"], "7..5"),
+        ],
+    )
+    def test_reversed_range_names_the_option_and_part(self, capsys, argv, part):
+        lo, hi = part.split("..")
+        message = f"error: --n range {part!r} runs backwards; write {hi}..{lo}\n"
         assert run(capsys, *argv) == (EXIT_INPUT, "", message)
 
     @pytest.mark.parametrize(

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphatree.binary import phase1_combine_binary
-from alphatree.core import tree_cost
+from alphatree.core import (
+    AlphaTree,
+    CombinationStep,
+    CombinationTrace,
+    Participant,
+    leaf_levels,
+    tree_cost,
+)
 from alphatree.levels import (
     InvalidLevelSequence,
     MODE_BINARY,
@@ -85,7 +92,67 @@ class TestPureCentreLeaves:
         assert pure_centre_leaves((2, 2, 2, 1, 1)) == [3]
 
 
+def _trees_with_leaf_pairs(lo, hi):
+    """Every tree over leaves lo..hi whose internal nodes are ternary, or
+    binary over two leaves, as nested lists of leaf indexes."""
+    if lo == hi:
+        return [lo]
+    out = [[lo, hi]] if hi == lo + 1 else []
+    for m1 in range(lo, hi - 1):
+        for m2 in range(m1 + 1, hi):
+            for a in _trees_with_leaf_pairs(lo, m1):
+                for b in _trees_with_leaf_pairs(m1 + 1, m2):
+                    out.extend([a, b, c] for c in _trees_with_leaf_pairs(m2 + 1, hi))
+    return out
+
+
+def _trace_of(nested, ws):
+    """The trace that combines the children of each internal node of
+    ``nested`` (leaf indexes), in post-order."""
+    n = len(ws)
+    weight = dict(enumerate(ws))
+    steps = []
+
+    def rec(node):
+        if isinstance(node, int):
+            return node
+        refs = [rec(c) for c in node]
+        circle = n + len(steps)
+        weight[circle] = sum(weight[r] for r in refs)
+        parts = tuple(Participant(r, 1, "plain") for r in refs)
+        steps.append(CombinationStep(circle, weight[circle], parts))
+        return circle
+
+    rec(nested)
+    return CombinationTrace(n, tuple(steps))
+
+
 class TestReconstructFromTrace:
+    def test_every_tree_with_leaf_pairs_replays(self):
+        # a binary node of a mixed tree is placed by its trace pair alone;
+        # each leaf i weighs i, so the nested form is the leaf-index form
+        count = 0
+        for n in range(1, 10):
+            ws = tuple(range(n))
+            for nested in _trees_with_leaf_pairs(0, n - 1):
+                expected = AlphaTree.from_nested(nested)
+                report = report_from_trace("replay", _trace_of(nested, ws), ws)
+                assert report.tree.to_nested() == nested
+                assert report.levels == leaf_levels(expected)
+                assert report.cost == tree_cost(expected, ws)
+                count += 1
+        assert count == 506
+
+    def test_general_solve_pairs_beside_each_other(self):
+        # a run of four leaves at level 2 holds two pairs; the levels alone
+        # would close the first three as a triple
+        from alphatree.ternary import general_solve
+
+        report = general_solve((3, 0, 1, 3, 0))
+        assert report.levels == (1, 2, 2, 2, 2)
+        assert report.tree.to_nested() == [3, [0, 1], [3, 0]]
+        assert report.cost == 11
+
     def test_seven_node_tree(self, seven_trace):
         tree = report_from_trace("pure-ternary", seven_trace, SEVEN_WEIGHTS).tree
         assert tree.to_nested() == [[6, 6, 1], 10, [1, 6, 6]]
@@ -113,10 +180,6 @@ class TestReconstructFromLevels:
         assert tree.to_nested() == [[4, 2], [3, 4]]
         assert tree_cost(tree, (4, 2, 3, 4)) == 26
 
-    def test_mixed_heavy_centre_levels(self):
-        tree = reconstruct_from_levels((2, 2, 1, 2, 2), (1, 1, 100, 1, 1), MODE_MIXED)
-        assert tree.to_nested() == [[1, 1], 100, [1, 1]]
-
     def test_pure_fifteen_levels(self):
         tree = reconstruct_from_levels(FIFTEEN_LEVELS, FIFTEEN_WEIGHTS, MODE_PURE)
         assert tree_cost(tree, FIFTEEN_WEIGHTS) == 197
@@ -130,7 +193,7 @@ class TestReconstructFromLevels:
 
     def test_singleton_run_rejected(self):
         with pytest.raises(InvalidLevelSequence):
-            reconstruct_from_levels((1,), (5,), MODE_MIXED)
+            reconstruct_from_levels((1,), (5,), MODE_PURE)
         with pytest.raises(InvalidLevelSequence):
             reconstruct_from_levels((2, 2, 2), (1, 2, 3), MODE_BINARY)
 
@@ -143,11 +206,14 @@ class TestReconstructFromLevels:
     def test_leftover_run_of_four_rejected(self):
         # a run of four at the top level leaves a singleton behind
         with pytest.raises(InvalidLevelSequence):
-            reconstruct_from_levels((1, 1, 1, 1), (1, 2, 3, 4), MODE_MIXED)
+            reconstruct_from_levels((1, 1, 1, 1), (1, 2, 3, 4), MODE_PURE)
 
-    def test_pair_allowed_in_mixed_mode(self):
-        tree = reconstruct_from_levels((2, 2, 1, 1), (1, 2, 3, 4), MODE_MIXED)
-        assert tree.to_nested() == [[1, 2], 3, 4]
+    def test_mixed_mode_refused(self):
+        # levels alone cannot place a mixed tree's pairs: (2, 2, 2, 2) is
+        # [[a, b], [c, d]] and (2, 2, 1, 1) is [[a, b], c, d]
+        for levels in ((2, 2, 2, 2), (2, 2, 1, 1), (2, 2, 1, 2, 2)):
+            with pytest.raises(ValueError, match="come from its trace"):
+                reconstruct_from_levels(levels, (1,) * len(levels), MODE_MIXED)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -155,8 +221,8 @@ class TestReconstructFromLevels:
 
 
 class TestEngineOutputsReplay:
-    """Levels alone (no trace) must rebuild a same-cost tree for whatever the
-    engines emit; the trace replay must do the same."""
+    """The trace replay must rebuild a same-cost tree for whatever the
+    engines emit; for the pure-ternary engine, levels alone must too."""
 
     def test_general_engine_trees(self):
         import random
@@ -170,8 +236,6 @@ class TestEngineOutputsReplay:
             report = general_solve(ws)
             replayed = report_from_trace("ternary", report.trace, ws).tree
             assert tree_cost(replayed, ws) == report.cost
-            rebuilt = reconstruct_from_levels(report.levels, ws, MODE_MIXED)
-            assert tree_cost(rebuilt, ws) == report.cost
 
     def test_pure_engine_trees(self):
         import random
