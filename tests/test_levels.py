@@ -208,6 +208,19 @@ class TestReconstructFromLevels:
         with pytest.raises(InvalidLevelSequence):
             reconstruct_from_levels((1, 1, 1, 1), (1, 2, 3, 4), MODE_PURE)
 
+    def test_mixed_heavy_centre_levels(self):
+        # a mixed tree's pairs come from its trace, and its levels with them
+        ws = (1, 1, 100, 1, 1)
+        report = report_from_trace("replay", _trace_of([[0, 1], 2, [3, 4]], ws), ws)
+        assert report.levels == (2, 2, 1, 2, 2)
+        assert report.tree.to_nested() == [[1, 1], 100, [1, 1]]
+
+    def test_pair_allowed_in_mixed_mode(self):
+        ws = (1, 2, 3, 4)
+        report = report_from_trace("replay", _trace_of([[0, 1], 2, 3], ws), ws)
+        assert report.levels == (2, 2, 1, 1)
+        assert report.tree.to_nested() == [[1, 2], 3, 4]
+
     def test_mixed_mode_refused(self):
         # levels alone cannot place a mixed tree's pairs: (2, 2, 2, 2) is
         # [[a, b], [c, d]] and (2, 2, 1, 1) is [[a, b], c, d]
