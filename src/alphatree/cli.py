@@ -121,6 +121,35 @@ def trace_to_pretty(report: SolveReport) -> str:
     return "\n".join(lines)
 
 
+def _tree_json(nested) -> str:
+    """``json.dumps`` of a tree's nested form, built with an explicit stack.
+    The C encoder spends one level of the recursion limit on each level of
+    nesting, and a tree over n leaves can nest n - 1 levels.  The stack
+    holds lists, int weights and punctuation strings."""
+    out = []
+    stack = [nested]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            out.append("[")
+            stack.append("]")
+            for k in range(len(x) - 1, 0, -1):
+                stack.extend((x[k], ", "))
+            stack.append(x[0])
+        else:
+            out.append(str(x))
+    return "".join(out)
+
+
+def _report_json(report: SolveReport) -> str:
+    """``json.dumps(report.to_json_obj())``, with the tree by ``_tree_json``."""
+    fields = (
+        f"{json.dumps(key)}: {_tree_json(value) if key == 'tree' else json.dumps(value)}"
+        for key, value in report.to_json_obj().items()
+    )
+    return "{" + ", ".join(fields) + "}"
+
+
 def _solve(ws: tuple, algo: str, arity: Optional[str]) -> SolveReport:
     if algo == "dp":
         cost, tree = dp_optimal(ws, _ARITY_SETS[arity or "ternary"])
@@ -143,7 +172,7 @@ def cmd_solve(args) -> int:
     report = _solve(_read_weights(args), args.algo, args.arity)
     emit = args.emit
     if emit == "json":
-        print(json.dumps(report.to_json_obj()))
+        print(_report_json(report))
     elif emit == "levels":
         print(" ".join(str(l) for l in report.levels))
         print(f"cost {report.cost}")
@@ -156,7 +185,7 @@ def cmd_solve(args) -> int:
         print(f"algorithm: {report.algorithm}")
         print(f"cost: {report.cost}")
         print(f"levels: {' '.join(str(l) for l in report.levels)}")
-        print(f"tree: {json.dumps(report.tree.to_nested())}")
+        print(f"tree: {_tree_json(report.tree.to_nested())}")
         if report.trace.steps:
             print(trace_to_pretty(report))
     return EXIT_OK

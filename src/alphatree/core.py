@@ -94,40 +94,57 @@ class AlphaTree:
         return tuple(len(nd.children) for nd in self.nodes if not nd.is_leaf)
 
     def to_nested(self):
-        """Nested-array form: a leaf is its weight, an internal node a list."""
+        """Nested-array form: a leaf is its weight, an internal node a list.
 
-        def rec(nid):
+        Built in post-order with an explicit stack, so a deep tree needs no
+        deep recursion: done holds the finished values whose parent is not
+        built yet, left to right."""
+        done = []
+        stack = [(self.root, False)]
+        while stack:
+            nid, children_done = stack.pop()
             nd = self.nodes[nid]
             if nd.is_leaf:
-                return nd.weight
-            return [rec(c) for c in nd.children]
-
-        return rec(self.root)
+                done.append(nd.weight)
+            elif children_done:
+                k = len(nd.children)
+                done[-k:] = [done[-k:]]
+            else:
+                stack.append((nid, True))
+                stack.extend((c, False) for c in reversed(nd.children))
+        return done[0]
 
     @classmethod
     def from_nested(cls, nested) -> "AlphaTree":
-        """Rebuild a single-root tree from its nested-array form."""
-        weights = []
+        """Rebuild a single-root tree from its nested-array form.
 
-        def collect(node):
-            if isinstance(node, int):
+        One explicit-stack pass lists the leaf weights and, in post-order,
+        each node's arity (0 for a leaf), checking each node before its
+        children; the tree is then built from that list, leaves numbered
+        left to right and internal nodes in post-order."""
+        weights, arities = [], []
+        stack = [(nested, False)]
+        while stack:
+            node, children_done = stack.pop()
+            if children_done:
+                arities.append(len(node))
+            elif isinstance(node, int):
                 weights.append(node)
+                arities.append(0)
             elif isinstance(node, (list, tuple)) and len(node) in (2, 3):
-                for child in node:
-                    collect(child)
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(node))
             else:
                 raise StructureError(f"bad nested tree node: {node!r}")
-
-        collect(nested)
         builder = TreeBuilder(validate_weights(weights))
-        leaf_ids = iter(range(len(weights)))
-
-        def rec(node):
-            if isinstance(node, int):
-                return next(leaf_ids)
-            return builder.internal([rec(c) for c in node])
-
-        return builder.finish([rec(nested)])
+        built, leaf = [], 0
+        for k in arities:
+            if k:
+                built[-k:] = [builder.internal(built[-k:])]
+            else:
+                built.append(leaf)
+                leaf += 1
+        return builder.finish(built)
 
 
 class TreeBuilder:

@@ -3,7 +3,9 @@
 ``dp_optimal`` is the interval dynamic program of Knuth's "Optimum binary
 search trees" (1971; TAOCP Vol. 3 section 6.2.2) over the allowed arities.
 A table of the cheapest two-tree forest over each span makes a ternary root
-one scan over its first split, so the DP is O(n^3) for every arity set.
+one scan over its first split.  Knuth's root monotonicity bounds every scan
+for binary and for exact-ternary trees, which run in O(n^2); mixed arity
+stays O(n^3).
 ``exhaustive_optimal`` literally enumerates every tree shape for tiny inputs,
 keeping the cost of each shape over each span, and is used to check the DP
 itself.  Both work in exact integers only.
@@ -12,6 +14,7 @@ itself.  Both work in exact integers only.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Sequence, Tuple
 
 from .core import AlphaTree, Infeasible, TreeBuilder, validate_weights
@@ -38,11 +41,56 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     the leftmost split points, binary splits first, so the returned tree is
     deterministic; the cost never depends on that choice.
 
-    O(n^3) time and O(n^2) space.  Besides the optimal cost of each span it
-    keeps the cheapest forest of two trees over each span: a binary root
-    costs that forest, and a ternary root over i..j costs the tree over
-    i..m1 plus the forest over m1+1..j, so no root tries every (m1, m2)
-    pair.
+    O(n^2) space.  Besides the optimal cost of each span it keeps the
+    cheapest forest of two trees over each span: a binary root costs that
+    forest, and a ternary root over i..j costs the tree over i..m1 plus the
+    forest over m1+1..j, so no root tries every (m1, m2) pair.
+
+    Time is O(n^2) for {2} and {3} and O(n^3) for {2, 3}.  For {2} and {3}
+    each leftmost split lies between those of the two spans one step
+    shorter (Knuth 1971), with step 1 for {2} and 2 for {3}, where every
+    tree spans an odd and every forest an even number of leaves: the
+    forest split over a..j lies between those over a..j-step and
+    a+step..j, and the ternary first split m1 over i..j between those over
+    i..j-2 and i+2..j.  Only that range is scanned, and over the spans of
+    one length the ranges telescope to O(n).  The mixed DP breaks these
+    bounds on about a quarter of its spans, so it scans every split.
+
+    Why the bounds hold.  Write c for the cost table, P for the forest
+    table, W(a, e) for the weight of a..e, and QI(t) for the quadrangle
+    inequality t(a, d) + t(b, e) <= t(a, e) + t(b, d), a <= b <= d <= e,
+    taken for {3} with a, b of one parity and d, e of one parity, so the
+    four spans are all odd (c) or all even (P).  A scan over a..e
+    minimises s_k(a, e) = c(a, k) + t(k+1, e) over the splits k, with
+    t = c for the forest and t = P for the first split.  For k < k',
+    QI(t) on k+1, k'+1, d, e gives s_k'(a, e) - s_k(a, e) <=
+    s_k'(a, d) - s_k(a, d): a split beaten strictly by a later one over
+    a..d stays beaten over a..e, so the leftmost minimum does not move left
+    as the right end grows.  QI(c) on a, b, k, k' gives s_k(a, e) -
+    s_k'(a, e) <= s_k(b, e) - s_k'(b, e): a split no worse than every
+    later one over b..e stays so over a..e, so the leftmost minimum over
+    a..e is not right of that over b..e (Yao 1980, Lemma 2, argued for
+    the leftmost minimum).  For {2}, QI(c) is Yao's Lemma 1, from QI(W),
+    an equality, and W monotone, as the weights are nonnegative.  For {3}:
+
+    1. O: c(a, d) + c(d, e) <= c(a, e), all three of one parity, and Q:
+       P(a, d) + P(d, e) + w_d <= c(a, e) for even a..d and d..e, both by
+       induction on the length of a..e, on the children A = a..m1,
+       B = m1+1..m2 and C of its optimal root.  O, d in A: the root over
+       d..e with children d..m1, B and C bounds c(d, e), then O on A and
+       W(d, e) <= W(a, e) give it; d in B: d cuts B into even spans, so
+       c(a, d) <= W(a, d) + c(A) + P(m1+1, d) and c(d, e) <= W(d, e) +
+       P(d, m2) + c(C), and Q on B gives it.  Q, d in A: Q on A, and
+       P(d, e) <= P(d, m1) + W(x+1, e) + c(B) + c(C) by the root with
+       children x+1..m1, B and C, where x is P(d, m1)'s split; d in B:
+       split P(a, d) and P(d, e) at B's ends, then O on B.  C mirrors A.
+    2. QI(P) and QI(c), by induction on a..e.  P is a min-plus product of
+       c with itself: with k the split of P(a, e) and k' that of P(b, d),
+       use k on a..d and k' on b..e if k <= k', else the other way round,
+       and what is left is QI(c) on k+1, k'+1, d, e or on a, b, k', k.
+       c(i, j) is W(i, j) plus the product of c and P over m1, so the same
+       step gives QI(c) from QI(c) and QI(P), except when b = d, where a
+       leaf is no product: that case is O.
     """
     ws = validate_weights(weights)
     allowed = _arity_set(arities)
@@ -93,7 +141,7 @@ def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
     # cost[i][j]: the optimal tree over leaves i..j.  pair[j][a]: the
     # cheapest two-tree forest over leaves a..j, split after leaf
     # pair_at[j][a], the leftmost such split.  The tables indexed by the
-    # right end j hold columns, so every scan below zips two list slices;
+    # right end j hold columns, so every scan below adds two list slices;
     # cost_to[j][i] repeats cost[i][j] for the same reason.
     cost = [[0] * n for _ in range(n)]
     cost_to = [[0] * n for _ in range(n)]
@@ -105,14 +153,22 @@ def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
     # pair is filled only on even spans and cost only on odd ones, splits
     # step by 2, and no other entry is ever read.
     step = 2 if pure else 1
+    # {2} and {3} scan only between the splits of the two spans one step
+    # shorter (see dp_optimal); those exist once the forest spans more than
+    # two leaves and the tree more than three
+    bounded = allowed != {2, 3}
     for length in range(2, n + 1):
         if not pure or length % 2 == 0:
             for a in range(n - length + 1):
                 j = a + length - 1
-                sums = [x + y for x, y in zip(cost[a][a:j:step], cost_to[j][a + 1 : j + 1 : step])]
+                if bounded and length > 2:
+                    lo, hi = pair_at[j - step][a], pair_at[j][a + step] + 1
+                else:
+                    lo, hi = a, j
+                sums = list(map(add, cost[a][lo:hi:step], cost_to[j][lo + 1 : hi + 1 : step]))
                 best = min(sums)
                 pair[j][a] = best
-                pair_at[j][a] = a + step * sums.index(best)
+                pair_at[j][a] = lo + step * sums.index(best)
         if not pure or length % 2 == 1:
             for i in range(n - length + 1):
                 j = i + length - 1
@@ -124,10 +180,14 @@ def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
                     # the first minimum is the leftmost m1, and its forest's
                     # split is the leftmost m2, so (m1, m2) is the
                     # lexicographically first
-                    sums = [x + y for x, y in zip(cost[i][i : j - 1 : step], pair[j][i + 1 : j : step])]
+                    if bounded and length > 3:
+                        lo, hi = choice[i][j - 2][0], choice[i + 2][j][0] + 1
+                    else:
+                        lo, hi = i, j - 1
+                    sums = list(map(add, cost[i][lo:hi:step], pair[j][lo + 1 : hi + 1 : step]))
                     c = min(sums)
                     if best is None or c < best:
-                        m1 = i + step * sums.index(c)
+                        m1 = lo + step * sums.index(c)
                         best, pick = c, (m1, pair_at[j][m1 + 1])
                 cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
                 choice[i][j] = pick

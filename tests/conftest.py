@@ -4,6 +4,9 @@ The two traces below are written out longhand, independently of the engine,
 so tests can check the engine against them rather than the other way round.
 """
 
+import contextlib
+import sys
+
 import pytest
 
 from alphatree.core import CombinationStep, CombinationTrace, Participant
@@ -14,6 +17,21 @@ ACC = "accordion-element"
 
 SEVEN_WEIGHTS = (6, 6, 1, 10, 1, 6, 6)
 FIFTEEN_WEIGHTS = (5, 5, 6, 6, 1, 10, 1, 11, 1, 10, 1, 6, 6, 5, 5)
+
+
+@contextlib.contextmanager
+def shallow_recursion(frames=50):
+    """Lower the recursion limit to the current stack depth plus ``frames``:
+    room for a few calls, not one per level of a deep tree."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _step(circle, weight, parts, span=None):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 from alphatree import cli
 from alphatree.cli import EXIT_DIVERGENCE, EXIT_ENGINE, EXIT_FUZZ_ERRORS, EXIT_INPUT, main
 from alphatree.ternary import general_solve
+from tests.conftest import shallow_recursion
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # the crossing-circle crash: the pure-ternary engine raises EngineError on
@@ -151,11 +153,28 @@ class TestSolve:
             "--emit", "json",
         )
         obj = json.loads(out)
+        assert out == json.dumps(obj) + "\n"  # json.dumps's layout, byte for byte
         tree = AlphaTree.from_nested(obj["tree"])
         assert tree.to_nested() == obj["tree"]
         trace = CombinationTrace.from_json_obj(obj["trace"])
         assert trace.to_json_obj() == obj["trace"]
         assert obj["levels"] == [2, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3, 2, 2]
+
+    @pytest.mark.parametrize("emit", ("json", "pretty"))
+    def test_deep_tree_needs_no_deep_recursion(self, capsys, emit):
+        # Hu-Tucker pairs tied zeros leftmost first, so its tree over 1 200
+        # zeros is a caterpillar 1 199 levels deep; each of its levels would
+        # cost one level of the recursion limit in json.dumps
+        zeros = " ".join(["0"] * 1200)
+        with shallow_recursion():
+            code, out, _ = run(capsys, "solve", "--algo", "hu-tucker", "--emit", emit, zeros)
+        assert code == 0
+        if emit == "json":
+            tree = out[out.index('"tree": ') + 8 : out.index(', "trace": ')]
+        else:
+            tree = out.split("tree: ")[1].splitlines()[0]
+        nesting = list(itertools.accumulate({"[": 1, "]": -1}.get(char, 0) for char in tree))
+        assert max(nesting) == 1199 and nesting[-1] == 0
 
 
 DOT_NODE = re.compile(r'^\s*n\d+ \[shape=(box|circle), label="\d+"\];$')

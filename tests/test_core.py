@@ -9,11 +9,13 @@ from alphatree.core import (
     StructureError,
     TraceError,
     Node,
+    TreeBuilder,
     is_alphabetic,
     leaf_levels,
     tree_cost,
     validate_weights,
 )
+from tests.conftest import shallow_recursion
 
 
 class TestWeightValidation:
@@ -98,6 +100,25 @@ class TestJsonRoundTrip:
         again = AlphaTree.from_nested(json.loads(json.dumps(tree.to_nested())))
         assert again == tree
         assert again.to_nested() == (nested if isinstance(nested, list) else nested)
+
+    def test_deep_tree_needs_no_deep_recursion(self):
+        # a caterpillar over 1 200 leaves is 1 199 levels deep, and both
+        # directions run with room for a few frames, not one per level
+        builder = TreeBuilder(range(1200))
+        node = 0
+        for leaf in range(1, 1200):
+            node = builder.internal([node, leaf])
+        tree = builder.finish([node])
+        with shallow_recursion():
+            nested = tree.to_nested()
+            again = AlphaTree.from_nested(nested)
+        assert again == tree
+        assert max(leaf_levels(again)) == 1199
+        spine = nested
+        for leaf in range(1199, 0, -1):
+            assert spine[1] == leaf
+            spine = spine[0]
+        assert spine == 0
 
     def test_trace_round_trip(self, seven_trace, fifteen_trace):
         for trace in (seven_trace, fifteen_trace):

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +8,7 @@ from alphatree.core import Infeasible, TreeBuilder, is_alphabetic, leaf_levels, 
 from alphatree.oracle import RefusedSize, _dp_tables, dp_optimal, exhaustive_optimal
 from alphatree.ternary import general_solve
 from tests import test_levels
-from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS
+from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS, shallow_recursion
 
 ARITY_SETS = ((2,), (3,), (2, 3))
 
@@ -55,6 +54,46 @@ def reference_dp(ws, arities):
         return builder.internal([build(lo + 1, hi) for lo, hi in zip(bounds, bounds[1:])])
 
     return cost[0][n - 1], builder.finish([build(0, n - 1)])
+
+
+def cubic_tables(ws, allowed):
+    """The DP tables with every split scanned, O(n^3): the loop
+    ``_dp_tables`` ran before its scans were bounded.  Returns the same
+    ``(cost, choice)`` tables, so the bounded ones can be compared whole."""
+    pure = allowed == {3}
+    n = len(ws)
+    prefix = [0]
+    for w in ws:
+        prefix.append(prefix[-1] + w)
+    cost = [[0] * n for _ in range(n)]
+    cost_to = [[0] * n for _ in range(n)]
+    pair = [[0] * n for _ in range(n)]
+    pair_at = [[0] * n for _ in range(n)]
+    choice = [[None] * n for _ in range(n)]
+    step = 2 if pure else 1
+    for length in range(2, n + 1):
+        if not pure or length % 2 == 0:
+            for a in range(n - length + 1):
+                j = a + length - 1
+                sums = [x + y for x, y in zip(cost[a][a:j:step], cost_to[j][a + 1 : j + 1 : step])]
+                best = min(sums)
+                pair[j][a] = best
+                pair_at[j][a] = a + step * sums.index(best)
+        if not pure or length % 2 == 1:
+            for i in range(n - length + 1):
+                j = i + length - 1
+                best = pick = None
+                if 2 in allowed:
+                    best, pick = pair[j][i], (pair_at[j][i],)
+                if 3 in allowed and length >= 3:
+                    sums = [x + y for x, y in zip(cost[i][i : j - 1 : step], pair[j][i + 1 : j : step])]
+                    c = min(sums)
+                    if best is None or c < best:
+                        m1 = i + step * sums.index(c)
+                        best, pick = c, (m1, pair_at[j][m1 + 1])
+                cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
+                choice[i][j] = pick
+    return cost, choice
 
 
 class TestDpOptimal:
@@ -115,19 +154,29 @@ class TestDpOptimal:
                     ref_cost, ref_tree = reference_dp(ws, arities)
                     assert (cost, repr(tree)) == (ref_cost, repr(ref_tree)), (ws, arities)
 
+    @pytest.mark.parametrize("arities", ARITY_SETS)
+    def test_tables_match_the_cubic_reference(self, arities):
+        # {2} and {3} scan only between the Knuth bounds, {2, 3} every split;
+        # all three must give the cubic loop's tables, every span's cost and
+        # leftmost split included; zeros, small ranges and equal weights tie
+        # splits everywhere, which is where a bound could cut off the
+        # leftmost minimum
+        allowed = frozenset(arities)
+        rng = random.Random(45)
+        for n in range(1, 46):
+            if allowed == {3} and n % 2 == 0:
+                continue
+            inputs = [(0,) * n, (7,) * n]
+            inputs += [tuple(rng.randint(0, hi) for _ in range(n)) for hi in (1, 3, 100, 10**6)]
+            for ws in inputs:
+                assert _dp_tables(ws, allowed) == cubic_tables(ws, allowed), (ws, arities)
+
     def test_deep_tree_needs_no_deep_recursion(self):
         # zeros tie everywhere and ties take the leftmost split, so the
         # binary tree over 400 zeros is a caterpillar 399 levels deep; the
         # recursion limit leaves room for a few frames, not one per level
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 50)
-        try:
+        with shallow_recursion():
             cost, tree = dp_optimal([0] * 400, (2,))
-        finally:
-            sys.setrecursionlimit(limit)
         assert cost == 0
         assert max(leaf_levels(tree)) == 399
 
