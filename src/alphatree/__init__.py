@@ -34,7 +34,6 @@ from .levels import (
 from .oracle import RefusedSize, dp_optimal, exhaustive_optimal
 from .ternary import (
     EngineState,
-    PcnNode,
     Unit,
     available_negatives,
     detect_pcns,

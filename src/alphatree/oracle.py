@@ -14,6 +14,7 @@ itself.  Both work in exact integers only.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from operator import add
 from typing import Sequence, Tuple
 
@@ -194,15 +195,6 @@ def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
     return cost, choice
 
 
-def _compositions(n, k):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
 def exhaustive_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, int]:
     """Brute force over every tree shape: (minimum cost, number of optimal
     shapes).  Refuses n above EXHAUSTIVE_MAX_N.
@@ -222,13 +214,12 @@ def exhaustive_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, int
             span = sum(ws[i : j + 1])
             costs = []
             for arity in sorted(allowed):
-                for split in _compositions(length, arity):
+                # the first leaf of each child after the first
+                for starts in combinations(range(i + 1, j + 1), arity - 1):
                     sums = [span]
-                    lo = i
-                    for k in split:
-                        part = shapes[(lo, lo + k - 1)]
+                    for lo, end in zip((i, *starts), (*starts, j + 1)):
+                        part = shapes[(lo, end - 1)]
                         sums = [s + c for s in sums for c in part]
-                        lo += k
                     costs.extend(sums)
             shapes[(i, j)] = costs
     costs = shapes[(0, n - 1)]

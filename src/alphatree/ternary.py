@@ -50,44 +50,42 @@ class EngineError(RuntimeError):
 # Permanent circular nodes
 
 
-@dataclass(frozen=True)
-class PcnNode:
-    """A run of adjacent leaves lighter than both neighbours; solvable as a
-    one-root subtree or a two-root forest."""
-
-    lo: int
-    hi: int
-    weight: int
-
-
 def detect_pcns(weights: Sequence[int]) -> tuple:
-    """The outermost permanent runs (length >= 2, proper subspans only), left
-    to right.  The sequence ends count as infinitely heavy neighbours, so
-    boundary runs qualify; the full sequence itself never does.  Runs nested
-    inside one of these are found by calling this again on its span.
+    """The outermost permanent runs as ``(lo, hi)`` spans, left to right.  A
+    permanent run is a span of two or more adjacent leaves whose sum is
+    lighter than both neighbours; the full sequence itself never counts.
+    The sequence ends count as infinitely heavy neighbours, so boundary runs
+    qualify.  Runs nested inside one of these are found by calling this
+    again on its span.
 
     Ends are heavy here because a run at an end has nothing on that side to
     combine with: it is forced together exactly like an interior run, so the
     solver must resolve it as a subproblem.  ``is_interior_pair_pcn_free``
-    takes the opposite convention."""
+    takes the opposite convention.
+
+    One pass: from each start take the longest run, then go on past its end.
+    Weights are nonnegative, so a start's sum only grows, and its scan stops
+    once the sum reaches the left neighbour.  Runs never overlap partially:
+    for R1 = i1..j1 and R2 = i2..j2 with i1 < i2 <= j1 < j2, w[i2-1] > ΣR2 >=
+    w[j1+1] > ΣR1 >= w[i2-1].  So the longest run from the first start past
+    the last one kept is outermost."""
     ws = validate_weights(weights)
     n = len(ws)
-    spans = []
-    for i in range(n - 1):
-        total = ws[i]
-        for j in range(i + 1, n):
-            total += ws[j]
-            if (i, j) == (0, n - 1):
-                continue
-            if (i == 0 or ws[i - 1] > total) and (j + 1 == n or total < ws[j + 1]):
-                spans.append((i, j, total))
-    spans.sort(key=lambda s: (s[0], -s[1]))
-    # runs never overlap partially, so a run is outermost when it starts past
-    # the end of the last one kept
     out = []
-    for lo, hi, w in spans:
-        if not out or lo > out[-1].hi:
-            out.append(PcnNode(lo, hi, w))
+    i = 0
+    while i < n - 1:
+        total, end = ws[i], None
+        for j in range(i + 1, n if i else n - 1):  # the full sequence is no run
+            total += ws[j]
+            if i and total >= ws[i - 1]:
+                break
+            if j + 1 == n or total < ws[j + 1]:
+                end = j
+        if end is None:
+            i += 1
+        else:
+            out.append((i, end))
+            i = end + 1
     return tuple(out)
 
 
@@ -174,10 +172,10 @@ class EngineState:
     them with ``live`` and recomputes only the stretch whose windows reach
     the nodes it replaced.  For the accordions: the elements by unit
     position (live units with sign +1 for a square and 0 for an opaque
-    unit, the available negatives with sign -1), the set of negative
-    positions, the live nodes in (hi, lo) order, and one summary per
-    alternating segment that holds a negative (see ``_segment``), ordered
-    by first position.  Each step brings all of it up to date over one
+    unit, the available negatives with sign -1), the count of live units,
+    the live nodes in (hi, lo) order, and one summary per alternating
+    segment that holds a negative (see ``_segment``), ordered by first
+    position.  Each step brings all of it up to date over one
     hull, the unit positions under its new circle: ``available_negatives``
     parses the changed trees again and widens the hull by the negatives
     that changed, and ``_segments`` summarises the segments whose reach
@@ -210,12 +208,12 @@ class EngineState:
         # the first unit position of each top-level tree of the realised
         # forest
         self._tree_starts = list(range(u))
-        # (pos, weight, sign, ref) by position, and the positions of sign -1
+        # (pos, weight, sign, ref) by position, and the number of sign >= 0
         self._elems = [
             (i, unit.weight, 1 if unit.is_square else 0, unit.ref)
             for i, unit in enumerate(self.units)
         ]
-        self._negs: Set[int] = set()
+        self._live_units = u
         # the live nodes as (hi, lo, ref, node), sorted: a unit's span is its
         # position, so units are in order
         self._by_hi = [(nd.hi, nd.lo, nd.ref, nd) for nd in self.live]
@@ -256,7 +254,7 @@ class EngineState:
     def advance(self) -> Candidate:
         if self.done:
             raise EngineError("combination already complete")
-        if len(self._elems) > len(self._negs):  # a live unit remains
+        if self._live_units:
             cand = self._scan()
         else:
             cand = self._queue_candidate()
@@ -583,16 +581,16 @@ class EngineState:
                 raise EngineError(f"negative use of unit {pos} without a fresh pairing")
             self.spent.add((pos, owner))
         elems = self._elems
+        self._live_units += len(negatives) - len(owned)
         for pos in owned:
             self.last_consumer[pos] = circle
             del elems[bisect_left(elems, (pos,))]
         for pos in negatives:  # live squares again
-            self._negs.discard(pos)
             unit = self.units[pos]
             elems[bisect_left(elems, (pos,))] = (pos, unit.weight, 1, unit.ref)
         live = self.live
         node = _Live(circle, cand.weight, *cand.span, None)
-        if len(elems) == len(self._negs):
+        if not self._live_units:
             # no unit is live, so none returns (see _queue_candidate) and no
             # scan reads what the engine keeps for it again
             if owned:  # the step that took the last units
@@ -648,9 +646,9 @@ def available_negatives(state: EngineState, lo: int, hi: int) -> Tuple[int, int]
     The available negatives are the unit positions usable with negative
     weight: original leaves sitting as the centre child of a top-level
     triple of the realised forest, each paired with the circle that last
-    consumed it.  The engine keeps them as ``_negs`` and as the sign -1
-    entries of ``_elems``; where the re-parsed trees' negatives changed,
-    both are replaced.
+    consumed it.  The engine keeps them as the sign -1 entries of
+    ``_elems``; where the re-parsed trees' negatives changed, those entries
+    are replaced.
 
     The forest's top-level triples come from the stack pass over the unit
     levels, and only what the step changed is parsed again: from the start
@@ -699,8 +697,6 @@ def available_negatives(state: EngineState, lo: int, hi: int) -> Tuple[int, int]
             del elems[bisect_left(elems, (c,))]
         for c in new:
             insort(elems, (c, units[c].weight, -1, units[c].ref))
-        state._negs.difference_update(old)
-        state._negs.update(new)
         lo, hi = min(lo, *old, *new), max(hi, *old, *new)
     return lo, hi
 
@@ -742,8 +738,8 @@ class _Sol:
 
 
 class _GeneralSolver:
-    # Above this many single-vs-two-root choice vectors, fall back to the
-    # one-action enumeration (all single-root, or exactly one fix).  The
+    # Above this many single-vs-two-root choice vectors, try only the plans
+    # that split at most one run (all single-root, or exactly one fix).  The
     # cap is a heuristic, kept because the full product is out of reach:
     # over the top-level runs it is 1 536, 18 432 and 768 on the first
     # three 100-leaf draws from random.Random(700) (weights 0..100), and
@@ -801,50 +797,48 @@ class _GeneralSolver:
         time, so none is built past the one ``solve_tree`` stops at; each a
         sorted list of leaf spans, one per unit: a leaf outside every top-level
         permanent run, a whole run (one root), one of the two halves of a
-        split run (two roots), or the binary pair.  Every combination of
-        single-root vs split is tried (parity never forces one choice:
-        either can win on cost).  When that leaves an even unit count, two
+        split run (two roots), or the binary pair.  Each run is kept whole or
+        split at one of its cuts, and every such choice is tried (parity
+        never forces one: either can win on cost), except that when the
+        choices number more than ``VECTOR_CAP``, only those that split at
+        most one run are.  When a choice leaves an even unit count, two
         adjacent leaves outside every run merge into the two-leaf span
         (i, i + 1), the one binary pair (a split half of length 1 is never
         paired).  Every such pair is tried: the one binary node of an
         optimal tree is usually, but not always, a minimum-weight pair, so
-        the cheaper completion decides.  Ordered by split count, then by
-        (run, cut), then by pair position, so ties resolve leftmost.
+        the cheaper completion decides.  Ordered by split count, then by the
+        list of (run, cut) pairs, then by pair position, so ties resolve
+        leftmost: for each split count the cuts come from
+        ``itertools.combinations`` over every (run, cut) in order, which
+        yields them in that order, keeping those that cut each run at most
+        once.
 
         Some plan always exists: splitting one run flips the parity, and
         with no runs an even span has the pair (lo, lo + 1).  No run is
         the whole span, so every plan has at least three units."""
-        runs = [(p.lo + lo, p.hi + lo) for p in detect_pcns(self.w[lo : hi + 1])]
-        if math.prod(b - a + 1 for a, b in runs) > self.VECTOR_CAP:
-            single = (None,) * len(runs)
-            vectors = [single]
-            vectors.extend(
-                single[:k] + (cut,) + single[k + 1 :]
-                for k, (a, b) in enumerate(runs)
-                for cut in range(a, b)
-            )
-        else:
-            vectors = sorted(
-                itertools.product(*([None, *range(a, b)] for a, b in runs)),
-                key=lambda v: (
-                    len(v) - v.count(None),
-                    [(k, cut) for k, cut in enumerate(v) if cut is not None],
-                ),
-            )
+        runs = [(a + lo, b + lo) for a, b in detect_pcns(self.w[lo : hi + 1])]
+        cuts = [(k, cut) for k, (a, b) in enumerate(runs) for cut in range(a, b)]
+        choices = math.prod(b - a + 1 for a, b in runs)
+        most = 1 if choices > self.VECTOR_CAP else len(runs)  # splits per plan
         inside = {i for a, b in runs for i in range(a, b + 1)}
         leaves = [(i, i) for i in range(lo, hi + 1) if i not in inside]
         pairs = [i for i in range(lo, hi) if i not in inside and i + 1 not in inside]
-        for vec in vectors:
-            spans = list(leaves)
-            for (a, b), cut in zip(runs, vec):
-                spans.extend([(a, b)] if cut is None else [(a, cut), (cut + 1, b)])
-            spans.sort()
-            if len(spans) % 2 == 1:
-                yield spans
-                continue
-            for i in pairs:
-                k = spans.index((i, i))  # (i + 1, i + 1) follows it
-                yield spans[:k] + [(i, i + 1)] + spans[k + 2 :]
+        for count in range(most + 1):
+            for chosen in itertools.combinations(cuts, count):
+                split = dict(chosen)  # run index -> cut
+                if len(split) < count:  # two cuts in one run
+                    continue
+                spans = list(leaves)
+                for k, (a, b) in enumerate(runs):
+                    cut = split.get(k)
+                    spans.extend([(a, b)] if cut is None else [(a, cut), (cut + 1, b)])
+                spans.sort()
+                if len(spans) % 2 == 1:
+                    yield spans
+                    continue
+                for i in pairs:
+                    k = spans.index((i, i))  # (i + 1, i + 1) follows it
+                    yield spans[:k] + [(i, i + 1)] + spans[k + 2 :]
 
     def _run_plan(self, spans) -> _Sol:
         """Solve each unit's span with ``solve_tree``, left to right, then

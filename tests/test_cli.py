@@ -129,6 +129,11 @@ class TestSolve:
         assert run(capsys, "solve", "  ")[0] == 1
         assert run(capsys, "solve", "1 2", "--algo", "hu-tucker", "--arity", "ternary")[0] == 1
 
+    def test_ternary_refuses_binary_arity(self, capsys):
+        code, out, err = run(capsys, "solve", "--algo", "ternary", "--arity", "binary", "1 2 3")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: --algo ternary supports --arity ternary or pure-ternary\n"
+
     def test_engine_error_has_its_own_exit_code(self, capsys):
         code, out, err = run(
             capsys, "solve", "--algo", "ternary", "--arity", "pure-ternary", CRASH_13

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -82,6 +83,30 @@ class TestTreeOps:
     def test_arity_limits(self):
         with pytest.raises(StructureError):
             AlphaTree.from_nested([1, 2, 3, 4])
+
+    @pytest.mark.parametrize("children", [(0,), (0, 1, 2, 3)])
+    def test_builder_refuses_arity_outside_two_and_three(self, children):
+        builder = TreeBuilder((1, 2, 3, 4))
+        message = f"internal node arity {len(children)} not in (2, 3)"
+        with pytest.raises(StructureError, match=re.escape(message)):
+            builder.internal(children)
+
+    def test_root_of_a_forest_refused(self):
+        builder = TreeBuilder((1, 2, 3, 4))
+        forest = builder.finish((builder.internal((0, 1)), builder.internal((2, 3))))
+        assert leaf_levels(forest) == (1, 1, 1, 1)
+        with pytest.raises(StructureError, match="expected a single root, found 2"):
+            forest.root
+
+    def test_levels_refuse_leaf_index_outside_range(self):
+        tree = AlphaTree((Node((), 0, 1), Node((), 2, 1), Node((0, 1), None, 2)), (2,))
+        with pytest.raises(StructureError, match=re.escape("leaf indexes do not cover 0..n-1")):
+            leaf_levels(tree)
+
+    def test_cost_rejects_wrong_leaf_weight(self):
+        tree = AlphaTree.from_nested([[4, 2], [3, 4]])
+        with pytest.raises(StructureError, match="leaf 3 stores weight 4, expected 5"):
+            tree_cost(tree, (4, 2, 3, 5))
 
 
 class TestJsonRoundTrip:

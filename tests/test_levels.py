@@ -7,6 +7,7 @@ from alphatree.core import (
     CombinationStep,
     CombinationTrace,
     Participant,
+    StructureError,
     leaf_levels,
     tree_cost,
 )
@@ -203,6 +204,10 @@ class TestReconstructFromLevels:
         with pytest.raises(InvalidLevelSequence):
             reconstruct_from_levels((2, 2, 1, 2, 2), (1, 1, 100, 1, 1), MODE_PURE)
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(StructureError, match="levels and weights differ in length"):
+            reconstruct_from_levels((1, 1, 1), (1, 2), MODE_PURE)
+
     def test_leftover_run_of_four_rejected(self):
         # a run of four at the top level leaves a singleton behind
         with pytest.raises(InvalidLevelSequence):
@@ -384,8 +389,8 @@ class TestPinnedSolverOutputs:
         from alphatree.ternary import _GeneralSolver, detect_pcns, general_solve
 
         inputs = _past_cap_inputs(504, 30)
-        for ws in inputs:  # every input takes the one-fix-at-a-time fallback
-            vectors = math.prod(p.hi - p.lo + 1 for p in detect_pcns(ws))
+        for ws in inputs:  # every input splits at most one run per plan
+            vectors = math.prod(hi - lo + 1 for lo, hi in detect_pcns(ws))
             assert vectors > _GeneralSolver.VECTOR_CAP
         assert _solver_outcomes(general_solve, inputs) == self.PAST_CAP
 

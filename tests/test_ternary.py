@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import math
 import random
 
 import pytest
@@ -97,12 +99,17 @@ def negatives_from_stack_pass(state, levels):
     ]
 
 
+def negative_positions(state):
+    """The engine's available negatives: its sign -1 elements' positions."""
+    return [pos for pos, _w, sign, _r in state._elems if sign < 0]
+
+
 def negative_pairings(state):
     """The engine's available negatives as (position, weight, owner)."""
-    return sorted(
+    return [
         (pos, state.units[pos].weight, state.last_consumer.get(pos))
-        for pos in state._negs
-    )
+        for pos in negative_positions(state)
+    ]
 
 
 def reparsed(before, after, changed):
@@ -116,7 +123,7 @@ def reparsed(before, after, changed):
     available_negatives(state, 0, len(before) - 1)
     state._levels[:] = after
     available_negatives(state, *changed)
-    return sorted(state._negs), state._tree_starts
+    return negative_positions(state), state._tree_starts
 
 
 def negatives_from_forest(state):
@@ -281,7 +288,7 @@ def window_arrays(state):
 
 def scans_next(state):
     """Whether the next step scans: a unit is still live."""
-    return not state.done and len(state._elems) > len(state._negs)
+    return not state.done and any(sign >= 0 for _p, _w, sign, _r in state._elems)
 
 
 def assert_kept_scan_state(state):
@@ -357,6 +364,46 @@ def outermost(spans):
     ]
 
 
+def reference_plans(ws, lo, hi):
+    """Reference for ``_GeneralSolver._plans``: every single-vs-split choice
+    vector over the outermost runs, listed in full and sorted by split count
+    and then by the list of (run, cut) pairs; past ``VECTOR_CAP`` vectors,
+    the all-single vector, then each run split on its own at each cut."""
+    runs = [(a + lo, b + lo) for a, b in outermost(brute_force_pcn_spans(ws[lo : hi + 1]))]
+    if math.prod(b - a + 1 for a, b in runs) > _GeneralSolver.VECTOR_CAP:
+        single = (None,) * len(runs)
+        vectors = [single]
+        vectors.extend(
+            single[:k] + (cut,) + single[k + 1 :]
+            for k, (a, b) in enumerate(runs)
+            for cut in range(a, b)
+        )
+    else:
+        vectors = sorted(
+            itertools.product(*([None, *range(a, b)] for a, b in runs)),
+            key=lambda v: (
+                len(v) - v.count(None),
+                [(k, cut) for k, cut in enumerate(v) if cut is not None],
+            ),
+        )
+    inside = {i for a, b in runs for i in range(a, b + 1)}
+    leaves = [(i, i) for i in range(lo, hi + 1) if i not in inside]
+    pairs = [i for i in range(lo, hi) if i not in inside and i + 1 not in inside]
+    plans = []
+    for vec in vectors:
+        spans = list(leaves)
+        for (a, b), cut in zip(runs, vec):
+            spans.extend([(a, b)] if cut is None else [(a, cut), (cut + 1, b)])
+        spans.sort()
+        if len(spans) % 2 == 1:
+            plans.append(spans)
+            continue
+        for i in pairs:
+            k = spans.index((i, i))
+            plans.append(spans[:k] + [(i, i + 1)] + spans[k + 2 :])
+    return plans
+
+
 def steps_reference(steps, n):
     """From the steps alone: the circle that last took each leaf positively,
     and the live refs (circles no later step consumed, and leaves never
@@ -377,7 +424,7 @@ def steps_reference(steps, n):
 
 class TestDetectPcns:
     def test_light_boundary_pairs(self):
-        assert [(p.lo, p.hi) for p in detect_pcns((1, 1, 100, 1, 1))] == [(0, 1), (3, 4)]
+        assert list(detect_pcns((1, 1, 100, 1, 1))) == [(0, 1), (3, 4)]
 
     def test_seven_node_has_none(self):
         ws = SEVEN_WEIGHTS
@@ -385,31 +432,38 @@ class TestDetectPcns:
         assert brute_force_pcn_spans(ws) == []
 
     def test_two_heavy_centre(self):
-        assert [(p.lo, p.hi) for p in detect_pcns((1, 1, 100, 100, 1, 1))] == [
+        assert list(detect_pcns((1, 1, 100, 100, 1, 1))) == [
             (0, 1),
             (4, 5),
         ]
 
     def test_nested_spans(self):
         # only the outermost run; the nested one shows on that run's own span
-        assert [(p.lo, p.hi) for p in detect_pcns((20, 5, 1, 1, 5, 20))] == [(1, 4)]
-        assert [(p.lo, p.hi) for p in detect_pcns((5, 1, 1, 5))] == [(1, 2)]
+        assert list(detect_pcns((20, 5, 1, 1, 5, 20))) == [(1, 4)]
+        assert list(detect_pcns((5, 1, 1, 5))) == [(1, 2)]
 
     def test_matches_brute_force_on_random_inputs(self):
+        # zeros and stretches of equal weights stop a start's scan on ties
         rng = random.Random(3)
-        for _ in range(300):
-            ws = tuple(rng.randint(0, 12) for _ in range(rng.randint(1, 12)))
-            spans = [(p.lo, p.hi) for p in detect_pcns(ws)]
-            assert spans == outermost(brute_force_pcn_spans(ws))
+        for k in range(400):
+            n = rng.randint(1, 40)
+            hi = (0, 1, 3, 12, 100)[k % 5]
+            ws = [rng.randint(0, hi) for _ in range(n)]
+            for _ in range(rng.randint(0, 2)):
+                a, b = sorted(rng.sample(range(n + 1), 2))
+                ws[a:b] = [rng.randint(0, hi)] * (b - a)
+            ws = tuple(ws)
+            assert list(detect_pcns(ws)) == outermost(brute_force_pcn_spans(ws))
 
     def test_invariant_weight_below_neighbours(self):
-        for p in detect_pcns((9, 2, 3, 8, 1, 1, 9)):
-            ws = (9, 2, 3, 8, 1, 1, 9)
-            assert p.weight == sum(ws[p.lo : p.hi + 1])
-            if p.lo > 0:
-                assert ws[p.lo - 1] > p.weight
-            if p.hi < len(ws) - 1:
-                assert ws[p.hi + 1] > p.weight
+        ws = (9, 2, 3, 8, 1, 1, 9)
+        assert detect_pcns(ws) == ((1, 2), (4, 5))
+        for lo, hi in detect_pcns(ws):
+            total = sum(ws[lo : hi + 1])
+            if lo > 0:
+                assert ws[lo - 1] > total
+            if hi < len(ws) - 1:
+                assert ws[hi + 1] > total
 
 
 class TestPcnFreeFilter:
@@ -806,6 +860,21 @@ def try_every_plan(monkeypatch):
     monkeypatch.setattr(_GeneralSolver, "_optimum_of", lambda self, lo, hi: -1)
 
 
+class TestPlanOrder:
+    def test_matches_the_sorted_enumeration(self):
+        rng = random.Random(1103)
+        for k in range(600):
+            ws = tuple(rng.randint(0, (3, 10, 100)[k % 3]) for _ in range(rng.randint(3, 30)))
+            lo = rng.randrange(len(ws) - 2)
+            hi = rng.randrange(lo + 2, len(ws))
+            assert list(_GeneralSolver(ws)._plans(lo, hi)) == reference_plans(ws, lo, hi)
+
+    def test_matches_past_the_vector_cap(self):
+        for ws in _past_cap_inputs(504, 30):
+            hi = len(ws) - 1
+            assert list(_GeneralSolver(ws)._plans(0, hi)) == reference_plans(ws, 0, hi)
+
+
 class TestPlanSearchStop:
     """A span's plan search stops once its best completion costs the span's
     mixed-arity DP optimum; no later plan can cost less, so no output
@@ -909,7 +978,7 @@ class TestStepwiseForest:
                 assert state.unit_levels() == signed_levels(trace)
                 if scans_next(state):  # the queue endgame reads no negative
                     assert negative_pairings(state) == negatives_from_forest(state)
-                assert [e[0] for e in state._elems if e[2] < 0] == sorted(state._negs)
+                assert state._live_units == sum(e[2] >= 0 for e in state._elems)
                 squares = {e[0] for e in state._elems if e[2] > 0}
                 assert squares == live_square_positions(state)
                 last_consumer, live = steps_reference(state.steps, len(ws))
@@ -940,7 +1009,7 @@ class TestStepwiseForest:
                     parses += 1
                     levels = state.unit_levels()
                     assert state._tree_starts == [first for first, _l, _c in pure_top_trees(levels)]
-                    assert sorted(state._negs) == negatives_from_stack_pass(state, levels)
+                    assert negative_positions(state) == negatives_from_stack_pass(state, levels)
         assert parses > 1000
 
     def test_one_step_merges_three_trees(self):
