@@ -59,17 +59,17 @@ def random_instances(
     if dist not in ("uniform", "monotone"):
         raise ValueError(f"unknown distribution {dist!r}")
     rng = random.Random(seed)
-    sizes = sorted(n for n in sizes if not odd_only or n % 2 == 1)
-    if not sizes:
-        raise ValueError("empty size list")
-    if dist == "monotone" and weight_hi - weight_lo + 1 < sizes[-1]:
+    pool = sorted(n for n in sizes if not odd_only or n % 2 == 1)
+    if not pool:
+        raise ValueError(f"sizes {sorted(sizes)} with odd_only={odd_only} leave no size to draw")
+    if dist == "monotone" and weight_hi - weight_lo + 1 < pool[-1]:
         raise ValueError(
-            f"monotone instances of size {sizes[-1]} need {sizes[-1]} distinct weights, "
+            f"monotone instances of size {pool[-1]} need {pool[-1]} distinct weights, "
             f"but weight_lo {weight_lo} to weight_hi {weight_hi} holds {weight_hi - weight_lo + 1}"
         )
     out = []
     for _ in range(count):
-        n = rng.choice(sizes)
+        n = rng.choice(pool)
         for _attempt in range(100_000):
             if dist == "monotone":
                 ws = tuple(sorted(rng.sample(range(weight_lo, weight_hi + 1), n)))
@@ -264,10 +264,10 @@ def bench_growth(
         raise ValueError(f"sizes must be at least 1, got {min(ns)}")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
+    if engine == "ternary" and any(n % 2 == 0 for n in ns):
+        raise ValueError("the ternary combination benchmark needs odd sizes")
     rows = []
     for n in ns:
-        if engine == "ternary" and n % 2 == 0:
-            raise ValueError("the ternary combination benchmark needs odd sizes")
         rng = random.Random(seed * 1_000_003 + n)
         ws = tuple(rng.randint(50, 99) for _ in range(n))
         times = []

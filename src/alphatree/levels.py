@@ -60,100 +60,84 @@ def signed_levels(trace: CombinationTrace) -> tuple:
     return tuple(levels)
 
 
-def _reconstruct(levels, ws: tuple, mode, pairs=frozenset()):
-    """Single left-to-right pass with a stack over validated weights.
+def top_trees(levels: Sequence[int], start: int = 0, mode: str = MODE_PURE, pairs=(), join=None):
+    """The top-level trees of the forest a level sequence describes, from
+    position ``start`` on, as one left-to-right stack pass closes them.
 
-    Each leaf is pushed, then the top of the stack merges as long as it
-    holds a complete group: in binary mode two items at one positive level,
-    in the ternary modes three.  A binary node of a ternary tree comes only
-    from ``pairs``, the leaf spans of the trace's two-leaf steps: it forms
-    as its right leaf ``i`` is pushed, if leaf ``i - 1`` is the item below
-    it, at the same positive level, and the pair starts its run.  Merging
-    as soon as a group appears is equivalent to repeatedly combining the
-    leftmost maximal run at the current maximum level."""
-    if len(levels) != len(ws):
-        raise StructureError("levels and weights differ in length")
-    if any(l < 0 for l in levels):
-        raise InvalidLevelSequence(f"negative level in {levels}")
-    builder = TreeBuilder(ws)
-    size = 2 if mode == MODE_BINARY else 3
-    ids, lv = [], []  # node id (a leaf's is its index) and level of each item
-    for i, l in enumerate(levels):
-        k = size
-        if pairs and (i - 1, i) in pairs and ids[-1:] == [i - 1] and lv[-2:-1] != [l]:
-            k = 2  # a trace pair that starts its run: the loop checks its levels
-        ids.append(i)
-        lv.append(l)
-        while l > 0 and lv[-k:].count(l) == k:
-            node = builder.internal(ids[-k:])
-            del ids[-k:], lv[-k:]
-            l -= 1
-            ids.append(node)
-            lv.append(l)
-            k = size
-    leftovers = len(lv) - lv.count(0)
-    if leftovers:
-        raise _stuck(levels, mode, leftovers)
-    return builder.finish(ids)
+    Each leaf is placed on the stack, then merges with the items below it
+    as long as they complete a group: in binary mode two items at one
+    positive level, in the ternary modes three.  A binary node of a ternary
+    tree comes only from ``pairs``, the leaf spans of the trace's two-leaf
+    steps: it forms as its right leaf ``i`` is placed, if leaf ``i - 1`` is
+    the item below it, at the same positive level, and the pair starts its
+    run.  Merging as soon as a group appears is equivalent to repeatedly
+    combining the leftmost maximal run at the current maximum level.
 
+    Yields ``(first, last, root, centre)`` for each tree as it closes at
+    level 0, left to right: its leaf span, its root's node id, and the leaf
+    index of its root's middle child, or None when that child is combined,
+    the root is binary or the tree is a bare leaf.  Nodes are built only
+    through ``join`` (``TreeBuilder.internal``), whose leaf ids are the leaf
+    indexes; without it a combined root's id is ``len(levels)``.  A level-0
+    item never takes part in a later merge, so each top-level tree parses
+    on its own, and a parse may start at the first leaf of any tree.
 
-def _stuck(levels, mode: str, count: int) -> InvalidLevelSequence:
-    return InvalidLevelSequence(
-        f"cannot reduce levels {list(levels)} in {mode} mode; "
-        f"stuck with {count} node(s) above level 0"
-    )
-
-
-def pure_top_trees(levels: Sequence[int], start: int = 0):
-    """The top-level trees of the pure-ternary forest, from position
-    ``start`` on, as the stack pass closes them.
-
-    Runs the stack pass of ``_reconstruct`` in ``MODE_PURE`` (combine the top
-    three items when their levels are equal and positive) but builds no
-    nodes.  Yields ``(first, last, centre)`` for each tree as it closes at
-    level 0, left to right: its leaf span, and the leaf index of its root's
-    middle child, or None when that child is combined or the tree is a bare
-    leaf.  A level-0 item never takes part in a later reduction, so each
-    top-level tree parses on its own, and a parse may start at the first
-    leaf of any tree.
-
-    Raises ``InvalidLevelSequence`` with the text ``_reconstruct`` uses: at
-    the first negative level, or, once an item is stuck above level 0, after
-    counting the stuck items through the end of the sequence.  So a parse
-    that starts past a prefix of whole trees raises the whole pass's text."""
-    lv = []  # level of each stack item
-    mid = []  # leaf index of each stack item, None for a combined node
+    Raises ``InvalidLevelSequence`` at the first negative level, or, once an
+    item is stuck above level 0, after counting the stuck items through the
+    end of the sequence.  So a parse that starts past a prefix of whole
+    trees raises the whole pass's text."""
+    n = len(levels)
+    below = -1 if mode == MODE_BINARY else -2  # a group's first item below a new one
+    # node id and level of each stack item, over two sentinels at a level no
+    # item has, so a group check always has two items to read
+    ids, lv = [None, None], [-1, -1]
     first = start
     stuck = 0
-    for i in range(start, len(levels)):
+    for i in range(start, n):
         l = levels[i]
         if l < 0:
             raise InvalidLevelSequence(f"negative level in {tuple(levels)}")
-        item, centre = i, None
-        while l > 0 and len(lv) >= 2 and lv[-2] == lv[-1] == l:
-            centre = mid.pop()
-            del lv[-2:], mid[-1]
-            item = None
+        item, mid = i, n  # mid: the middle child of the last merge, n for none
+        if pairs and (i - 1, i) in pairs and ids[-1] == i - 1 and lv[-1] == l != lv[-2]:
+            item = join((i - 1, i)) if join else n  # a trace pair that starts its run
+            del ids[-1], lv[-1]
             l -= 1
-        if l > 0:
+        while lv[-1] == l == lv[below]:  # stack levels are positive
+            mid = ids[-1]
+            item = join((*ids[below:], item)) if join else n
+            del ids[below:], lv[below:]
+            l -= 1
+        if l:
+            ids.append(item)
             lv.append(l)
-            mid.append(item)
             continue
-        if lv:  # under a level-0 item, nothing reduces again
-            stuck += len(lv)
-            lv.clear()
-            mid.clear()
+        if len(lv) > 2:  # under a level-0 item, nothing merges again
+            stuck += len(lv) - 2
+            del ids[2:], lv[2:]
         elif not stuck:
-            yield first, i, centre
+            yield first, i, item, mid if below == -2 and mid < n else None
         first = i + 1
-    if stuck or lv:
-        raise _stuck(levels, MODE_PURE, stuck + len(lv))
+    if stuck or len(lv) > 2:
+        raise InvalidLevelSequence(
+            f"cannot reduce levels {list(levels)} in {mode} mode; "
+            f"stuck with {stuck + len(lv) - 2} node(s) above level 0"
+        )
+
+
+def _reconstruct(levels, ws: tuple, mode, pairs=frozenset()) -> AlphaTree:
+    """The forest ``top_trees`` builds over validated weights."""
+    if len(levels) != len(ws):
+        raise StructureError("levels and weights differ in length")
+    builder = TreeBuilder(ws)
+    return builder.finish(
+        [root for _f, _l, root, _c in top_trees(levels, 0, mode, pairs, builder.internal)]
+    )
 
 
 def pure_centre_leaves(levels: Sequence[int]) -> list:
     """Centre leaves of the top-level triples of the pure-ternary forest,
-    left to right: the whole-sequence pass of ``pure_top_trees``."""
-    return [centre for _f, _l, centre in pure_top_trees(levels) if centre is not None]
+    left to right: the whole-sequence pass of ``top_trees``."""
+    return [centre for _f, _l, _r, centre in top_trees(levels) if centre is not None]
 
 
 def reconstruct_from_levels(

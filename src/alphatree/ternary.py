@@ -12,7 +12,6 @@ of live squares and previously combined centre leaves taken negatively.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter, itemgetter
@@ -35,9 +34,9 @@ from .levels import (
     MODE_PURE,
     InvalidLevelSequence,
     pure_centre_leaves,
-    pure_top_trees,
     reconstruct_from_levels,
     report_from_trace,
+    top_trees,
 )
 from .oracle import _dp_tables
 
@@ -120,13 +119,12 @@ class Unit:
     the opaque root of an already-solved subproblem."""
 
     weight: int
-    ref: int  # node id used in the emitted trace; the leaf index of a square
     is_square: bool  # True for original leaves
 
 
 @dataclass(slots=True)
 class _Live:
-    ref: int
+    ref: int  # node id: the unit position, or the circle
     weight: int
     lo: int  # unit-coordinate span
     hi: int
@@ -156,16 +154,17 @@ class Candidate:
     key: tuple
     participants: tuple  # Participant records in sequence order
     span: tuple  # unit-coordinate hull (lo, hi)
-    accordion_span: Optional[tuple] = None  # leaf-coordinate interval
+    accordion_span: Optional[tuple] = None  # first and last element positions
 
 
 class EngineState:
     """Working state of the greedy combination phase over a unit sequence.
 
-    Tracks the live sequence, the trace so far, which (leaf, circle)
-    negative pairings are spent, the most recent circle each unit was
-    combined into, and the top-level trees of the forest the signed unit
-    levels realise.
+    Unit k has node id k in the steps, and with u units the circles are u,
+    u + 1, ... in creation order.  Tracks the live sequence, the trace so
+    far, which (leaf, circle) negative pairings are spent, the most recent
+    circle each unit was combined into, and the top-level trees of the
+    forest the signed unit levels realise.
 
     It also keeps, between steps, what the scan reads.  For the plain
     windows, lists parallel to ``live`` (see ``_windows``); a step splices
@@ -183,24 +182,20 @@ class EngineState:
     starts the queue endgame, where none of this is read again.
     """
 
-    def __init__(self, units: Sequence[Unit], allocator=None):
+    def __init__(self, units: Sequence[Unit]):
         self.units = tuple(units)
         u = len(self.units)
         if u % 2 == 0:
             raise Infeasible(f"exact-ternary combination needs an odd count, got {u}")
-        if allocator is None:
-            allocator = itertools.count(u).__next__
-        self._alloc = allocator
         # the exact sentinel for no window and no hit: the live weights sum
         # to the total, so a window or slice of nonnegative live weights
         # weighs no more, and twice the total plus one keeps a margin
         self._bound = 2 * sum(unit.weight for unit in self.units) + 1
         self._no_hit = (self._bound,)  # the key of a segment without a hit
         self.live: List[_Live] = [
-            _Live(unit.ref, unit.weight, i, i, i) for i, unit in enumerate(self.units)
+            _Live(i, unit.weight, i, i, i) for i, unit in enumerate(self.units)
         ]
         self.steps: List[CombinationStep] = []
-        self._unit_at = {unit.ref: i for i, unit in enumerate(self.units)}
         self._levels = [0] * u  # signed level per unit position
         # per live circle, its (unit position, sign) occurrences, nested ones
         # included: consuming the circle deepens every one of them by one
@@ -208,10 +203,9 @@ class EngineState:
         # the first unit position of each top-level tree of the realised
         # forest
         self._tree_starts = list(range(u))
-        # (pos, weight, sign, ref) by position, and the number of sign >= 0
+        # (pos, weight, sign) by position, and the number of sign >= 0
         self._elems = [
-            (i, unit.weight, 1 if unit.is_square else 0, unit.ref)
-            for i, unit in enumerate(self.units)
+            (i, unit.weight, 1 if unit.is_square else 0) for i, unit in enumerate(self.units)
         ]
         self._live_units = u
         # the live nodes as (hi, lo, ref, node), sorted: a unit's span is its
@@ -419,7 +413,7 @@ class EngineState:
             k = 0
             edge = None  # a live unit's position a circle may not end on
             if a > 0:
-                prev, _w, sign, _r = elems[a - 1]
+                prev, _w, sign = elems[a - 1]
                 k = bisect_left(by_hi, (prev,))
                 edge = prev if sign >= 0 else None
             best = None
@@ -435,7 +429,7 @@ class EngineState:
             stop = len(live)
             edge = None
             if b + 1 < p:
-                nxt, _w, sign, _r = elems[b + 1]
+                nxt, _w, sign = elems[b + 1]
                 stop = bisect_right(live, nxt, k, key=_lo)
                 edge = nxt if sign >= 0 else None
             best = None
@@ -528,23 +522,24 @@ class EngineState:
 
     def _accordion_candidate(self, left: _Live, right: _Live, elems, w: int) -> Candidate:
         """Blockers (sign 0) bound every slice, so the elements are original
-        leaves and their refs are leaf indexes."""
+        leaves, named by their unit positions."""
         return Candidate(
             weight=w,
             key=(w, left.lo, len(elems), right.hi, elems[0][0]),
             participants=(
                 Participant(left.ref, 1, ROLE_OUTER),
-                *(Participant(ref, sign, ROLE_ACCORDION) for _p, _w, sign, ref in elems),
+                *(Participant(pos, sign, ROLE_ACCORDION) for pos, _w, sign in elems),
                 Participant(right.ref, 1, ROLE_OUTER),
             ),
             span=(left.lo, right.hi),
-            accordion_span=(elems[0][3], elems[-1][3]),
+            accordion_span=(elems[0][0], elems[-1][0]),
         )
 
     # -- applying a step -----------------------------------------------------
 
     def _apply(self, cand: Candidate) -> None:
-        circle = self._alloc()
+        u = len(self.units)
+        circle = u + len(self.steps)
         self.steps.append(
             CombinationStep(
                 circle=circle,
@@ -561,19 +556,18 @@ class EngineState:
         for p in cand.participants:
             if p.sign > 0:
                 consumed.add(p.ref)
-            target = self._unit_at.get(p.ref)
-            if target is None:  # a circle, always taken positively
+            if p.ref >= u:  # a circle, always taken positively
                 nested = self._under.pop(p.ref)
                 for t, sign in nested:
                     levels[t] += sign
                 under.extend(nested)
             else:
-                levels[target] += p.sign
-                under.append((target, p.sign))
+                levels[p.ref] += p.sign
+                under.append((p.ref, p.sign))
                 if p.sign > 0:
-                    owned.append(target)
+                    owned.append(p.ref)
                 else:
-                    negatives.append(target)
+                    negatives.append(p.ref)
         self._under[circle] = under
         for pos in negatives:
             owner = self.last_consumer.get(pos)
@@ -586,8 +580,7 @@ class EngineState:
             self.last_consumer[pos] = circle
             del elems[bisect_left(elems, (pos,))]
         for pos in negatives:  # live squares again
-            unit = self.units[pos]
-            elems[bisect_left(elems, (pos,))] = (pos, unit.weight, 1, unit.ref)
+            elems[bisect_left(elems, (pos,))] = (pos, self.units[pos].weight, 1)
         live = self.live
         node = _Live(circle, cand.weight, *cand.span, None)
         if not self._live_units:
@@ -615,8 +608,7 @@ class EngineState:
             del by_hi[bisect_left(by_hi, (nd.hi, nd.lo, nd.ref))]
         new = [node]
         for pos in negatives:
-            unit = self.units[pos]
-            new.append(_Live(unit.ref, unit.weight, pos, pos, pos))
+            new.append(_Live(pos, self.units[pos].weight, pos, pos, pos))
         for nd in new:
             insort(stretch, nd, key=_lo_hi)
             insort(by_hi, (nd.hi, nd.lo, nd.ref, nd))
@@ -671,7 +663,7 @@ def available_negatives(state: EngineState, lo: int, hi: int) -> Tuple[int, int]
     k = j = bisect_right(starts, lo) - 1
     new_starts, centres = [], []
     try:
-        for first, last, centre in pure_top_trees(state._levels, starts[k]):
+        for first, last, _root, centre in top_trees(state._levels, starts[k]):
             new_starts.append(first)
             if centre is not None:
                 centres.append(centre)
@@ -688,15 +680,15 @@ def available_negatives(state: EngineState, lo: int, hi: int) -> Tuple[int, int]
     elems, units = state._elems, state.units
     stop = starts[j] if j < len(starts) else len(units)
     stretch = elems[bisect_left(elems, (starts[k],)) : bisect_left(elems, (stop,))]
-    old = [pos for pos, _w, sign, _r in stretch if sign < 0]
-    squares = {pos for pos, _w, sign, _r in stretch if sign > 0}
+    old = [pos for pos, _w, sign in stretch if sign < 0]
+    squares = {pos for pos, _w, sign in stretch if sign > 0}
     new = [c for c in centres if units[c].is_square and c not in squares]
     starts[k:j] = new_starts
     if old != new:
         for c in old:
             del elems[bisect_left(elems, (c,))]
         for c in new:
-            insort(elems, (c, units[c].weight, -1, units[c].ref))
+            insort(elems, (c, units[c].weight, -1))
         lo, hi = min(lo, *old, *new), max(hi, *old, *new)
     return lo, hi
 
@@ -708,7 +700,7 @@ def available_negatives(state: EngineState, lo: int, hi: int) -> Tuple[int, int]
 def _solve_pure_ternary(weights: Sequence[int]) -> Tuple[SolveReport, dict]:
     """``solve_pure_ternary`` plus the engine's ``stats`` counters."""
     ws = validate_weights(weights)
-    state = EngineState([Unit(w, i, True) for i, w in enumerate(ws)])
+    state = EngineState([Unit(w, True) for w in ws])
     state.run()
     trace = CombinationTrace(len(ws), tuple(state.steps))
     return report_from_trace("pure-ternary", trace, ws), state.stats
@@ -728,13 +720,14 @@ def solve_pure_ternary(weights: Sequence[int]) -> SolveReport:
 
 @dataclass(frozen=True)
 class _Sol:
-    weight: int  # total leaf weight
-    steps: tuple  # CombinationStep records, creation order
-    ref: int  # node id of the subtree root
+    """The best tree found over one leaf span: its own engine run, over the
+    units of ``spans`` (each solved as its own span), or a bare leaf, with
+    no spans and no steps."""
 
-    @property
-    def cost(self) -> int:  # each step adds its circle's weight
-        return sum(s.weight for s in self.steps)
+    weight: int  # total leaf weight
+    cost: int  # the tree's cost: every step's weight, its units' included
+    spans: tuple  # the leaf span of each unit, left to right
+    steps: tuple  # CombinationStep records over unit positions, creation order
 
 
 class _GeneralSolver:
@@ -754,7 +747,6 @@ class _GeneralSolver:
 
     def __init__(self, weights):
         self.w = weights
-        self._alloc = itertools.count(len(weights)).__next__
         self._memo: Dict[tuple, _Sol] = {}
         self._optimum = None  # the (2, 3) DP cost table, built when first read
 
@@ -763,11 +755,12 @@ class _GeneralSolver:
         if key in self._memo:
             return self._memo[key]
         if lo == hi:
-            sol = _Sol(self.w[lo], (), lo)
+            sol = _Sol(self.w[lo], 0, (), ())
         elif hi == lo + 1:  # the binary pair, or a two-leaf run or run half
-            pair = (Participant(lo, 1, ROLE_PLAIN), Participant(hi, 1, ROLE_PLAIN))
-            step = CombinationStep(self._alloc(), self.w[lo] + self.w[hi], pair)
-            sol = _Sol(step.weight, (step,), step.circle)
+            # two square units, 0 and 1, combined into circle 2
+            w = self.w[lo] + self.w[hi]
+            pair = (Participant(0, 1, ROLE_PLAIN), Participant(1, 1, ROLE_PLAIN))
+            sol = _Sol(w, w, ((lo, lo), (hi, hi)), (CombinationStep(2, w, pair),))
         else:
             sol = None
             for spans in self._plans(lo, hi):
@@ -808,31 +801,33 @@ class _GeneralSolver:
         optimal tree is usually, but not always, a minimum-weight pair, so
         the cheaper completion decides.  Ordered by split count, then by the
         list of (run, cut) pairs, then by pair position, so ties resolve
-        leftmost: for each split count the cuts come from
-        ``itertools.combinations`` over every (run, cut) in order, which
-        yields them in that order, keeping those that cut each run at most
-        once.
+        leftmost.
 
         Some plan always exists: splitting one run flips the parity, and
         with no runs an even span has the pair (lo, lo + 1).  No run is
         the whole span, so every plan has at least three units."""
         runs = [(a + lo, b + lo) for a, b in detect_pcns(self.w[lo : hi + 1])]
-        cuts = [(k, cut) for k, (a, b) in enumerate(runs) for cut in range(a, b)]
         choices = math.prod(b - a + 1 for a, b in runs)
         most = 1 if choices > self.VECTOR_CAP else len(runs)  # splits per plan
         inside = {i for a, b in runs for i in range(a, b + 1)}
         leaves = [(i, i) for i in range(lo, hi + 1) if i not in inside]
         pairs = [i for i in range(lo, hi) if i not in inside and i + 1 not in inside]
+
+        def split(k: int, count: int):
+            """The spans of runs k.. with ``count`` of them cut once, in the
+            order of their (run, cut) lists."""
+            if not count:
+                yield runs[k:]
+                return
+            for r in range(k, len(runs) - count + 1):
+                a, b = runs[r]
+                for cut in range(a, b):
+                    for rest in split(r + 1, count - 1):
+                        yield [*runs[k:r], (a, cut), (cut + 1, b), *rest]
+
         for count in range(most + 1):
-            for chosen in itertools.combinations(cuts, count):
-                split = dict(chosen)  # run index -> cut
-                if len(split) < count:  # two cuts in one run
-                    continue
-                spans = list(leaves)
-                for k, (a, b) in enumerate(runs):
-                    cut = split.get(k)
-                    spans.extend([(a, b)] if cut is None else [(a, cut), (cut + 1, b)])
-                spans.sort()
+            for part in split(0, count):
+                spans = sorted(leaves + part)
                 if len(spans) % 2 == 1:
                     yield spans
                     continue
@@ -843,40 +838,47 @@ class _GeneralSolver:
     def _run_plan(self, spans) -> _Sol:
         """Solve each unit's span with ``solve_tree``, left to right, then
         combine the units with the ternary engine."""
-        units = []
-        steps = []
-        for lo, hi in spans:
-            sub = self.solve_tree(lo, hi)
-            steps.extend(sub.steps)
-            units.append(Unit(sub.weight, sub.ref, lo == hi))
-        state = EngineState(units, allocator=self._alloc)
+        subs = [self.solve_tree(lo, hi) for lo, hi in spans]
+        state = EngineState([Unit(sub.weight, not sub.spans) for sub in subs])
         state.run()
         levels = state.unit_levels()
         try:
             pure_centre_leaves(levels)  # the final unit levels form one tree
         except InvalidLevelSequence as exc:
             raise _unrealisable(levels, exc) from exc
-        weight = sum(u.weight for u in units)
-        return _Sol(weight, (*steps, *state.steps), state.live[0].ref)
+        return _Sol(
+            sum(sub.weight for sub in subs),
+            sum(sub.cost for sub in subs) + sum(s.weight for s in state.steps),
+            tuple(spans),
+            tuple(state.steps),
+        )
 
-    def solve(self) -> CombinationTrace:
-        n = len(self.w)
-        remap = {}
-        steps = []
-        for k, s in enumerate(self.solve_tree(0, n - 1).steps):
-            remap[s.circle] = n + k
+    def _number(self, lo: int, hi: int, steps: list) -> int:
+        """Append the steps of the tree over leaves lo..hi to ``steps``,
+        named as trace ids: each unit's tree first, left to right, then
+        the span's own steps.  Returns the tree's root id."""
+        sol = self.solve_tree(lo, hi)
+        # trace id by local id: the units' roots, then each circle once numbered
+        ids = [self._number(a, b, steps) for a, b in sol.spans]
+        for s in sol.steps:
+            ids.append(len(self.w) + len(steps))
+            span = s.accordion_span
             steps.append(
                 CombinationStep(
-                    circle=n + k,
+                    circle=ids[-1],
                     weight=s.weight,
                     participants=tuple(
-                        Participant(remap.get(p.ref, p.ref), p.sign, p.role)
-                        for p in s.participants
+                        Participant(ids[p.ref], p.sign, p.role) for p in s.participants
                     ),
-                    accordion_span=s.accordion_span,
+                    accordion_span=span and (ids[span[0]], ids[span[1]]),
                 )
             )
-        return CombinationTrace(n, tuple(steps))
+        return ids[-1] if ids else lo
+
+    def solve(self) -> CombinationTrace:
+        steps = []
+        self._number(0, len(self.w) - 1, steps)
+        return CombinationTrace(len(self.w), tuple(steps))
 
 
 def general_solve(weights: Sequence[int]) -> SolveReport:

@@ -139,7 +139,11 @@ class TestSolve:
             capsys, "solve", "--algo", "ternary", "--arity", "pure-ternary", CRASH_13
         )
         assert (code, out) == (EXIT_ENGINE, "")
-        assert err.startswith("engine error: cannot realise forest")
+        levels = "[2, 1, 1, 1, 2, 2, 1, 1, 0, 1, 1, 1, 0]"
+        assert err == (
+            f"engine error: cannot realise forest for unit levels {levels}: cannot reduce "
+            f"levels {levels} in pure-ternary mode; stuck with 5 node(s) above level 0\n"
+        )
         assert EXIT_ENGINE not in (EXIT_INPUT, EXIT_FUZZ_ERRORS)
 
     def test_infeasible_mode(self, capsys):
@@ -356,6 +360,7 @@ class TestFuzzCommand:
                 "monotone instances of size 5 need 5 distinct weights, "
                 "but weight_lo 10 to weight_hi 12 holds 3",
             ),
+            (["--n", "2", "--odd"], "sizes [2] with odd_only=True leave no size to draw"),
         ],
     )
     def test_out_of_range_instance_options(self, capsys, argv, message):

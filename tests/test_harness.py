@@ -45,6 +45,11 @@ class TestRandomInstances:
         assert {len(ws) for ws in drawn} == {3, 5, 7}
         assert drawn == random_instances([3, 5, 7], count=200, seed=1)
 
+    def test_no_size_left_names_the_parameters(self):
+        message = r"^sizes \[2\] with odd_only=True leave no size to draw$"
+        with pytest.raises(ValueError, match=message):
+            random_instances([2], odd_only=True)
+
 
 class TestFuzzCompare:
     def test_paper_family_always_matches(self):
@@ -190,3 +195,10 @@ class TestBenchGrowth:
     def test_even_sizes_rejected_for_ternary(self):
         with pytest.raises(ValueError):
             bench_growth([10], seed=0)
+
+    def test_every_size_checked_before_any_is_timed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_solve_pure_ternary", lambda ws: calls.append(ws))
+        with pytest.raises(ValueError, match="needs odd sizes"):
+            bench_growth([801, 802], seed=0)
+        assert calls == []

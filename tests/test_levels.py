@@ -195,8 +195,19 @@ class TestReconstructFromLevels:
     def test_singleton_run_rejected(self):
         with pytest.raises(InvalidLevelSequence):
             reconstruct_from_levels((1,), (5,), MODE_PURE)
-        with pytest.raises(InvalidLevelSequence):
+        with pytest.raises(
+            InvalidLevelSequence,
+            match=r"^cannot reduce levels \[2, 2, 2\] in binary mode; "
+            r"stuck with 2 node\(s\) above level 0$",
+        ):
             reconstruct_from_levels((2, 2, 2), (1, 2, 3), MODE_BINARY)
+        # past a whole tree, the last leaf is a singleton
+        with pytest.raises(InvalidLevelSequence, match=r"; stuck with 1 node\(s\) above level 0$"):
+            reconstruct_from_levels((1, 1, 0, 1), (1, 2, 3, 4), MODE_BINARY)
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(InvalidLevelSequence, match=r"^negative level in \(1, -1, 1\)$"):
+            reconstruct_from_levels((1, -1, 1), (1, 2, 3), MODE_PURE)
 
     def test_pair_rejected_in_pure_mode(self):
         with pytest.raises(InvalidLevelSequence):
@@ -210,7 +221,11 @@ class TestReconstructFromLevels:
 
     def test_leftover_run_of_four_rejected(self):
         # a run of four at the top level leaves a singleton behind
-        with pytest.raises(InvalidLevelSequence):
+        with pytest.raises(
+            InvalidLevelSequence,
+            match=r"^cannot reduce levels \[1, 1, 1, 1\] in pure-ternary mode; "
+            r"stuck with 1 node\(s\) above level 0$",
+        ):
             reconstruct_from_levels((1, 1, 1, 1), (1, 2, 3, 4), MODE_PURE)
 
     def test_mixed_heavy_centre_levels(self):

@@ -20,8 +20,8 @@ from alphatree.harness import check_report
 from alphatree.levels import (
     InvalidLevelSequence,
     pure_centre_leaves,
-    pure_top_trees,
     signed_levels,
+    top_trees,
 )
 from alphatree.oracle import dp_optimal
 from alphatree.ternary import (
@@ -48,7 +48,7 @@ REPRODUCER = test_levels.TestPinnedSolverOutputs.REPRODUCER
 
 
 def engine_for(weights, steps=0):
-    state = EngineState([Unit(w, i, True) for i, w in enumerate(weights)])
+    state = EngineState([Unit(w, True) for w in weights])
     for _ in range(steps):
         state.advance()
     return state
@@ -101,7 +101,7 @@ def negatives_from_stack_pass(state, levels):
 
 def negative_positions(state):
     """The engine's available negatives: its sign -1 elements' positions."""
-    return [pos for pos, _w, sign, _r in state._elems if sign < 0]
+    return [pos for pos, _w, sign in state._elems if sign < 0]
 
 
 def negative_pairings(state):
@@ -174,11 +174,11 @@ def merged_elements(state):
     (sign +1 for a square, 0 for an opaque unit) and the negatives the whole
     realised forest offers (sign -1)."""
     elems = [
-        (nd.pos, nd.weight, 1 if state.units[nd.pos].is_square else 0, nd.ref)
+        (nd.pos, nd.weight, 1 if state.units[nd.pos].is_square else 0)
         for nd in state.live
         if nd.pos is not None
     ]
-    elems += [(pos, w, -1, state.units[pos].ref) for pos, w, _o in negatives_from_forest(state)]
+    elems += [(pos, w, -1) for pos, w, _o in negatives_from_forest(state)]
     return sorted(elems)
 
 
@@ -216,7 +216,7 @@ def segment_summaries(state):
     node in their gap buckets; equal keys keep the first in live order."""
     elems = merged_elements(state)
     starts = []  # the first element of each element's segment
-    for e, (_p, _w, sign, _r) in enumerate(elems):
+    for e, (_p, _w, sign) in enumerate(elems):
         joined = e > 0 and sign != 0 and elems[e - 1][2] not in (0, sign)
         starts.append(starts[-1] if joined else e)
     out = {elems[starts[e]][0]: [0, None] for e, el in enumerate(elems) if el[2] < 0}
@@ -288,7 +288,7 @@ def window_arrays(state):
 
 def scans_next(state):
     """Whether the next step scans: a unit is still live."""
-    return not state.done and any(sign >= 0 for _p, _w, sign, _r in state._elems)
+    return not state.done and any(sign >= 0 for _p, _w, sign in state._elems)
 
 
 def assert_kept_scan_state(state):
@@ -874,6 +874,15 @@ class TestPlanOrder:
             hi = len(ws) - 1
             assert list(_GeneralSolver(ws)._plans(0, hi)) == reference_plans(ws, 0, hi)
 
+    def test_matches_with_a_long_run_at_the_vector_cap(self):
+        # runs (1, 2), (4, 5) and (7, 134): 2 * 2 * 128 = 512 choices, right
+        # at the cap, so every choice is tried; most ways to pick cuts from
+        # the three runs cut the long run twice, and none of those is a plan
+        ws = (1000, 1, 1, 1000, 1, 1, 1000, *[1] * 128, 1000)
+        assert detect_pcns(ws) == ((1, 2), (4, 5), (7, 134))
+        hi = len(ws) - 1
+        assert list(_GeneralSolver(ws)._plans(0, hi)) == reference_plans(ws, 0, hi)
+
 
 class TestPlanSearchStop:
     """A span's plan search stops once its best completion costs the span's
@@ -1008,7 +1017,8 @@ class TestStepwiseForest:
                 if scans_next(state):
                     parses += 1
                     levels = state.unit_levels()
-                    assert state._tree_starts == [first for first, _l, _c in pure_top_trees(levels)]
+                    starts = [first for first, _l, _r, _c in top_trees(levels)]
+                    assert state._tree_starts == starts
                     assert negative_positions(state) == negatives_from_stack_pass(state, levels)
         assert parses > 1000
 
