@@ -264,8 +264,9 @@ def bench_growth(
         raise ValueError(f"sizes must be at least 1, got {min(ns)}")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    if engine == "ternary" and any(n % 2 == 0 for n in ns):
-        raise ValueError("the ternary combination benchmark needs odd sizes")
+    even = [n for n in ns if n % 2 == 0]
+    if engine == "ternary" and even:
+        raise ValueError(f"the ternary combination benchmark needs odd sizes, got {even}")
     rows = []
     for n in ns:
         rng = random.Random(seed * 1_000_003 + n)

@@ -7,8 +7,8 @@ one scan over its first split.  Knuth's root monotonicity bounds every scan
 for binary and for exact-ternary trees, which run in O(n^2); mixed arity
 stays O(n^3).
 ``exhaustive_optimal`` literally enumerates every tree shape for tiny inputs,
-keeping the cost of each shape over each span, and is used to check the DP
-itself.  Both work in exact integers only.
+keeping the cost of each shape over each span below the full one, and is used
+to check the DP itself.  Both work in exact integers only.
 """
 
 from __future__ import annotations
@@ -201,13 +201,19 @@ def exhaustive_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, int
 
     ``shapes[(i, j)]`` lists the cost of every tree shape over leaves i..j,
     one entry per shape: each entry is one entry from each child span's list,
-    summed, plus the span weight.  No minimum is taken below the root."""
+    summed, plus the span weight.  The child lists are multiplied shortest
+    first, which keeps every intermediate product no longer than the last.
+    The full span's combinations are folded into its minimum and count
+    instead of one list.  No minimum is taken below the root."""
     ws = validate_weights(weights)
     allowed = _arity_set(arities)
     n = len(ws)
     if n > EXHAUSTIVE_MAX_N:
         raise RefusedSize(f"{n} leaves is past the enumeration limit {EXHAUSTIVE_MAX_N}")
+    if n == 1:
+        return 0, 1
     shapes = {(i, i): [0] for i in range(n)}
+    best = count = None
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
@@ -216,14 +222,20 @@ def exhaustive_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, int
             for arity in sorted(allowed):
                 # the first leaf of each child after the first
                 for starts in combinations(range(i + 1, j + 1), arity - 1):
-                    sums = [span]
-                    for lo, end in zip((i, *starts), (*starts, j + 1)):
-                        part = shapes[(lo, end - 1)]
+                    ends = zip((i, *starts), (*starts, j + 1))
+                    parts = sorted((shapes[(lo, end - 1)] for lo, end in ends), key=len)
+                    sums = [span + c for c in parts[0]]
+                    for part in parts[1:]:
                         sums = [s + c for s in sums for c in part]
-                    costs.extend(sums)
+                    if length < n:
+                        costs.extend(sums)
+                    elif sums:
+                        low = min(sums)
+                        if best is None or low < best:
+                            best, count = low, sums.count(low)
+                        elif low == best:
+                            count += sums.count(low)
             shapes[(i, j)] = costs
-    costs = shapes[(0, n - 1)]
-    if not costs:
+    if best is None:
         raise Infeasible("no tree shape satisfies the arity constraints")
-    best = min(costs)
-    return best, costs.count(best)
+    return best, count

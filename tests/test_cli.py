@@ -401,6 +401,7 @@ class TestBenchCommand:
             (["--n", "3", "--repeats", "0"], "repeats must be at least 1, got 0"),
             (["--n", "3", "--repeats", "-4"], "repeats must be at least 1, got -4"),
             (["--n", "0", "--engine", "binary"], "sizes must be at least 1, got 0"),
+            (["--n", "801,802"], "the ternary combination benchmark needs odd sizes, got [802]"),
         ],
     )
     def test_out_of_range_options(self, capsys, argv, message):

@@ -199,6 +199,7 @@ class TestBenchGrowth:
     def test_every_size_checked_before_any_is_timed(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "_solve_pure_ternary", lambda ws: calls.append(ws))
-        with pytest.raises(ValueError, match="needs odd sizes"):
+        with pytest.raises(ValueError, match="needs odd sizes") as info:
             bench_growth([801, 802], seed=0)
+        assert "802" in str(info.value)
         assert calls == []

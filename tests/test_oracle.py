@@ -1,11 +1,26 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphatree import oracle
-from alphatree.core import Infeasible, TreeBuilder, is_alphabetic, leaf_levels, tree_cost
-from alphatree.oracle import RefusedSize, _dp_tables, dp_optimal, exhaustive_optimal
+from alphatree.core import (
+    Infeasible,
+    TreeBuilder,
+    is_alphabetic,
+    leaf_levels,
+    tree_cost,
+    validate_weights,
+)
+from alphatree.oracle import (
+    EXHAUSTIVE_MAX_N,
+    RefusedSize,
+    _arity_set,
+    _dp_tables,
+    dp_optimal,
+    exhaustive_optimal,
+)
 from alphatree.ternary import general_solve
 from tests import test_levels
 from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS, shallow_recursion
@@ -94,6 +109,46 @@ def cubic_tables(ws, allowed):
                 cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
                 choice[i][j] = pick
     return cost, choice
+
+
+def concatenated_exhaustive(weights, arities=(2, 3)):
+    """The enumeration ``exhaustive_optimal`` ran before it multiplied child
+    lists shortest first and folded the root: child lists are multiplied
+    left to right, and the full span's costs are one list like every other
+    span's."""
+    ws = validate_weights(weights)
+    allowed = _arity_set(arities)
+    n = len(ws)
+    if n > EXHAUSTIVE_MAX_N:
+        raise RefusedSize(f"{n} leaves is past the enumeration limit {EXHAUSTIVE_MAX_N}")
+    shapes = {(i, i): [0] for i in range(n)}
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            span = sum(ws[i : j + 1])
+            costs = []
+            for arity in sorted(allowed):
+                # the first leaf of each child after the first
+                for starts in combinations(range(i + 1, j + 1), arity - 1):
+                    sums = [span]
+                    for lo, end in zip((i, *starts), (*starts, j + 1)):
+                        part = shapes[(lo, end - 1)]
+                        sums = [s + c for s in sums for c in part]
+                    costs.extend(sums)
+            shapes[(i, j)] = costs
+    costs = shapes[(0, n - 1)]
+    if not costs:
+        raise Infeasible("no tree shape satisfies the arity constraints")
+    best = min(costs)
+    return best, costs.count(best)
+
+
+def outcome(solve, ws, arities):
+    """The result of ``solve(ws, arities)``, or the type of what it raised."""
+    try:
+        return solve(ws, arities)
+    except ValueError as exc:  # Infeasible and RefusedSize among them
+        return type(exc)
 
 
 class TestDpOptimal:
@@ -302,6 +357,28 @@ class TestExhaustiveOptimal:
                     exhaustive_optimal((0,) * n, arities)
             else:
                 assert exhaustive_optimal((0,) * n, arities) == (0, count)
+
+    @pytest.mark.parametrize("hi", (0, 1, 3, 100, 10**20))
+    def test_matches_the_concatenating_reference(self, hi):
+        # the same cost and count, or the same exception, as the enumeration
+        # that multiplies left to right and keeps the root's whole list;
+        # n = 12 is refused by both
+        rng = random.Random(hi)
+        inputs = [tuple(rng.randint(0, hi) for _ in range(n)) for n in range(1, 10) for _ in range(4)]
+        inputs += [tuple(rng.randint(0, hi) for _ in range(n)) for n in (10, 11, 12)]
+        for ws in inputs:
+            for arities in ARITY_SETS:
+                got = outcome(exhaustive_optimal, ws, arities)
+                assert got == outcome(concatenated_exhaustive, ws, arities), (ws, arities)
+
+    @pytest.mark.parametrize("arities, expected", [((2, 3), (60, 1)), ((3,), (60, 1)), ((2,), (95, 2))])
+    def test_counterexample_at_the_enumeration_limit(self, arities, expected):
+        # the 11-leaf input where the greedy misses the mixed optimum by one
+        # has the most leaves the enumeration takes, so every root shape is
+        # folded into the answer here
+        ws = (1, 1, 1, 3, 1, 4, 1, 7, 1, 5, 4)
+        assert len(ws) == EXHAUSTIVE_MAX_N
+        assert exhaustive_optimal(ws, arities) == expected
 
     def test_huge_weights_stay_exact(self):
         big = 10**20
