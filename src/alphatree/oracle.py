@@ -123,16 +123,22 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
 
 @lru_cache(maxsize=1)
 def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
+    """``_fill_tables`` with its last table set cached, so
+    ``general_solve``'s plan-search stop and a ``dp_optimal`` call on the
+    same weights and arities (the fuzz harness, ``alphatree verify`` and the
+    benchmark's check make both) share one build.  Callers treat the tables
+    as read-only.  The cached set stays alive until a call with other
+    arguments replaces it."""
+    return _fill_tables(ws, allowed)
+
+
+def _fill_tables(ws: tuple, allowed: frozenset) -> tuple:
     """The DP tables over validated weights: ``cost[i][j]``, the optimal
     cost of a tree over leaves i..j with internal arities in ``allowed``,
     and ``choice[i][j]``, the leftmost optimal split points of its root.
-    With ``allowed == {3}`` only odd spans are filled.
-
-    The last table set is cached, so ``general_solve``'s plan-search stop
-    and a ``dp_optimal`` call on the same weights and arities (the fuzz
-    harness, ``alphatree verify`` and the benchmark's check make both)
-    share one build.  Callers treat the tables as read-only.  The cached
-    set stays alive until a call with other arguments replaces it."""
+    With ``allowed == {3}`` only odd spans are filled.  Uncached: a caller
+    that fills tables over other weights (``general_solve``'s pair-loop
+    bound, over unit weights) leaves ``_dp_tables``' cached set alone."""
     pure = allowed == {3}
     n = len(ws)
     prefix = [0]

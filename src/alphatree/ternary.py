@@ -38,7 +38,7 @@ from .levels import (
     report_from_trace,
     top_trees,
 )
-from .oracle import _dp_tables
+from .oracle import _dp_tables, _fill_tables
 
 
 class EngineError(RuntimeError):
@@ -738,7 +738,10 @@ class _GeneralSolver:
     # three 100-leaf draws from random.Random(700) (weights 0..100), and
     # 2 592, 82 944 and 36 864 at n=150 (random.Random(1050)).  The
     # optimum stop in solve_tree never fires where the greedy misses the
-    # optimum, so an exact search would run one engine per vector there.
+    # optimum.  The pair-loop skip is exact too (a pair plan is a tree over
+    # its choice's units, so none costs less than their costs plus the
+    # mixed-arity DP over their weights), but it skips only even vectors:
+    # an exact search would still run one engine per odd vector there.
     # No benchmark workload reaches it: on fuzz-general (n 13..20, weights
     # 0..100) the largest product is 48, over 1 279 span solves at seed 1
     # and 1 369 at seed 2.  test_general_solve_past_vector_cap pins its
@@ -763,12 +766,18 @@ class _GeneralSolver:
             sol = _Sol(w, w, ((lo, lo), (hi, hi)), (CombinationStep(2, w, pair),))
         else:
             sol = None
-            for spans in self._plans(lo, hi):
-                if sol is not None and sol.cost == self._optimum_of(lo, hi):
-                    break
-                cand = self._run_plan(spans)
-                if sol is None or cand.cost < sol.cost:
-                    sol = cand
+            for units, plans in self._choices(lo, hi):
+                if sol is not None:
+                    if sol.cost == self._optimum_of(lo, hi):
+                        break
+                    if len(units) % 2 == 0 and self._pair_bound(units) >= sol.cost:
+                        continue  # no pair position of this choice can win
+                for spans in plans:
+                    if sol is not None and sol.cost == self._optimum_of(lo, hi):
+                        break
+                    cand = self._run_plan(spans)
+                    if sol is None or cand.cost < sol.cost:
+                        sol = cand
         self._memo[key] = sol
         return sol
 
@@ -785,23 +794,38 @@ class _GeneralSolver:
             self._optimum = _dp_tables(self.w, frozenset((2, 3)))[0]
         return self._optimum[lo][hi]
 
-    def _plans(self, lo: int, hi: int):
-        """Plans to try for leaves lo..hi (at least three), yielded one at a
-        time, so none is built past the one ``solve_tree`` stops at; each a
-        sorted list of leaf spans, one per unit: a leaf outside every top-level
-        permanent run, a whole run (one root), one of the two halves of a
-        split run (two roots), or the binary pair.  Each run is kept whole or
-        split at one of its cuts, and every such choice is tried (parity
-        never forces one: either can win on cost), except that when the
-        choices number more than ``VECTOR_CAP``, only those that split at
-        most one run are.  When a choice leaves an even unit count, two
-        adjacent leaves outside every run merge into the two-leaf span
-        (i, i + 1), the one binary pair (a split half of length 1 is never
-        paired).  Every such pair is tried: the one binary node of an
-        optimal tree is usually, but not always, a minimum-weight pair, so
-        the cheaper completion decides.  Ordered by split count, then by the
-        list of (run, cut) pairs, then by pair position, so ties resolve
-        leftmost.
+    def _pair_bound(self, units) -> int:
+        """A lower bound on the cost of every pair plan of one even choice:
+        the units' own costs plus the mixed-arity DP optimum over the unit
+        weights.  A pair plan's completion, with its pair expanded into its
+        binary node, is a tree over these units whose nodes above them have
+        two or three children, so it costs at least this much.  The units
+        are solved left to right, as the choice's first pair plan would
+        solve them.  The DP fill is uncached, so the table that
+        ``_optimum_of`` shares with ``dp_optimal`` stays cached."""
+        subs = [self.solve_tree(a, b) for a, b in units]
+        weights = tuple(sub.weight for sub in subs)
+        return sum(sub.cost for sub in subs) + _fill_tables(weights, frozenset((2, 3)))[0][0][-1]
+
+    def _choices(self, lo: int, hi: int):
+        """The plans to try for leaves lo..hi (at least three), grouped by
+        whole-or-split choice: yields each choice's units with its plans,
+        both made only when reached, so none is built past the one
+        ``solve_tree`` stops at.  A plan is a sorted list of leaf spans, one
+        per unit: a leaf outside every top-level permanent run, a whole run
+        (one root), one of the two halves of a split run (two roots), or the
+        binary pair.  Each run is kept whole or split at one of its cuts, and
+        every such choice is tried (parity never forces one: either can win
+        on cost), except that when the choices number more than
+        ``VECTOR_CAP``, only those that split at most one run are.  A choice
+        with an odd unit count is its one plan.  When a choice leaves an even
+        unit count, its plans merge two adjacent leaves outside every run
+        into the two-leaf span (i, i + 1), the one binary pair (a split half
+        of length 1 is never paired); an even choice with no such leaves is
+        skipped.  Every pair is tried: the one binary node of an optimal tree
+        is usually, but not always, a minimum-weight pair, so the cheaper
+        completion decides.  Ordered by split count, then by the list of
+        (run, cut) pairs, then by pair position, so ties resolve leftmost.
 
         Some plan always exists: splitting one run flips the parity, and
         with no runs an even span has the pair (lo, lo + 1).  No run is
@@ -825,15 +849,18 @@ class _GeneralSolver:
                     for rest in split(r + 1, count - 1):
                         yield [*runs[k:r], (a, cut), (cut + 1, b), *rest]
 
+        def paired(units):
+            for i in pairs:
+                k = units.index((i, i))  # (i + 1, i + 1) follows it
+                yield units[:k] + [(i, i + 1)] + units[k + 2 :]
+
         for count in range(most + 1):
             for part in split(0, count):
-                spans = sorted(leaves + part)
-                if len(spans) % 2 == 1:
-                    yield spans
-                    continue
-                for i in pairs:
-                    k = spans.index((i, i))  # (i + 1, i + 1) follows it
-                    yield spans[:k] + [(i, i + 1)] + spans[k + 2 :]
+                units = sorted(leaves + part)
+                if len(units) % 2 == 1:
+                    yield units, [units]
+                elif pairs:
+                    yield units, paired(units)
 
     def _run_plan(self, spans) -> _Sol:
         """Solve each unit's span with ``solve_tree``, left to right, then
@@ -889,7 +916,14 @@ def general_solve(weights: Sequence[int]) -> SolveReport:
     runs over the units; the cheapest completion wins, the first in plan
     order among equals.  A span stops trying plans once its best
     completion costs its mixed-arity DP optimum, which no later plan can
-    beat.  The report is the replay of the final trace, which checks the
-    replayed tree's cost against the trace's increments."""
+    beat.  Before the pair plans of a choice with an even unit count, it
+    takes one bound: the units' own costs plus the mixed-arity DP optimum
+    over the unit weights.  Every pair plan of that choice, its pair
+    expanded into its binary node, is a tree over those units with arities
+    2 and 3, so none costs less; when the bound is no lower than the best
+    completion, no pair position can replace it, as a later plan wins only
+    on a strictly lower cost, and the whole pair loop is skipped.  The
+    report is the replay of the final trace, which checks the replayed
+    tree's cost against the trace's increments."""
     ws = validate_weights(weights)
     return report_from_trace("ternary", _GeneralSolver(ws).solve(), ws)

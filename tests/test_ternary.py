@@ -365,7 +365,7 @@ def outermost(spans):
 
 
 def reference_plans(ws, lo, hi):
-    """Reference for ``_GeneralSolver._plans``: every single-vs-split choice
+    """Reference for ``_GeneralSolver._choices``: every single-vs-split choice
     vector over the outermost runs, listed in full and sorted by split count
     and then by the list of (run, cut) pairs; past ``VECTOR_CAP`` vectors,
     the all-single vector, then each run split on its own at each cut."""
@@ -635,8 +635,9 @@ class TestKeptScanState:
             return step
 
         monkeypatch.setattr(EngineState, "advance", checked_advance)
+        # 90 draws: the pair-loop skip leaves fewer engine runs per input
         rng = random.Random(79)
-        for _ in range(60):
+        for _ in range(90):
             ws = [rng.randint(0, rng.choice([3, 25, 100])) for _ in range(rng.randint(8, 20))]
             try:
                 general_solve(ws)
@@ -856,8 +857,16 @@ def solve_outcome(ws):
 
 
 def try_every_plan(monkeypatch):
-    """The plan search without its stop: no span's best ever reaches -1."""
+    """The plan search without its stop or its pair-loop skip: no span's
+    best ever reaches -1, nor falls to it."""
     monkeypatch.setattr(_GeneralSolver, "_optimum_of", lambda self, lo, hi: -1)
+    monkeypatch.setattr(_GeneralSolver, "_pair_bound", lambda self, units: -1)
+
+
+def solver_plans(ws, lo, hi):
+    """Every plan ``_GeneralSolver._choices`` yields for leaves lo..hi, in
+    order."""
+    return [spans for _, plans in _GeneralSolver(ws)._choices(lo, hi) for spans in plans]
 
 
 class TestPlanOrder:
@@ -867,12 +876,12 @@ class TestPlanOrder:
             ws = tuple(rng.randint(0, (3, 10, 100)[k % 3]) for _ in range(rng.randint(3, 30)))
             lo = rng.randrange(len(ws) - 2)
             hi = rng.randrange(lo + 2, len(ws))
-            assert list(_GeneralSolver(ws)._plans(lo, hi)) == reference_plans(ws, lo, hi)
+            assert solver_plans(ws, lo, hi) == reference_plans(ws, lo, hi)
 
     def test_matches_past_the_vector_cap(self):
         for ws in _past_cap_inputs(504, 30):
             hi = len(ws) - 1
-            assert list(_GeneralSolver(ws)._plans(0, hi)) == reference_plans(ws, 0, hi)
+            assert solver_plans(ws, 0, hi) == reference_plans(ws, 0, hi)
 
     def test_matches_with_a_long_run_at_the_vector_cap(self):
         # runs (1, 2), (4, 5) and (7, 134): 2 * 2 * 128 = 512 choices, right
@@ -881,13 +890,15 @@ class TestPlanOrder:
         ws = (1000, 1, 1, 1000, 1, 1, 1000, *[1] * 128, 1000)
         assert detect_pcns(ws) == ((1, 2), (4, 5), (7, 134))
         hi = len(ws) - 1
-        assert list(_GeneralSolver(ws)._plans(0, hi)) == reference_plans(ws, 0, hi)
+        assert solver_plans(ws, 0, hi) == reference_plans(ws, 0, hi)
 
 
 class TestPlanSearchStop:
     """A span's plan search stops once its best completion costs the span's
-    mixed-arity DP optimum; no later plan can cost less, so no output
-    changes, except that plans after the stop no longer get to raise."""
+    mixed-arity DP optimum, and skips an even choice's pair plans once the
+    choice's pair bound is no lower than the best completion; no skipped plan
+    can cost less, so no output changes, except that skipped plans no longer
+    get to raise."""
 
     def test_outputs_match_trying_every_plan(self, monkeypatch):
         rng = random.Random(1101)
@@ -902,8 +913,8 @@ class TestPlanSearchStop:
         assert [solve_outcome(ws) for ws in inputs] == stopped
 
     def test_engine_runs(self, monkeypatch):
-        # 257 engine runs when every plan is tried, as before the stop, and
-        # 123 with it
+        # 257 engine runs when every plan is tried, as before the stop and
+        # the pair-loop skip, and 113 with both (123 with the stop alone)
         rng = random.Random(1102)
         inputs = [tuple(rng.randint(0, 100) for _ in range(rng.randint(8, 16))) for _ in range(20)]
         runs = [0]
@@ -916,12 +927,42 @@ class TestPlanSearchStop:
         monkeypatch.setattr(EngineState, "run", counted)
         for ws in inputs:
             general_solve(ws)
-        assert runs[0] == 123
+        assert runs[0] == 113
         try_every_plan(monkeypatch)
         runs[0] = 0
         for ws in inputs:
             general_solve(ws)
         assert runs[0] == 257
+
+    def test_pair_plans_cost_at_least_the_pair_bound(self):
+        # every even choice's pair plans, on seeded spans and on spans past
+        # VECTOR_CAP: the past-cap inputs get a heavy first leaf, so leaves
+        # 0 and 1 lie outside every run and make a pair
+        rng = random.Random(1104)
+        spans = []
+        for hi in (3, 10, 100):
+            for _ in range(40):
+                ws = tuple(rng.randint(0, hi) for _ in range(rng.randint(4, 20)))
+                lo = rng.randrange(len(ws) - 2)
+                spans += [(ws, lo, rng.randrange(lo + 2, len(ws))), (ws, 0, len(ws) - 1)]
+        for ws in _past_cap_inputs(504, 10):
+            ws = (rng.randint(60, 100),) + ws
+            vectors = math.prod(b - a + 1 for a, b in detect_pcns(ws))
+            assert vectors > _GeneralSolver.VECTOR_CAP
+            spans.append((ws, 0, len(ws) - 1))
+        checked = tight = 0
+        for ws, lo, hi in spans:
+            solver = _GeneralSolver(ws)
+            for units, plans in solver._choices(lo, hi):
+                if len(units) % 2 == 1:
+                    continue
+                bound = solver._pair_bound(units)
+                for plan in plans:
+                    cost = solver._run_plan(plan).cost
+                    assert cost >= bound
+                    checked += 1
+                    tight += cost == bound
+        assert checked > 2000 and tight > 100
 
     def test_single_plan_inputs_build_no_table(self, monkeypatch):
         def no_table(ws, allowed):
