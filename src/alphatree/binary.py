@@ -22,7 +22,6 @@ from .core import (
     CombinationStep,
     CombinationTrace,
     Participant,
-    ROLE_PLAIN,
     SolveReport,
     validate_weights,
 )
@@ -92,16 +91,8 @@ def _combine(ws: tuple) -> Tuple[CombinationTrace, int]:
             if stamp[g] == key:
                 break
         circle = n + k
-        steps.append(
-            CombinationStep(
-                circle=circle,
-                weight=w,
-                participants=(
-                    Participant(a[2], 1, ROLE_PLAIN),
-                    Participant(b[2], 1, ROLE_PLAIN),
-                ),
-            )
-        )
+        pair = (Participant(a[2], 1), Participant(b[2], 1))
+        steps.append(CombinationStep(circle, w, pair))
         # the chosen circles are the lightest of their gap, so they are the
         # top of its heap: pop them before any merge reorders it
         for node in (a, b):

@@ -106,9 +106,9 @@ def trace_to_pretty(report: SolveReport) -> str:
         names[step.circle] = f"c{step.circle}"
         bits = []
         acc = []
-        for p in step.participants:
+        for p, role in zip(step.participants, step.roles):
             label = names.get(p.ref, f"c{p.ref}")
-            if p.role == "accordion-element":
+            if role == "accordion-element":
                 acc.append(f"{'+' if p.sign > 0 else '-'} {label}")
             else:
                 if acc:

@@ -212,26 +212,48 @@ def tree_cost(tree: AlphaTree, weights: Sequence[int]) -> int:
 ROLE_PLAIN = "plain"
 ROLE_OUTER = "outer"
 ROLE_ACCORDION = "accordion-element"
-_ROLES = (ROLE_PLAIN, ROLE_OUTER, ROLE_ACCORDION)
 
 
 @dataclass(frozen=True)
 class Participant:
     ref: int  # leaf id (< n) or circle id (>= n)
     sign: int  # +1 or -1; -1 only ever on leaves
-    role: str  # plain / outer / accordion-element
 
 
 @dataclass(frozen=True)
 class CombinationStep:
+    """One combination: the circle it creates, its weight, and its signed
+    participants in sequence order.
+
+    A step of two or three participants is a plain group.  A longer one is
+    an accordion: its first and last participants are the outer nodes, and
+    every one between them is an accordion element.  So each participant's
+    role, and the accordion's first and last element, follow from the
+    participants and are not stored."""
+
     circle: int
     weight: int
     participants: tuple
-    accordion_span: Optional[tuple] = None
 
     @property
     def arity(self) -> int:
         return len(self.participants)
+
+    @property
+    def roles(self) -> tuple:
+        """Each participant's role, in participant order."""
+        k = len(self.participants)
+        if k <= 3:
+            return (ROLE_PLAIN,) * k
+        return (ROLE_OUTER,) + (ROLE_ACCORDION,) * (k - 2) + (ROLE_OUTER,)
+
+    @property
+    def accordion_span(self) -> Optional[tuple]:
+        """The refs of an accordion's first and last element, None for a
+        plain group."""
+        if len(self.participants) <= 3:
+            return None
+        return self.participants[1].ref, self.participants[-2].ref
 
     def positive_refs(self) -> tuple:
         return tuple(p.ref for p in self.participants if p.sign > 0)
@@ -265,42 +287,46 @@ class CombinationTrace:
     def to_json_obj(self) -> list:
         out = []
         for k, s in enumerate(self.steps):
+            span = s.accordion_span
             out.append(
                 {
                     "step": k,
                     "circle": s.circle,
                     "weight": s.weight,
                     "participants": [
-                        {"index": p.ref, "sign": p.sign, "role": p.role}
-                        for p in s.participants
+                        {"index": p.ref, "sign": p.sign, "role": role}
+                        for p, role in zip(s.participants, s.roles)
                     ],
-                    "accordion_span": list(s.accordion_span)
-                    if s.accordion_span
-                    else None,
+                    "accordion_span": list(span) if span else None,
                 }
             )
         return out
 
     @classmethod
     def from_json_obj(cls, obj, n_leaves: Optional[int] = None) -> "CombinationTrace":
-        if n_leaves is None:
-            if not obj:
-                raise TraceError("cannot infer leaf count of an empty trace")
-            n_leaves = obj[0]["circle"]
+        """Read back the form ``to_json_obj`` writes.  The roles and the
+        accordion span are derived from the participants, so an entry whose
+        stored ones differ is refused, as is an entry that lacks a field."""
         steps = []
-        for entry in obj:
-            span = entry.get("accordion_span")
-            steps.append(
-                CombinationStep(
-                    circle=entry["circle"],
-                    weight=entry["weight"],
-                    participants=tuple(
-                        Participant(p["index"], p["sign"], p["role"])
-                        for p in entry["participants"]
-                    ),
-                    accordion_span=tuple(span) if span else None,
+        for k, entry in enumerate(obj):
+            try:
+                step = CombinationStep(
+                    entry["circle"],
+                    entry["weight"],
+                    tuple(Participant(p["index"], p["sign"]) for p in entry["participants"]),
                 )
-            )
+                roles = [p["role"] for p in entry["participants"]]
+            except KeyError as exc:
+                raise TraceError(f"step {k} lacks the field {exc}") from exc
+            derived = list(step.roles), step.accordion_span and list(step.accordion_span)
+            stored = roles, entry.get("accordion_span")
+            if stored != derived:
+                raise TraceError(f"step {k} roles and span {stored} differ from the derived {derived}")
+            steps.append(step)
+        if n_leaves is None:
+            if not steps:
+                raise TraceError("cannot infer leaf count of an empty trace")
+            n_leaves = steps[0].circle
         return cls(n_leaves, tuple(steps))
 
     def validate(self, weights: Sequence[int]) -> None:
@@ -316,8 +342,6 @@ class CombinationTrace:
                 raise TraceError(f"step {k} creates circle {s.circle}, expected {n + k}")
             total = 0
             for p in s.participants:
-                if p.role not in _ROLES:
-                    raise TraceError(f"unknown participant role {p.role!r}")
                 if p.sign not in (1, -1):
                     raise TraceError(f"bad participant sign {p.sign}")
                 if p.ref >= n + k:

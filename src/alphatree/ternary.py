@@ -16,16 +16,13 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter, itemgetter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .core import (
     CombinationStep,
     CombinationTrace,
     Infeasible,
     Participant,
-    ROLE_ACCORDION,
-    ROLE_OUTER,
-    ROLE_PLAIN,
     SolveReport,
     StructureError,
     validate_weights,
@@ -124,11 +121,10 @@ class Unit:
 
 @dataclass(slots=True)
 class _Live:
-    ref: int  # node id: the unit position, or the circle
+    ref: int  # node id: a unit's is its position, below the unit count
     weight: int
     lo: int  # unit-coordinate span
     hi: int
-    pos: Optional[int]  # unit position for units
 
 
 _lo = attrgetter("lo")
@@ -154,17 +150,19 @@ class Candidate:
     key: tuple
     participants: tuple  # Participant records in sequence order
     span: tuple  # unit-coordinate hull (lo, hi)
-    accordion_span: Optional[tuple] = None  # first and last element positions
 
 
 class EngineState:
     """Working state of the greedy combination phase over a unit sequence.
 
     Unit k has node id k in the steps, and with u units the circles are u,
-    u + 1, ... in creation order.  Tracks the live sequence, the trace so
-    far, which (leaf, circle) negative pairings are spent, the most recent
-    circle each unit was combined into, and the top-level trees of the
-    forest the signed unit levels realise.
+    u + 1, ... in creation order, so a node id below u is a unit and is its
+    position.  Tracks the live sequence, the trace so far, the top-level
+    trees of the forest the signed unit levels realise, and in
+    ``last_consumer`` each unit's owner: the circle that last consumed it
+    positively, while that pairing is unspent.  Taking the unit negatively
+    spends the pairing and drops the owner; the unit is then a live square
+    until a new circle consumes it and becomes its owner.
 
     It also keeps, between steps, what the scan reads.  For the plain
     windows, lists parallel to ``live`` (see ``_windows``); a step splices
@@ -193,7 +191,7 @@ class EngineState:
         self._bound = 2 * sum(unit.weight for unit in self.units) + 1
         self._no_hit = (self._bound,)  # the key of a segment without a hit
         self.live: List[_Live] = [
-            _Live(i, unit.weight, i, i, i) for i, unit in enumerate(self.units)
+            _Live(i, unit.weight, i, i) for i, unit in enumerate(self.units)
         ]
         self.steps: List[CombinationStep] = []
         self._levels = [0] * u  # signed level per unit position
@@ -213,7 +211,6 @@ class EngineState:
         self._by_hi = [(nd.hi, nd.lo, nd.ref, nd) for nd in self.live]
         # segment summaries ordered by first position
         self._segs: List[tuple] = []
-        self.spent: Set[tuple] = set()
         self.last_consumer: Dict[int, int] = {}
         self.stats = {"candidates": 0, "queue_steps": 0}
         self._cap: List[int] = [0] * u
@@ -302,7 +299,7 @@ class EngineState:
         after it (or the end), and the offsets are relative, so an index
         keeps its quantities while the nodes from it through there stay."""
         live = self.live
-        m = len(live)
+        m, u = len(live), len(self.units)
         bound = self._bound
         caps, pairs, needs, cheaps, counts = kept = (
             self._cap, self._pair, self._need, self._cheap, self._count
@@ -311,7 +308,7 @@ class EngineState:
             nd = live[end]
             w = nd.weight
             after = needs[old_end]  # need[j + 1]
-            if nd.pos is not None:
+            if nd.ref < u:
                 nxt, to_blk = end, w  # cap[j], min_to_blk[j + 1]
             else:
                 nxt = end + caps[old_end]
@@ -330,7 +327,7 @@ class EngineState:
             counts[j] = (nxt if nxt <= last else last) - j
             cheaps[j] = w + after
             pairs[j] = q = w + to_blk
-            if nd.pos is not None:
+            if nd.ref < u:
                 after, to_blk, nxt = q, w, j
             else:
                 if q < after:
@@ -399,11 +396,11 @@ class EngineState:
         elems = self._elems
         live = self.live
         by_hi = self._by_hi
-        p = len(elems)
+        p, u = len(elems), len(self.units)
         tops = range(start if elems[start][2] > 0 else start + 1, end, 2)
         first, last = elems[start][0], elems[end - 1][0]
         reach_lo = elems[start - 1][0] if start > 0 else -1
-        reach_hi = elems[end][0] if end < p else len(self.units)
+        reach_hi = elems[end][0] if end < p else u
         count = len(tops) * (len(tops) - 1) // 2
         hit = self._no_hit, None, None  # (key, left, right)
         if not count:
@@ -418,7 +415,7 @@ class EngineState:
                 edge = prev if sign >= 0 else None
             best = None
             for _h, _l, _r, nd in by_hi[k : bisect_left(by_hi, (elems[a][0],), k)]:
-                if nd.pos is None and nd.hi == edge:
+                if nd.ref >= u and nd.hi == edge:
                     continue
                 if best is None or (nd.weight, nd.lo, nd.hi) < (best.weight, best.lo, best.hi):
                     best = nd
@@ -434,7 +431,7 @@ class EngineState:
                 edge = nxt if sign >= 0 else None
             best = None
             for nd in live[k:stop]:
-                if nd.pos is None and nd.lo == edge:
+                if nd.ref >= u and nd.lo == edge:
                     continue
                 if best is None or (nd.weight, nd.hi) < (best.weight, best.hi):
                     best = nd
@@ -506,11 +503,7 @@ class EngineState:
         return Candidate(
             weight=w,
             key=(w, a.lo, 1, c.hi, b.lo),
-            participants=(
-                Participant(a.ref, 1, ROLE_PLAIN),
-                Participant(b.ref, 1, ROLE_PLAIN),
-                Participant(c.ref, 1, ROLE_PLAIN),
-            ),
+            participants=(Participant(a.ref, 1), Participant(b.ref, 1), Participant(c.ref, 1)),
             span=(a.lo, c.hi),
         )
 
@@ -527,12 +520,11 @@ class EngineState:
             weight=w,
             key=(w, left.lo, len(elems), right.hi, elems[0][0]),
             participants=(
-                Participant(left.ref, 1, ROLE_OUTER),
-                *(Participant(pos, sign, ROLE_ACCORDION) for pos, _w, sign in elems),
-                Participant(right.ref, 1, ROLE_OUTER),
+                Participant(left.ref, 1),
+                *(Participant(pos, sign) for pos, _w, sign in elems),
+                Participant(right.ref, 1),
             ),
             span=(left.lo, right.hi),
-            accordion_span=(elems[0][0], elems[-1][0]),
         )
 
     # -- applying a step -----------------------------------------------------
@@ -540,14 +532,7 @@ class EngineState:
     def _apply(self, cand: Candidate) -> None:
         u = len(self.units)
         circle = u + len(self.steps)
-        self.steps.append(
-            CombinationStep(
-                circle=circle,
-                weight=cand.weight,
-                participants=cand.participants,
-                accordion_span=cand.accordion_span,
-            )
-        )
+        self.steps.append(CombinationStep(circle, cand.weight, cand.participants))
         levels = self._levels
         under = []
         consumed = set()  # live refs this step removes
@@ -569,11 +554,9 @@ class EngineState:
                 else:
                     negatives.append(p.ref)
         self._under[circle] = under
-        for pos in negatives:
-            owner = self.last_consumer.get(pos)
-            if owner is None or (pos, owner) in self.spent:
+        for pos in negatives:  # spends the pairing with the owner
+            if self.last_consumer.pop(pos, None) is None:
                 raise EngineError(f"negative use of unit {pos} without a fresh pairing")
-            self.spent.add((pos, owner))
         elems = self._elems
         self._live_units += len(negatives) - len(owned)
         for pos in owned:
@@ -582,7 +565,7 @@ class EngineState:
         for pos in negatives:  # live squares again
             elems[bisect_left(elems, (pos,))] = (pos, self.units[pos].weight, 1)
         live = self.live
-        node = _Live(circle, cand.weight, *cand.span, None)
+        node = _Live(circle, cand.weight, *cand.span)
         if not self._live_units:
             # no unit is live, so none returns (see _queue_candidate) and no
             # scan reads what the engine keeps for it again
@@ -608,7 +591,7 @@ class EngineState:
             del by_hi[bisect_left(by_hi, (nd.hi, nd.lo, nd.ref))]
         new = [node]
         for pos in negatives:
-            new.append(_Live(pos, self.units[pos].weight, pos, pos, pos))
+            new.append(_Live(pos, self.units[pos].weight, pos, pos))
         for nd in new:
             insort(stretch, nd, key=_lo_hi)
             insort(by_hi, (nd.hi, nd.lo, nd.ref, nd))
@@ -618,7 +601,7 @@ class EngineState:
         start, units = a, 0
         while units < 2 and start > 0:
             start -= 1
-            units += live[start].pos is not None
+            units += live[start].ref < u
         self._windows(start, a + len(stretch), b)
         # the levels that changed are those of the positions under the new
         # circle
@@ -655,10 +638,10 @@ def available_negatives(state: EngineState, lo: int, hi: int) -> Tuple[int, int]
     runs on to the error the whole pass raises.
 
     A centre leaf that is not a live square was consumed positively, so
-    ``last_consumer`` holds its owner; a leaf used negatively is a live
-    square again until a new circle consumes it and becomes its owner, so a
-    spent pairing cannot show up here either.  ``EngineState._apply``
-    refuses a missing or spent pairing all the same."""
+    ``last_consumer`` holds its owner.  A leaf used negatively has no owner
+    and is a live square again until a new circle consumes it and becomes
+    its owner, so a spent pairing cannot show up here.
+    ``EngineState._apply`` refuses a unit without an owner all the same."""
     starts = state._tree_starts
     k = j = bisect_right(starts, lo) - 1
     new_starts, centres = [], []
@@ -762,7 +745,7 @@ class _GeneralSolver:
         elif hi == lo + 1:  # the binary pair, or a two-leaf run or run half
             # two square units, 0 and 1, combined into circle 2
             w = self.w[lo] + self.w[hi]
-            pair = (Participant(0, 1, ROLE_PLAIN), Participant(1, 1, ROLE_PLAIN))
+            pair = (Participant(0, 1), Participant(1, 1))
             sol = _Sol(w, w, ((lo, lo), (hi, hi)), (CombinationStep(2, w, pair),))
         else:
             sol = None
@@ -889,17 +872,8 @@ class _GeneralSolver:
         ids = [self._number(a, b, steps) for a, b in sol.spans]
         for s in sol.steps:
             ids.append(len(self.w) + len(steps))
-            span = s.accordion_span
-            steps.append(
-                CombinationStep(
-                    circle=ids[-1],
-                    weight=s.weight,
-                    participants=tuple(
-                        Participant(ids[p.ref], p.sign, p.role) for p in s.participants
-                    ),
-                    accordion_span=span and (ids[span[0]], ids[span[1]]),
-                )
-            )
+            parts = tuple(Participant(ids[p.ref], p.sign) for p in s.participants)
+            steps.append(CombinationStep(ids[-1], s.weight, parts))
         return ids[-1] if ids else lo
 
     def solve(self) -> CombinationTrace:

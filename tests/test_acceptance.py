@@ -61,7 +61,11 @@ def test_acceptance_4_fifteen_node_example():
     trace = solve_pure_ternary(FIFTEEN).trace
     assert trace.increments() == (12, 12, 15, 17, 23, 39, 79)
     accordion_sums = [
-        sum(p.sign * FIFTEEN[p.ref] for p in s.participants if p.role == "accordion-element")
+        sum(
+            p.sign * FIFTEEN[p.ref]
+            for p, role in zip(s.participants, s.roles)
+            if role == "accordion-element"
+        )
         for s in trace.steps
         if s.accordion_span is not None and s.arity > 3
     ]

@@ -113,8 +113,8 @@ def _naive_phase1(weights):
                 n + k,
                 w,
                 (
-                    Participant(seq[i].id, 1, "plain"),
-                    Participant(seq[j].id, 1, "plain"),
+                    Participant(seq[i].id, 1),
+                    Participant(seq[j].id, 1),
                 ),
             )
         )

@@ -16,7 +16,7 @@ from alphatree.core import (
     tree_cost,
     validate_weights,
 )
-from tests.conftest import shallow_recursion
+from tests.conftest import FIFTEEN_STEPS, SEVEN_STEPS, shallow_recursion
 
 
 class TestWeightValidation:
@@ -150,6 +150,12 @@ class TestJsonRoundTrip:
             obj = json.loads(json.dumps(trace.to_json_obj()))
             assert CombinationTrace.from_json_obj(obj) == trace
 
+    def test_derived_roles_and_spans_match_reference(self):
+        for encoded in (SEVEN_STEPS, FIFTEEN_STEPS):
+            for step, roles, span in encoded:
+                assert step.roles == roles
+                assert step.accordion_span == span
+
     def test_empty_trace_round_trip_needs_count(self):
         trace = CombinationTrace(1, ())
         obj = trace.to_json_obj()
@@ -170,6 +176,14 @@ def _edit_participant(trace, k, i, **change):
     return _edit_step(trace, k, participants=tuple(parts))
 
 
+def _edit_json(trace, k, edit, i=None):
+    """Read the trace back from its JSON form after ``edit`` changed entry
+    k, or participant i of entry k."""
+    obj = json.loads(json.dumps(trace.to_json_obj()))
+    edit(obj[k] if i is None else obj[k]["participants"][i])
+    return CombinationTrace.from_json_obj(obj)
+
+
 class TestTraceValidation:
     def test_reference_traces_validate(self, seven_trace, fifteen_trace):
         seven_trace.validate((6, 6, 1, 10, 1, 6, 6))
@@ -180,15 +194,49 @@ class TestTraceValidation:
         [
             (lambda t: replace(t, n_leaves=8), "weight count does not match trace leaf count"),
             (lambda t: _edit_step(t, 0, circle=10), "step 0 creates circle 10, expected 7"),
-            (lambda t: _edit_participant(t, 0, 0, role="middle"), "unknown participant role 'middle'"),
+            (
+                lambda t: _edit_json(t, 0, lambda e: e.update(role="middle"), 0),
+                "step 0 roles and span (['middle', 'plain', 'plain'], None) differ from the"
+                " derived (['plain', 'plain', 'plain'], None)",
+            ),
+            (
+                lambda t: _edit_json(t, 0, lambda e: e.update(role="outer"), 2),
+                "step 0 roles and span (['plain', 'plain', 'outer'], None) differ from the"
+                " derived (['plain', 'plain', 'plain'], None)",
+            ),
+            (
+                lambda t: _edit_json(t, 2, lambda e: e.update(accordion_span=[8, 3])),
+                "step 2 roles and span (['plain', 'plain', 'plain'], [8, 3]) differ from the"
+                " derived (['plain', 'plain', 'plain'], None)",
+            ),
+            (
+                lambda t: _edit_json(t, 1, lambda e: e.update(accordion_span=[1, 3])),
+                "step 1 roles and span (['outer', 'accordion-element', 'accordion-element',"
+                " 'accordion-element', 'outer'], [1, 3]) differ from the derived (['outer',"
+                " 'accordion-element', 'accordion-element', 'accordion-element', 'outer'],"
+                " [1, 5])",
+            ),
+            *(
+                (
+                    lambda t, key=key, i=i: _edit_json(t, 1, lambda e: e.pop(key), i),
+                    f"step 1 lacks the field '{key}'",
+                )
+                for key, i in [("circle", None), ("weight", None), ("participants", None)]
+                + [("index", 2), ("sign", 2), ("role", 2)]
+            ),
             (lambda t: _edit_participant(t, 0, 0, sign=2), "bad participant sign 2"),
             (lambda t: _edit_participant(t, 0, 0, ref=7), "step 0 references unborn node 7"),
             (lambda t: _edit_participant(t, 2, 2, ref=7), "circle 7 consumed twice"),
         ],
-        ids=["leaf-count", "circle-id", "role", "sign", "unborn", "consumed-twice"],
+        ids=[
+            "leaf-count", "circle-id", "role", "role-mismatch", "plain-span", "accordion-span",
+            "no-circle", "no-weight", "no-participants", "no-index", "no-sign", "no-role",
+            "sign", "unborn", "consumed-twice",
+        ],
     )
     def test_one_field_edit_rejected(self, seven_trace, edit, message):
-        # the checks that guard a trace read back with from_json_obj
+        # the checks that guard a trace read back with from_json_obj: the
+        # JSON edits fail in the reading, the others in validate
         with pytest.raises(TraceError) as exc:
             edit(seven_trace).validate((6, 6, 1, 10, 1, 6, 6))
         assert str(exc.value) == message
@@ -196,7 +244,7 @@ class TestTraceValidation:
     def test_increment_mismatch_rejected(self, seven_trace):
         steps = list(seven_trace.steps)
         bad = steps[0]
-        steps[0] = type(bad)(bad.circle, bad.weight + 1, bad.participants, None)
+        steps[0] = type(bad)(bad.circle, bad.weight + 1, bad.participants)
         with pytest.raises(TraceError):
             CombinationTrace(7, tuple(steps)).validate((6, 6, 1, 10, 1, 6, 6))
 
@@ -206,7 +254,7 @@ class TestTraceValidation:
         steps = (
             seven_trace.steps[0],
             CombinationStep(
-                8, -2, (Participant(7, -1, "accordion-element"), Participant(0, 1, "outer"), Participant(1, 1, "outer"))
+                8, -2, (Participant(7, -1), Participant(0, 1), Participant(1, 1))
             ),
         )
         with pytest.raises(TraceError):

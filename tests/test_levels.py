@@ -120,7 +120,7 @@ def _trace_of(nested, ws):
         refs = [rec(c) for c in node]
         circle = n + len(steps)
         weight[circle] = sum(weight[r] for r in refs)
-        parts = tuple(Participant(r, 1, "plain") for r in refs)
+        parts = tuple(Participant(r, 1) for r in refs)
         steps.append(CombinationStep(circle, weight[circle], parts))
         return circle
 

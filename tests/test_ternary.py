@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from alphatree.core import (
     ROLE_ACCORDION,
+    CombinationStep,
     CombinationTrace,
     Infeasible,
     Participant,
@@ -54,9 +55,16 @@ def engine_for(weights, steps=0):
     return state
 
 
+def accordion_elements(cand):
+    """The accordion elements of a candidate or step, by the roles its step
+    derives; none for a plain triple."""
+    step = CombinationStep(0, cand.weight, cand.participants)
+    return [p for p, role in zip(step.participants, step.roles) if role == ROLE_ACCORDION]
+
+
 def accordion_size(cand):
     """Number of accordion elements in a step, 0 for a plain triple."""
-    return sum(p.role == ROLE_ACCORDION for p in cand.participants)
+    return len(accordion_elements(cand))
 
 
 def accordion_block_weights(rng, n):
@@ -86,7 +94,8 @@ def rebuild_inputs():
 
 
 def live_square_positions(state):
-    return {nd.pos for nd in state.live if nd.pos is not None and state.units[nd.pos].is_square}
+    u = len(state.units)
+    return {nd.ref for nd in state.live if nd.ref < u and state.units[nd.ref].is_square}
 
 
 def negatives_from_stack_pass(state, levels):
@@ -138,9 +147,7 @@ def negatives_from_forest(state):
             continue
         pos = forest.nodes[nd.children[1]].leaf_index
         owner = state.last_consumer.get(pos)
-        if not state.units[pos].is_square or pos in live_squares or owner is None:
-            continue
-        if (pos, owner) not in state.spent:
+        if state.units[pos].is_square and pos not in live_squares and owner is not None:
             out.append((pos, state.units[pos].weight, owner))
     return sorted(out)
 
@@ -154,7 +161,8 @@ def gap_buckets(state, elems, a, b):
     pos = [e[0] for e in elems]
 
     def skips_unit(nd, k, at):
-        return nd.pos is None and 0 <= k < len(elems) and pos[k] == at and elems[k][2] >= 0
+        circle = nd.ref >= len(state.units)
+        return circle and 0 <= k < len(elems) and pos[k] == at and elems[k][2] >= 0
 
     lefts = [
         nd for nd in state.live
@@ -174,9 +182,9 @@ def merged_elements(state):
     (sign +1 for a square, 0 for an opaque unit) and the negatives the whole
     realised forest offers (sign -1)."""
     elems = [
-        (nd.pos, nd.weight, 1 if state.units[nd.pos].is_square else 0)
+        (nd.ref, nd.weight, 1 if state.units[nd.ref].is_square else 0)
         for nd in state.live
-        if nd.pos is not None
+        if nd.ref < len(state.units)
     ]
     elems += [(pos, w, -1) for pos, w, _o in negatives_from_forest(state)]
     return sorted(elems)
@@ -261,7 +269,7 @@ def window_arrays(state):
     weight plus one, and the cheapest window at m - 2 its weight plus the
     bound; indexes with no window count 0."""
     live = state.live
-    m = len(live)
+    m, u = len(live), len(state.units)
     bound = engine_bound(state)
     cap = [m - 1] * m
     pair = [bound] * m
@@ -273,7 +281,7 @@ def window_arrays(state):
         cap[j] = nxt
         w = nd.weight
         pair[j] = q = w + to_blk
-        if nd.pos is not None:
+        if nd.ref < u:
             need[j] = q
             to_blk = w
             nxt = j
@@ -318,12 +326,13 @@ def enumerate_candidates(state):
     which returns the one candidate it takes."""
     if state.done:
         return []
-    if not any(nd.pos is not None for nd in state.live):
+    u = len(state.units)
+    if not any(nd.ref < u for nd in state.live):
         return [state._queue_candidate()]
     live = state.live
     m = len(live)
     # a window starting at i reaches the first unit after i, or the end
-    cap = [next((k for k in range(i + 1, m) if live[k].pos is not None), m - 1) for i in range(m)]
+    cap = [next((k for k in range(i + 1, m) if live[k].ref < u), m - 1) for i in range(m)]
     out = []
     for i in range(m - 2):
         for j in range(i + 1, min(cap[i], m - 2) + 1):
@@ -405,9 +414,10 @@ def reference_plans(ws, lo, hi):
 
 
 def steps_reference(steps, n):
-    """From the steps alone: the circle that last took each leaf positively,
-    and the live refs (circles no later step consumed, and leaves never
-    consumed or last used negatively)."""
+    """From the steps alone: each leaf's owner, the circle that last took it
+    positively unless a later step took it negatively, and the live refs
+    (circles no later step consumed, and leaves never consumed or last used
+    negatively)."""
     last_consumer, last_sign, consumed = {}, {}, set()
     for s in steps:
         for p in s.participants:
@@ -415,6 +425,8 @@ def steps_reference(steps, n):
                 last_sign[p.ref] = p.sign
                 if p.sign > 0:
                     last_consumer[p.ref] = s.circle
+                else:
+                    del last_consumer[p.ref]
             elif p.sign > 0:
                 consumed.add(p.ref)
     live = [s.circle for s in steps if s.circle not in consumed]
@@ -490,17 +502,27 @@ class TestAvailableNegatives:
 
     def test_spent_pairing_not_reissued(self):
         state = engine_for(SEVEN_WEIGHTS, steps=2)
-        # step two took leaf 3 negatively from circle 7: the leaf is a live
-        # square again, so it cannot be offered as a negative ...
-        assert (3, 7) in state.spent
+        # step two took leaf 3 negatively from circle 7: the leaf has no
+        # owner and is a live square again, so it cannot be offered as a
+        # negative ...
+        assert 3 not in state.last_consumer
         assert 3 in live_square_positions(state)
         # ... and a step that reuses the pairing anyway is refused
         cand = state._scan()
-        reuse = dataclasses.replace(
-            cand, participants=cand.participants + (Participant(3, -1, ROLE_ACCORDION),)
-        )
+        reuse = dataclasses.replace(cand, participants=cand.participants + (Participant(3, -1),))
         with pytest.raises(EngineError, match="without a fresh pairing"):
             state._apply(reuse)
+
+    def test_one_pairing_spent_once_in_a_step(self):
+        # leaf 3 is a fresh negative of circle 7, and the accordion takes it
+        # once; a step that takes it twice spends the pairing twice
+        state = engine_for(SEVEN_WEIGHTS, steps=1)
+        cand = state._scan()
+        assert (3, -1) in [(p.ref, p.sign) for p in cand.participants]
+        twice = dataclasses.replace(cand, participants=cand.participants + (Participant(3, -1),))
+        with pytest.raises(EngineError) as exc:
+            state._apply(twice)
+        assert str(exc.value) == "negative use of unit 3 without a fresh pairing"
 
 
 class TestEnumerateCandidates:
@@ -516,20 +538,12 @@ class TestEnumerateCandidates:
         state = engine_for(FIFTEEN_WEIGHTS, steps=2)
         best = enumerate_candidates(state)[0]
         assert best.weight == 15
-        acc_sum = sum(
-            p.sign * FIFTEEN_WEIGHTS[p.ref]
-            for p in best.participants
-            if p.role == "accordion-element"
-        )
+        acc_sum = sum(p.sign * FIFTEEN_WEIGHTS[p.ref] for p in accordion_elements(best))
         assert acc_sum == 3
         state.advance()
         best = enumerate_candidates(state)[0]
         assert best.weight == 17
-        acc_sum = sum(
-            p.sign * FIFTEEN_WEIGHTS[p.ref]
-            for p in best.participants
-            if p.role == "accordion-element"
-        )
+        acc_sum = sum(p.sign * FIFTEEN_WEIGHTS[p.ref] for p in accordion_elements(best))
         assert acc_sum == 7
 
     def test_chosen_step_is_first_candidate(self):
@@ -1034,7 +1048,7 @@ class TestStepwiseForest:
                 last_consumer, live = steps_reference(state.steps, len(ws))
                 assert state.last_consumer == last_consumer
                 assert sorted(nd.ref for nd in state.live) == live
-                refs = [p.ref for p in step.participants if p.role == ROLE_ACCORDION]
+                refs = [p.ref for p in accordion_elements(step)]
                 if refs:
                     accordions += 1
                     assert step.accordion_span == (refs[0], refs[-1])
