@@ -98,7 +98,7 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     n = len(ws)
     if allowed == {3} and n % 2 == 0:
         raise Infeasible("exact-ternary trees need an odd number of leaves")
-    cost, choice = _dp_tables(ws, allowed)
+    cost, choice, _ = _dp_tables(ws, allowed)
 
     # Build in post-order with an explicit stack, children left to right
     # before their parent, so node ids are those of the recursive build and
@@ -135,10 +135,12 @@ def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
 def _fill_tables(ws: tuple, allowed: frozenset) -> tuple:
     """The DP tables over validated weights: ``cost[i][j]``, the optimal
     cost of a tree over leaves i..j with internal arities in ``allowed``,
-    and ``choice[i][j]``, the leftmost optimal split points of its root.
-    With ``allowed == {3}`` only odd spans are filled.  Uncached: a caller
-    that fills tables over other weights (``general_solve``'s pair-loop
-    bound, over unit weights) leaves ``_dp_tables``' cached set alone."""
+    ``choice[i][j]``, the leftmost optimal split points of its root, and
+    ``pair[j][a]``, the cheapest two-tree forest over leaves a..j, indexed
+    by its right end.  With ``allowed == {3}`` only odd spans of ``cost``
+    and even spans of ``pair`` are filled.  Uncached: a caller that fills
+    tables over other weights (``_merged_pair_optima``, over a plan's unit
+    weights) leaves ``_dp_tables``' cached set alone."""
     pure = allowed == {3}
     n = len(ws)
     prefix = [0]
@@ -198,7 +200,65 @@ def _fill_tables(ws: tuple, allowed: frozenset) -> tuple:
                         best, pick = c, (m1, pair_at[j][m1 + 1])
                 cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
                 choice[i][j] = pick
-    return cost, choice
+    return cost, choice, pair
+
+
+def _merged_pair_optima(ws: tuple) -> list:
+    """For an even number m of validated weights, entry i is the optimal
+    exact-ternary cost over ``ws`` with leaves i and i + 1 merged into one
+    leaf of weight ws[i] + ws[i + 1], for every i < m - 1 at once, in
+    O(m^3).
+
+    An inside–outside pass over the exact-ternary tables.  Out(a, b), for
+    an even span a..b, is the optimal cost over ``ws`` with a..b merged
+    into one leaf; entry i is Out(i, i + 1).  The merged leaf is one of the
+    three children of a parent over an even span p..q, whose two other
+    children are trees over odd spans, and Up(p, q) (``up``) is Out(p, q)
+    plus the parent's own weight.  So Out(a, b) is the least of:
+
+    - left child: Up(a, q) plus the forest over b+1..q;
+    - right child: Up(p, b) plus the forest over p..a-1;
+    - middle child: Up(p, q) plus the trees over p..a-1 and b+1..q.
+      Mid(p, b) (``mid_to``), for odd p..b, is the least Up(p, q) plus the
+      tree over b+1..q over every q, which leaves one scan over p per span.
+
+    Every parent is longer than its child, so the spans are filled longest
+    first, from Out(0, m - 1) = 0, and Mid over odd spans of one length
+    once the even spans one longer are.  ``_fill_tables(ws, {3})`` supplies
+    the trees (``cost``) and forests (``pair``); the tables indexed by the
+    right end hold columns, as there."""
+    m = len(ws)
+    cost, _, pair = _fill_tables(ws, frozenset((3,)))
+    prefix = [0]
+    for w in ws:
+        prefix.append(prefix[-1] + w)
+    # rows and columns of each table, so every scan adds two list slices
+    cost_to = [list(col) for col in zip(*cost)]
+    pair_from = [list(row) for row in zip(*pair)]
+    up = [[0] * m for _ in range(m)]
+    up_to = [[0] * m for _ in range(m)]
+    mid_to = [[0] * m for _ in range(m)]
+    out = [0] * (m - 1)
+    for length in range(m, 1, -2):
+        # odd spans p..b one longer, with a parent p..q, q - b odd
+        for p in range(m - length - 1):
+            b = p + length
+            mid_to[b][p] = min(map(add, up[p][b + 1 :: 2], cost[b + 1][b + 1 :: 2]))
+        for a in range(m - length + 1):
+            b = a + length - 1
+            sums = [0] if length == m else []
+            if b < m - 2:  # left child of a..q, q - b even
+                sums += map(add, up[a][b + 2 :: 2], pair_from[b + 1][b + 2 :: 2])
+            if a >= 2:  # right child of p..b, a - p even
+                sums += map(add, up_to[b][a % 2 : a - 1 : 2], pair[a - 1][a % 2 : a - 1 : 2])
+            if a and b < m - 1:  # middle child of p..q, a - p odd
+                p = (a - 1) % 2
+                sums += map(add, mid_to[b][p:a:2], cost_to[a - 1][p:a:2])
+            best = min(sums)
+            if length == 2:
+                out[a] = best
+            up[a][b] = up_to[b][a] = best + (prefix[b + 1] - prefix[a])
+    return out
 
 
 def exhaustive_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, int]:

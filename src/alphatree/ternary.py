@@ -35,7 +35,7 @@ from .levels import (
     report_from_trace,
     top_trees,
 )
-from .oracle import _dp_tables, _fill_tables
+from .oracle import _dp_tables, _merged_pair_optima
 
 
 class EngineError(RuntimeError):
@@ -721,10 +721,11 @@ class _GeneralSolver:
     # three 100-leaf draws from random.Random(700) (weights 0..100), and
     # 2 592, 82 944 and 36 864 at n=150 (random.Random(1050)).  The
     # optimum stop in solve_tree never fires where the greedy misses the
-    # optimum.  The pair-loop skip is exact too (a pair plan is a tree over
-    # its choice's units, so none costs less than their costs plus the
-    # mixed-arity DP over their weights), but it skips only even vectors:
-    # an exact search would still run one engine per odd vector there.
+    # optimum.  The pair-position skip is exact too (a pair plan's
+    # completion is a pure-ternary tree over its choice's units with the
+    # pair as one leaf, so none costs less than its position's bound), but
+    # it skips only even vectors: an exact search would still run one
+    # engine per odd vector there.
     # No benchmark workload reaches it: on fuzz-general (n 13..20, weights
     # 0..100) the largest product is 48, over 1 279 span solves at seed 1
     # and 1 369 at seed 2.  test_general_solve_past_vector_cap pins its
@@ -750,14 +751,18 @@ class _GeneralSolver:
         else:
             sol = None
             for units, plans in self._choices(lo, hi):
-                if sol is not None:
-                    if sol.cost == self._optimum_of(lo, hi):
-                        break
-                    if len(units) % 2 == 0 and self._pair_bound(units) >= sol.cost:
-                        continue  # no pair position of this choice can win
-                for spans in plans:
-                    if sol is not None and sol.cost == self._optimum_of(lo, hi):
-                        break
+                if sol is not None and sol.cost == self._optimum_of(lo, hi):
+                    break
+                bounds = None
+                for k, spans in plans:
+                    if sol is not None:
+                        if sol.cost == self._optimum_of(lo, hi):
+                            break
+                        if k is not None:
+                            if bounds is None:
+                                bounds = self._pair_bounds(units)
+                            if bounds[k] >= sol.cost:
+                                continue  # this pair position cannot win
                     cand = self._run_plan(spans)
                     if sol is None or cand.cost < sol.cost:
                         sol = cand
@@ -777,37 +782,44 @@ class _GeneralSolver:
             self._optimum = _dp_tables(self.w, frozenset((2, 3)))[0]
         return self._optimum[lo][hi]
 
-    def _pair_bound(self, units) -> int:
-        """A lower bound on the cost of every pair plan of one even choice:
-        the units' own costs plus the mixed-arity DP optimum over the unit
-        weights.  A pair plan's completion, with its pair expanded into its
-        binary node, is a tree over these units whose nodes above them have
-        two or three children, so it costs at least this much.  The units
-        are solved left to right, as the choice's first pair plan would
-        solve them.  The DP fill is uncached, so the table that
-        ``_optimum_of`` shares with ``dp_optimal`` stays cached."""
+    def _pair_bounds(self, units) -> list:
+        """Entry k bounds the cost of the pair plan of one even choice that
+        merges units k and k + 1, two leaves, into the binary pair: the
+        units' own costs, plus the pair's weight, which its binary node
+        costs, plus the exact-ternary optimum over the unit weights with
+        units k and k + 1 merged into one leaf.  That plan's completion is a
+        pure-ternary tree over those units with the pair as one leaf
+        (``_run_plan`` checks it), so it costs at least this much.  Entries
+        at other positions bound nothing and are never read.  The units are
+        solved left to right, as the choice's pair plans solve them.  The
+        fill is uncached, so the table that ``_optimum_of`` shares with
+        ``dp_optimal`` stays cached."""
         subs = [self.solve_tree(a, b) for a, b in units]
         weights = tuple(sub.weight for sub in subs)
-        return sum(sub.cost for sub in subs) + _fill_tables(weights, frozenset((2, 3)))[0][0][-1]
+        costs = sum(sub.cost for sub in subs)
+        merged = _merged_pair_optima(weights)
+        return [costs + weights[k] + weights[k + 1] + opt for k, opt in enumerate(merged)]
 
     def _choices(self, lo: int, hi: int):
         """The plans to try for leaves lo..hi (at least three), grouped by
         whole-or-split choice: yields each choice's units with its plans,
         both made only when reached, so none is built past the one
-        ``solve_tree`` stops at.  A plan is a sorted list of leaf spans, one
-        per unit: a leaf outside every top-level permanent run, a whole run
-        (one root), one of the two halves of a split run (two roots), or the
-        binary pair.  Each run is kept whole or split at one of its cuts, and
-        every such choice is tried (parity never forces one: either can win
-        on cost), except that when the choices number more than
-        ``VECTOR_CAP``, only those that split at most one run are.  A choice
-        with an odd unit count is its one plan.  When a choice leaves an even
-        unit count, its plans merge two adjacent leaves outside every run
-        into the two-leaf span (i, i + 1), the one binary pair (a split half
-        of length 1 is never paired); an even choice with no such leaves is
-        skipped.  Every pair is tried: the one binary node of an optimal tree
-        is usually, but not always, a minimum-weight pair, so the cheaper
-        completion decides.  Ordered by split count, then by the list of
+        ``solve_tree`` stops at.  Each plan comes as ``(k, spans)``, with k
+        the index of the pair's first unit, or None in a plan with no pair.
+        Its spans are a sorted list of leaf spans, one per unit: a leaf
+        outside every top-level permanent run, a whole run (one root), one
+        of the two halves of a split run (two roots), or the binary pair.
+        Each run is kept whole or split at one of its cuts, and every such
+        choice is tried (parity never forces one: either can win on cost),
+        except that when the choices number more than ``VECTOR_CAP``, only
+        those that split at most one run are.  A choice with an odd unit
+        count is its one plan.  When a choice leaves an even unit count, its
+        plans merge two adjacent leaves outside every run into the two-leaf
+        span (i, i + 1), the one binary pair (a split half of length 1 is
+        never paired); an even choice with no such leaves is skipped.  Every
+        pair is a plan: the one binary node of an optimal tree is usually,
+        but not always, a minimum-weight pair, so the cheaper completion
+        decides.  Ordered by split count, then by the list of
         (run, cut) pairs, then by pair position, so ties resolve leftmost.
 
         Some plan always exists: splitting one run flips the parity, and
@@ -835,13 +847,13 @@ class _GeneralSolver:
         def paired(units):
             for i in pairs:
                 k = units.index((i, i))  # (i + 1, i + 1) follows it
-                yield units[:k] + [(i, i + 1)] + units[k + 2 :]
+                yield k, units[:k] + [(i, i + 1)] + units[k + 2 :]
 
         for count in range(most + 1):
             for part in split(0, count):
                 units = sorted(leaves + part)
                 if len(units) % 2 == 1:
-                    yield units, [units]
+                    yield units, [(None, units)]
                 elif pairs:
                     yield units, paired(units)
 
@@ -890,14 +902,15 @@ def general_solve(weights: Sequence[int]) -> SolveReport:
     runs over the units; the cheapest completion wins, the first in plan
     order among equals.  A span stops trying plans once its best
     completion costs its mixed-arity DP optimum, which no later plan can
-    beat.  Before the pair plans of a choice with an even unit count, it
-    takes one bound: the units' own costs plus the mixed-arity DP optimum
-    over the unit weights.  Every pair plan of that choice, its pair
-    expanded into its binary node, is a tree over those units with arities
-    2 and 3, so none costs less; when the bound is no lower than the best
-    completion, no pair position can replace it, as a later plan wins only
-    on a strictly lower cost, and the whole pair loop is skipped.  The
-    report is the replay of the final trace, which checks the replayed
-    tree's cost against the trace's increments."""
+    beat.  A choice with an even unit count tries the binary pair at each
+    position; once a best completion exists, it bounds every position at
+    once: the units' own costs, plus the pair's weight, plus the
+    exact-ternary optimum over the unit weights with the pair's two units
+    merged into one leaf.  The pair plan's completion is a pure-ternary
+    tree over those units with the pair as one leaf, so it costs no less;
+    a position whose bound is no lower than the best completion cannot
+    replace it, as a later plan wins only on a strictly lower cost, and is
+    skipped.  The report is the replay of the final trace, which checks the
+    replayed tree's cost against the trace's increments."""
     ws = validate_weights(weights)
     return report_from_trace("ternary", _GeneralSolver(ws).solve(), ws)

@@ -368,9 +368,12 @@ class TestPinnedSolverOutputs:
     changes a digest.  The inputs cover permanent runs, binary pairs and
     accordion steps, and the general solver's one known EngineError."""
 
-    # the 20-leaf general_solve crash pinned by the benchmark's fuzz workload
+    # the 20-leaf general_solve crash pinned by the benchmark's fuzz workload;
+    # since the per-position pair skip a later plan raises it, with unit
+    # levels ending 1, 1, 1, 1, 1, 1, 1, 1, 1, 0 instead of 1, 2, 2, 2, 1, 0,
+    # and the other 300 inputs' outputs are as before
     REPRODUCER = (29, 6, 44, 13, 50, 2, 72, 14, 95, 33, 45, 70, 43, 54, 29, 5, 17, 21, 16, 93)
-    GENERAL = "b58855ef2c9e9725fdef3b64856d4b66d523e37c51091cecadc4c2c5940ad6cd"
+    GENERAL = "a859c08be822cbd7608da5a96f3dc67fdecf1c1d027904a10f46eb6c6aee8fec"
     PURE = "8e55fdec3f74d9ec82c08c18640d2ee8f75ebf853ea288ae3f088a56e4b7767f"
     HU_TUCKER = "d935b1f27b64d8d178d4404fcd851dd44a48152135dbfd3f2a182a06368736be"
     PAST_CAP = "6f16daf54649bfaedd75cd7423658f8a9dc72e2886aee81e76a0eae400bbbc52"

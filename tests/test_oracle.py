@@ -74,7 +74,8 @@ def reference_dp(ws, arities):
 def cubic_tables(ws, allowed):
     """The DP tables with every split scanned, O(n^3): the loop
     ``_dp_tables`` ran before its scans were bounded.  Returns the same
-    ``(cost, choice)`` tables, so the bounded ones can be compared whole."""
+    ``(cost, choice, pair)`` tables, so the bounded ones can be compared
+    whole."""
     pure = allowed == {3}
     n = len(ws)
     prefix = [0]
@@ -108,7 +109,7 @@ def cubic_tables(ws, allowed):
                         best, pick = c, (m1, pair_at[j][m1 + 1])
                 cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
                 choice[i][j] = pick
-    return cost, choice
+    return cost, choice, pair
 
 
 def concatenated_exhaustive(weights, arities=(2, 3)):

@@ -24,7 +24,7 @@ from alphatree.levels import (
     signed_levels,
     top_trees,
 )
-from alphatree.oracle import dp_optimal
+from alphatree.oracle import _fill_tables, dp_optimal
 from alphatree.ternary import (
     EngineError,
     EngineState,
@@ -871,16 +871,16 @@ def solve_outcome(ws):
 
 
 def try_every_plan(monkeypatch):
-    """The plan search without its stop or its pair-loop skip: no span's
-    best ever reaches -1, nor falls to it."""
+    """The plan search without its stop or its pair-position skip: no
+    span's best ever reaches -1, nor falls to it."""
     monkeypatch.setattr(_GeneralSolver, "_optimum_of", lambda self, lo, hi: -1)
-    monkeypatch.setattr(_GeneralSolver, "_pair_bound", lambda self, units: -1)
+    monkeypatch.setattr(_GeneralSolver, "_pair_bounds", lambda self, units: [-1] * len(units))
 
 
 def solver_plans(ws, lo, hi):
     """Every plan ``_GeneralSolver._choices`` yields for leaves lo..hi, in
     order."""
-    return [spans for _, plans in _GeneralSolver(ws)._choices(lo, hi) for spans in plans]
+    return [spans for _, plans in _GeneralSolver(ws)._choices(lo, hi) for _, spans in plans]
 
 
 class TestPlanOrder:
@@ -909,8 +909,8 @@ class TestPlanOrder:
 
 class TestPlanSearchStop:
     """A span's plan search stops once its best completion costs the span's
-    mixed-arity DP optimum, and skips an even choice's pair plans once the
-    choice's pair bound is no lower than the best completion; no skipped plan
+    mixed-arity DP optimum, and skips each pair plan of an even choice whose
+    position bound is no lower than the best completion; no skipped plan
     can cost less, so no output changes, except that skipped plans no longer
     get to raise."""
 
@@ -928,7 +928,8 @@ class TestPlanSearchStop:
 
     def test_engine_runs(self, monkeypatch):
         # 257 engine runs when every plan is tried, as before the stop and
-        # the pair-loop skip, and 113 with both (123 with the stop alone)
+        # the pair-position skip, and 62 with both (123 with the stop alone,
+        # 113 with the stop and a skip of whole pair loops only)
         rng = random.Random(1102)
         inputs = [tuple(rng.randint(0, 100) for _ in range(rng.randint(8, 16))) for _ in range(20)]
         runs = [0]
@@ -941,14 +942,14 @@ class TestPlanSearchStop:
         monkeypatch.setattr(EngineState, "run", counted)
         for ws in inputs:
             general_solve(ws)
-        assert runs[0] == 113
+        assert runs[0] == 62
         try_every_plan(monkeypatch)
         runs[0] = 0
         for ws in inputs:
             general_solve(ws)
         assert runs[0] == 257
 
-    def test_pair_plans_cost_at_least_the_pair_bound(self):
+    def test_pair_plans_cost_at_least_their_position_bound(self):
         # every even choice's pair plans, on seeded spans and on spans past
         # VECTOR_CAP: the past-cap inputs get a heavy first leaf, so leaves
         # 0 and 1 lie outside every run and make a pair
@@ -970,13 +971,40 @@ class TestPlanSearchStop:
             for units, plans in solver._choices(lo, hi):
                 if len(units) % 2 == 1:
                     continue
-                bound = solver._pair_bound(units)
-                for plan in plans:
+                bounds = solver._pair_bounds(units)
+                for k, plan in plans:
                     cost = solver._run_plan(plan).cost
-                    assert cost >= bound
+                    assert cost >= bounds[k]
                     checked += 1
-                    tight += cost == bound
-        assert checked > 2000 and tight > 100
+                    tight += cost == bounds[k]
+        assert checked > 2000 and tight > 2000
+
+    def test_position_bounds_are_the_merged_exact_ternary_optima(self):
+        # each bound is the units' costs, the pair's weight and the
+        # exact-ternary DP optimum over the unit weights with the pair
+        # merged: on raw leaves (units that cost nothing), zeros and m = 2
+        # included, and on the units of every even choice of seeded spans
+        rng = random.Random(1105)
+        cases = [((0,) * m, [(i, i) for i in range(m)]) for m in (2, 4, 10)]
+        for hi in (3, 10, 100):
+            for _ in range(40):
+                ws = tuple(rng.randint(0, hi) for _ in range(rng.choice(range(2, 21, 2))))
+                cases.append((ws, [(i, i) for i in range(len(ws))]))
+                ws = tuple(rng.randint(0, hi) for _ in range(rng.randint(4, 20)))
+                for units, _plans in _GeneralSolver(ws)._choices(0, len(ws) - 1):
+                    if len(units) % 2 == 0:
+                        cases.append((ws, units))
+        assert len(cases) > 300
+        for ws, units in cases:
+            solver = _GeneralSolver(ws)
+            subs = [solver.solve_tree(a, b) for a, b in units]
+            weights = tuple(sub.weight for sub in subs)
+            costs = sum(sub.cost for sub in subs)
+            bounds = solver._pair_bounds(units)
+            for k in range(len(units) - 1):
+                merged = weights[:k] + (weights[k] + weights[k + 1],) + weights[k + 2 :]
+                optimum = _fill_tables(merged, frozenset((3,)))[0][0][-1]
+                assert bounds[k] == costs + weights[k] + weights[k + 1] + optimum, (ws, units, k)
 
     def test_single_plan_inputs_build_no_table(self, monkeypatch):
         def no_table(ws, allowed):
