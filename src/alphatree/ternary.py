@@ -139,19 +139,6 @@ _seg_count = itemgetter(4)
 _seg_key = itemgetter(5)
 
 
-@dataclass(slots=True)
-class Candidate:
-    """A combinable triple: (left, middle, right) where the middle is either
-    a single sequence node or an accordion of alternating signed elements.
-    The participants are the one record of what the step consumes (sign +1)
-    and takes negatively (sign -1); ``EngineState._apply`` reads them."""
-
-    weight: int
-    key: tuple
-    participants: tuple  # Participant records in sequence order
-    span: tuple  # unit-coordinate hull (lo, hi)
-
-
 class EngineState:
     """Working state of the greedy combination phase over a unit sequence.
 
@@ -242,24 +229,29 @@ class EngineState:
 
     # -- stepping ----------------------------------------------------------
 
-    def advance(self) -> Candidate:
+    def advance(self) -> CombinationStep:
+        """Take the next step and return the ``CombinationStep`` it appended."""
         if self.done:
             raise EngineError("combination already complete")
         if self._live_units:
-            cand = self._scan()
+            step = self._scan()
         else:
-            cand = self._queue_candidate()
+            step = self._queue_step()
             self.stats["queue_steps"] += 1
-        self._apply(cand)
-        return cand
+        self._apply(*step)
+        return self.steps[-1]
 
     def run(self) -> None:
         while not self.done:
             self.advance()
+        try:
+            pure_centre_leaves(self._levels)  # the final unit levels form one tree
+        except InvalidLevelSequence as exc:
+            raise _unrealisable(self._levels, exc) from exc
 
     # -- queue endgame -----------------------------------------------------
 
-    def _queue_candidate(self) -> Candidate:
+    def _queue_step(self) -> tuple:
         """Only circles remain: combine the three oldest, in creation order.
         Only an accordion step makes a unit live again, so once no unit is
         live none returns: from then on ``live`` holds the circles in
@@ -268,7 +260,7 @@ class EngineState:
         longer kept."""
         a, b, c = sorted(self.live[:3], key=_lo_hi)
         self.stats["candidates"] += 1
-        return self._plain_candidate(a, b, c, a.weight + b.weight + c.weight)
+        return a.weight + b.weight + c.weight, a, (Participant(b.ref, 1),), c
 
     # -- candidate search ---------------------------------------------------
 
@@ -454,19 +446,19 @@ class EngineState:
                 q += elems[a][1] - elems[a - 1][1]
         return first, last, reach_lo, reach_hi, count, *hit
 
-    def _scan(self) -> Candidate:
-        """The step to take, the least candidate by ``key``, from the kept
-        window quantities and the accordion segment summaries.
+    def _scan(self) -> tuple:
+        """The step to take, the least candidate by key, from the kept window
+        quantities and the accordion segment summaries, as ``(weight, first,
+        middle, last)`` (see ``_apply``).
 
         A window (i, j) takes any third member k in j+1 .. cap[j], so its
         cheapest completion is ``pair[j]``; a start i takes j in i+1 ..
         min(cap[i], m - 2), so its cheapest window costs ``w_i + need[i +
         1]``.  Each segment summary holds the key of its least accordion
         candidate, which starts with its weight.  The scan counts every
-        window and slice in ``stats``, compares the keys of the plain
-        windows at the least weight without building them, and builds one
-        ``Candidate``, the step it returns.  Its passes over the whole
-        sequence are those of ``min``, ``sum``, ``list.count`` and
+        window and slice in ``stats``, and compares the keys of the plain
+        windows at the least weight without building them.  Its passes over
+        the whole sequence are those of ``min``, ``sum``, ``list.count`` and
         ``list.index``."""
         live = self.live
         m = len(live)
@@ -477,7 +469,7 @@ class EngineState:
         hit = min(segs, key=_seg_key, default=None)
         hit_key = self._no_hit if hit is None else hit[5]
         if hit_key[0] < best:
-            return self._hit_candidate(hit)
+            return self._hit_step(hit)
         # the first least plain key (best, a.lo, 1, c.hi, b.lo) over the
         # windows at the least weight, in (i, j, k) order
         least = None
@@ -496,49 +488,37 @@ class EngineState:
                             least = key, i, j, k
         key, i, j, k = least
         if hit_key < key:
-            return self._hit_candidate(hit)
-        return self._plain_candidate(live[i], live[j], live[k], best)
+            return self._hit_step(hit)
+        return best, live[i], (Participant(live[j].ref, 1),), live[k]
 
-    def _plain_candidate(self, a: _Live, b: _Live, c: _Live, w: int) -> Candidate:
-        return Candidate(
-            weight=w,
-            key=(w, a.lo, 1, c.hi, b.lo),
-            participants=(Participant(a.ref, 1), Participant(b.ref, 1), Participant(c.ref, 1)),
-            span=(a.lo, c.hi),
-        )
-
-    def _hit_candidate(self, seg: tuple) -> Candidate:
-        """The accordion candidate of a segment summary with a hit."""
+    def _hit_step(self, seg: tuple) -> tuple:
+        """The accordion step of a segment summary with a hit.  Blockers
+        (sign 0) bound every slice, so the elements are original leaves,
+        named by their unit positions."""
         (w, _lo, size, _hi, first), left, right = seg[5:]
         i = bisect_left(self._elems, (first,))
-        return self._accordion_candidate(left, right, self._elems[i : i + size], w)
-
-    def _accordion_candidate(self, left: _Live, right: _Live, elems, w: int) -> Candidate:
-        """Blockers (sign 0) bound every slice, so the elements are original
-        leaves, named by their unit positions."""
-        return Candidate(
-            weight=w,
-            key=(w, left.lo, len(elems), right.hi, elems[0][0]),
-            participants=(
-                Participant(left.ref, 1),
-                *(Participant(pos, sign) for pos, _w, sign in elems),
-                Participant(right.ref, 1),
-            ),
-            span=(left.lo, right.hi),
-        )
+        middle = tuple(Participant(pos, sign) for pos, _w, sign in self._elems[i : i + size])
+        return w, left, middle, right
 
     # -- applying a step -----------------------------------------------------
 
-    def _apply(self, cand: Candidate) -> None:
+    def _apply(self, weight: int, first: _Live, middle: tuple, last: _Live) -> None:
+        """Take the step that combines the live nodes ``first`` and
+        ``last`` with the ``Participant`` records of ``middle`` between
+        them: a plain middle node, or an accordion's signed elements.  Its
+        participants are the one record of what it consumes (sign +1) and
+        takes negatively (sign -1), and its circle spans ``first.lo`` to
+        ``last.hi``."""
         u = len(self.units)
         circle = u + len(self.steps)
-        self.steps.append(CombinationStep(circle, cand.weight, cand.participants))
+        participants = (Participant(first.ref, 1), *middle, Participant(last.ref, 1))
+        self.steps.append(CombinationStep(circle, weight, participants))
         levels = self._levels
         under = []
         consumed = set()  # live refs this step removes
         owned = []  # unit positions consumed positively
         negatives = []  # unit positions taken negatively
-        for p in cand.participants:
+        for p in participants:
             if p.sign > 0:
                 consumed.add(p.ref)
             if p.ref >= u:  # a circle, always taken positively
@@ -565,9 +545,9 @@ class EngineState:
         for pos in negatives:  # live squares again
             elems[bisect_left(elems, (pos,))] = (pos, self.units[pos].weight, 1)
         live = self.live
-        node = _Live(circle, cand.weight, *cand.span)
+        node = _Live(circle, weight, first.lo, last.hi)
         if not self._live_units:
-            # no unit is live, so none returns (see _queue_candidate) and no
+            # no unit is live, so none returns (see _queue_step) and no
             # scan reads what the engine keeps for it again
             if owned:  # the step that took the last units
                 live[:] = sorted((nd for nd in live if nd.ref not in consumed), key=_ref)
@@ -749,23 +729,19 @@ class _GeneralSolver:
             pair = (Participant(0, 1), Participant(1, 1))
             sol = _Sol(w, w, ((lo, lo), (hi, hi)), (CombinationStep(2, w, pair),))
         else:
-            sol = None
-            for units, plans in self._choices(lo, hi):
-                if sol is not None and sol.cost == self._optimum_of(lo, hi):
-                    break
-                bounds = None
-                for k, spans in plans:
-                    if sol is not None:
-                        if sol.cost == self._optimum_of(lo, hi):
-                            break
-                        if k is not None:
-                            if bounds is None:
-                                bounds = self._pair_bounds(units)
-                            if bounds[k] >= sol.cost:
-                                continue  # this pair position cannot win
-                    cand = self._run_plan(spans)
-                    if sol is None or cand.cost < sol.cost:
-                        sol = cand
+            sol = bounded = None  # bounded: the units the bounds are of
+            for units, k, spans in self._plans(lo, hi):
+                if sol is not None:
+                    if sol.cost == self._optimum_of(lo, hi):
+                        break
+                    if k is not None:
+                        if bounded is not units:
+                            bounded, bounds = units, self._pair_bounds(units)
+                        if bounds[k] >= sol.cost:
+                            continue  # this pair position cannot win
+                cand = self._run_plan(spans)
+                if sol is None or cand.cost < sol.cost:
+                    sol = cand
         self._memo[key] = sol
         return sol
 
@@ -789,31 +765,31 @@ class _GeneralSolver:
         costs, plus the exact-ternary optimum over the unit weights with
         units k and k + 1 merged into one leaf.  That plan's completion is a
         pure-ternary tree over those units with the pair as one leaf
-        (``_run_plan`` checks it), so it costs at least this much.  Entries
-        at other positions bound nothing and are never read.  The units are
-        solved left to right, as the choice's pair plans solve them.  The
-        fill is uncached, so the table that ``_optimum_of`` shares with
-        ``dp_optimal`` stays cached."""
+        (``EngineState.run`` checks it), so it costs at least this much.
+        Entries at other positions bound nothing and are never read.  The
+        units are solved left to right, as the choice's pair plans solve
+        them.  The fill is uncached, so the table that ``_optimum_of``
+        shares with ``dp_optimal`` stays cached."""
         subs = [self.solve_tree(a, b) for a, b in units]
         weights = tuple(sub.weight for sub in subs)
         costs = sum(sub.cost for sub in subs)
         merged = _merged_pair_optima(weights)
         return [costs + weights[k] + weights[k + 1] + opt for k, opt in enumerate(merged)]
 
-    def _choices(self, lo: int, hi: int):
-        """The plans to try for leaves lo..hi (at least three), grouped by
-        whole-or-split choice: yields each choice's units with its plans,
-        both made only when reached, so none is built past the one
-        ``solve_tree`` stops at.  Each plan comes as ``(k, spans)``, with k
-        the index of the pair's first unit, or None in a plan with no pair.
-        Its spans are a sorted list of leaf spans, one per unit: a leaf
-        outside every top-level permanent run, a whole run (one root), one
-        of the two halves of a split run (two roots), or the binary pair.
-        Each run is kept whole or split at one of its cuts, and every such
-        choice is tried (parity never forces one: either can win on cost),
-        except that when the choices number more than ``VECTOR_CAP``, only
-        those that split at most one run are.  A choice with an odd unit
-        count is its one plan.  When a choice leaves an even unit count, its
+    def _plans(self, lo: int, hi: int):
+        """The plans to try for leaves lo..hi (at least three), each made
+        only when reached, so none is built past the one ``solve_tree``
+        stops at.  Each comes as ``(units, k, spans)``: the units of its
+        whole-or-split choice, one list shared by the choice's plans; k, the
+        index in it of the pair's first unit, or None in a plan with no
+        pair; and the plan's spans, a sorted list of leaf spans, one per
+        unit: a leaf outside every top-level permanent run, a whole run (one
+        root), one of the two halves of a split run (two roots), or the
+        binary pair.  Each run is kept whole or split at one of its cuts,
+        and every such choice is tried (parity never forces one: either can
+        win on cost), except that when the choices number more than
+        ``VECTOR_CAP``, only those that split at most one run are.  A choice
+        with an odd unit count is its one plan.  When a choice leaves an even unit count, its
         plans merge two adjacent leaves outside every run into the two-leaf
         span (i, i + 1), the one binary pair (a split half of length 1 is
         never paired); an even choice with no such leaves is skipped.  Every
@@ -844,18 +820,15 @@ class _GeneralSolver:
                     for rest in split(r + 1, count - 1):
                         yield [*runs[k:r], (a, cut), (cut + 1, b), *rest]
 
-        def paired(units):
-            for i in pairs:
-                k = units.index((i, i))  # (i + 1, i + 1) follows it
-                yield k, units[:k] + [(i, i + 1)] + units[k + 2 :]
-
         for count in range(most + 1):
             for part in split(0, count):
                 units = sorted(leaves + part)
                 if len(units) % 2 == 1:
-                    yield units, [(None, units)]
-                elif pairs:
-                    yield units, paired(units)
+                    yield units, None, units
+                    continue
+                for i in pairs:
+                    k = units.index((i, i))  # (i + 1, i + 1) follows it
+                    yield units, k, units[:k] + [(i, i + 1)] + units[k + 2 :]
 
     def _run_plan(self, spans) -> _Sol:
         """Solve each unit's span with ``solve_tree``, left to right, then
@@ -863,11 +836,6 @@ class _GeneralSolver:
         subs = [self.solve_tree(lo, hi) for lo, hi in spans]
         state = EngineState([Unit(sub.weight, not sub.spans) for sub in subs])
         state.run()
-        levels = state.unit_levels()
-        try:
-            pure_centre_leaves(levels)  # the final unit levels form one tree
-        except InvalidLevelSequence as exc:
-            raise _unrealisable(levels, exc) from exc
         return _Sol(
             sum(sub.weight for sub in subs),
             sum(sub.cost for sub in subs) + sum(s.weight for s in state.steps),

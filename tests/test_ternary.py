@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -55,16 +54,23 @@ def engine_for(weights, steps=0):
     return state
 
 
-def accordion_elements(cand):
-    """The accordion elements of a candidate or step, by the roles its step
-    derives; none for a plain triple."""
-    step = CombinationStep(0, cand.weight, cand.participants)
+def as_step(record, circle=0):
+    """The step an engine step record ``(weight, first, middle, last)``
+    makes as circle ``circle``, as ``EngineState._apply`` builds it."""
+    weight, first, middle, last = record
+    participants = (Participant(first.ref, 1), *middle, Participant(last.ref, 1))
+    return CombinationStep(circle, weight, participants)
+
+
+def accordion_elements(step):
+    """The accordion elements of a step, by the roles it derives; none for a
+    plain triple."""
     return [p for p, role in zip(step.participants, step.roles) if role == ROLE_ACCORDION]
 
 
-def accordion_size(cand):
+def accordion_size(step):
     """Number of accordion elements in a step, 0 for a plain triple."""
-    return len(accordion_elements(cand))
+    return len(accordion_elements(step))
 
 
 def accordion_block_weights(rng, n):
@@ -216,12 +222,26 @@ def accordion_slices(elems):
     return out
 
 
+def accordion_record(left, right, elems, w):
+    """The step record of an accordion slice ``elems`` with its outer nodes:
+    the elements are original leaves, named by their unit positions."""
+    return w, left, tuple(Participant(pos, sign) for pos, _w, sign in elems), right
+
+
+def accordion_key(record):
+    """The engine's key of an accordion step record: (weight, left.lo,
+    element count, right.hi, first element's position)."""
+    w, left, middle, right = record
+    return (w, left.lo, len(middle), right.hi, middle[0].ref)
+
+
 def segment_summaries(state):
     """Reference for the engine's segment summaries: for each alternating
     segment that holds a negative, by its first position, its slice count
-    and its least accordion candidate by key (None when no slice has outer
-    nodes on both sides), from the whole-sequence slices and every outer
-    node in their gap buckets; equal keys keep the first in live order."""
+    and the step record of its least accordion candidate by key (None when
+    no slice has outer nodes on both sides), from the whole-sequence slices
+    and every outer node in their gap buckets; equal keys keep the first in
+    live order."""
     elems = merged_elements(state)
     starts = []  # the first element of each element's segment
     for e, (_p, _w, sign) in enumerate(elems):
@@ -235,17 +255,17 @@ def segment_summaries(state):
         for left in lefts:
             for right in rights:
                 w = left.weight + acc + right.weight
-                cand = state._accordion_candidate(left, right, elems[a : b + 1], w)
-                if summary[1] is None or cand.key < summary[1].key:
-                    summary[1] = cand
+                record = accordion_record(left, right, elems[a : b + 1], w)
+                if summary[1] is None or accordion_key(record) < accordion_key(summary[1]):
+                    summary[1] = record
     return {first: tuple(summary) for first, summary in out.items()}
 
 
 def kept_summaries(state):
-    """The engine's segment summaries as slice count and least accordion
-    candidate."""
+    """The engine's segment summaries as slice count and the step record of
+    the least accordion candidate."""
     return {
-        seg[0]: (seg[4], None if seg[6] is None else state._hit_candidate(seg))
+        seg[0]: (seg[4], None if seg[6] is None else state._hit_step(seg))
         for seg in state._segs
     }
 
@@ -313,40 +333,45 @@ def assert_kept_scan_state(state):
     summaries = segment_summaries(state)
     assert kept_summaries(state) == summaries
     assert [s[5] for s in state._segs] == [
-        (engine_bound(state),) if hit is None else hit.key
+        (engine_bound(state),) if hit is None else accordion_key(hit)
         for _count, hit in summaries.values()
     ]
     return sum(windows[4]) + sum(count for count, _hit in summaries.values())
 
 
 def enumerate_candidates(state):
-    """Every legal combination available right now, best first: each plain
-    triple of each window, and each accordion slice with each pair of outer
-    nodes from its gap buckets.  The reference for ``EngineState._scan``,
-    which returns the one candidate it takes."""
+    """Every legal combination available right now, best first, as step
+    records ``(weight, first, middle, last)`` that ``EngineState._apply``
+    takes: each plain triple of each window, and each accordion slice with
+    each pair of outer nodes from its gap buckets, ordered by the engine's
+    key.  Once only circles remain, the three oldest.  The reference for
+    ``EngineState._scan``, which returns the one record it takes."""
     if state.done:
         return []
     u = len(state.units)
-    if not any(nd.ref < u for nd in state.live):
-        return [state._queue_candidate()]
     live = state.live
+    if not any(nd.ref < u for nd in live):
+        a, b, c = sorted(live[:3], key=lambda nd: (nd.lo, nd.hi))
+        return [(a.weight + b.weight + c.weight, a, (Participant(b.ref, 1),), c)]
     m = len(live)
     # a window starting at i reaches the first unit after i, or the end
     cap = [next((k for k in range(i + 1, m) if live[k].ref < u), m - 1) for i in range(m)]
-    out = []
+    keyed = []
     for i in range(m - 2):
         for j in range(i + 1, min(cap[i], m - 2) + 1):
             for k in range(j + 1, cap[j] + 1):
                 a, b, c = live[i], live[j], live[k]
-                out.append(state._plain_candidate(a, b, c, a.weight + b.weight + c.weight))
+                w = a.weight + b.weight + c.weight
+                keyed.append(((w, a.lo, 1, c.hi, b.lo), (w, a, (Participant(b.ref, 1),), c)))
     elems = merged_elements(state)
     for a, b, acc in accordion_slices(elems):
         lefts, rights = gap_buckets(state, elems, a, b)
         for left in lefts:
             for right in rights:
                 w = left.weight + acc + right.weight
-                out.append(state._accordion_candidate(left, right, elems[a : b + 1], w))
-    return sorted(out, key=lambda c: c.key)
+                record = accordion_record(left, right, elems[a : b + 1], w)
+                keyed.append((accordion_key(record), record))
+    return [record for _key, record in sorted(keyed, key=lambda kr: kr[0])]
 
 
 def brute_force_pcn_spans(ws):
@@ -374,7 +399,7 @@ def outermost(spans):
 
 
 def reference_plans(ws, lo, hi):
-    """Reference for ``_GeneralSolver._choices``: every single-vs-split choice
+    """Reference for ``_GeneralSolver._plans``: every single-vs-split choice
     vector over the outermost runs, listed in full and sorted by split count
     and then by the list of (run, cut) pairs; past ``VECTOR_CAP`` vectors,
     the all-single vector, then each run split on its own at each cut."""
@@ -508,27 +533,25 @@ class TestAvailableNegatives:
         assert 3 not in state.last_consumer
         assert 3 in live_square_positions(state)
         # ... and a step that reuses the pairing anyway is refused
-        cand = state._scan()
-        reuse = dataclasses.replace(cand, participants=cand.participants + (Participant(3, -1),))
+        weight, first, middle, last = state._scan()
         with pytest.raises(EngineError, match="without a fresh pairing"):
-            state._apply(reuse)
+            state._apply(weight, first, middle + (Participant(3, -1),), last)
 
     def test_one_pairing_spent_once_in_a_step(self):
         # leaf 3 is a fresh negative of circle 7, and the accordion takes it
         # once; a step that takes it twice spends the pairing twice
         state = engine_for(SEVEN_WEIGHTS, steps=1)
-        cand = state._scan()
-        assert (3, -1) in [(p.ref, p.sign) for p in cand.participants]
-        twice = dataclasses.replace(cand, participants=cand.participants + (Participant(3, -1),))
+        weight, first, middle, last = state._scan()
+        assert (3, -1) in [(p.ref, p.sign) for p in middle]
         with pytest.raises(EngineError) as exc:
-            state._apply(twice)
+            state._apply(weight, first, middle + (Participant(3, -1),), last)
         assert str(exc.value) == "negative use of unit 3 without a fresh pairing"
 
 
 class TestEnumerateCandidates:
     def test_seven_node_best_is_accordion(self):
         state = engine_for(SEVEN_WEIGHTS, steps=1)
-        best = enumerate_candidates(state)[0]
+        best = as_step(enumerate_candidates(state)[0])
         assert best.weight == 14
         assert accordion_size(best) == 3
         signed = [(p.ref, p.sign) for p in best.participants]
@@ -536,12 +559,12 @@ class TestEnumerateCandidates:
 
     def test_fifteen_node_best_weights(self):
         state = engine_for(FIFTEEN_WEIGHTS, steps=2)
-        best = enumerate_candidates(state)[0]
+        best = as_step(enumerate_candidates(state)[0])
         assert best.weight == 15
         acc_sum = sum(p.sign * FIFTEEN_WEIGHTS[p.ref] for p in accordion_elements(best))
         assert acc_sum == 3
         state.advance()
-        best = enumerate_candidates(state)[0]
+        best = as_step(enumerate_candidates(state)[0])
         assert best.weight == 17
         acc_sum = sum(p.sign * FIFTEEN_WEIGHTS[p.ref] for p in accordion_elements(best))
         assert acc_sum == 7
@@ -555,7 +578,7 @@ class TestEnumerateCandidates:
             while not state.done:
                 expected = enumerate_candidates(state)[0]
                 chosen = state.advance()
-                assert chosen == expected
+                assert chosen == as_step(expected, chosen.circle)
 
     # weights 0..3 tie the lightest outer nodes of one gap; on these inputs,
     # found by a search over such weights, the tie rule decides a step (the
@@ -592,7 +615,7 @@ class TestEnumerateCandidates:
                     assert kept_summaries(state) == segment_summaries(state)
                     assert state._elems == merged_elements(state)
                 chosen = state.advance()
-                assert chosen == expected
+                assert chosen == as_step(expected, chosen.circle)
                 if scans_next(state):  # live in span order
                     spans = [(nd.lo, nd.hi) for nd in state.live]
                     assert spans == sorted(spans)
@@ -755,17 +778,27 @@ class TestPureTernaryPhase1:
 
     def test_one_plain_candidate_per_step(self, monkeypatch):
         # all-equal weights tie hundreds of plain windows on every scan; the
-        # scan compares their keys and builds only the step it takes
+        # scan compares their keys and builds only the step it takes, so the
+        # engine makes no participant record that its trace does not hold
         built = [0]
-        plain_candidate = EngineState._plain_candidate
 
-        def counted(state, *args):
+        def counted(*args):
             built[0] += 1
-            return plain_candidate(state, *args)
+            return Participant(*args)
 
-        monkeypatch.setattr(EngineState, "_plain_candidate", counted)
+        monkeypatch.setattr("alphatree.ternary.Participant", counted)
         report, _stats = _solve_pure_ternary([1] * 201)
-        assert 0 < built[0] <= len(report.trace.steps) == 100
+        assert len(report.trace.steps) == 100
+        assert built[0] == sum(len(s.participants) for s in report.trace.steps)
+
+    def test_run_refuses_an_unrealisable_final_forest(self):
+        # no known input reaches this check: the final levels come from the
+        # steps, so corrupt one after the run
+        state = engine_for(SEVEN_WEIGHTS)
+        state.run()
+        state._levels[0] += 1
+        with pytest.raises(EngineError, match="cannot realise forest for unit levels"):
+            state.run()
 
     def test_misses_the_optimum_without_permanent_runs(self):
         # weights 50..99 have no permanent runs, yet at n=201 the greedy is
@@ -878,9 +911,9 @@ def try_every_plan(monkeypatch):
 
 
 def solver_plans(ws, lo, hi):
-    """Every plan ``_GeneralSolver._choices`` yields for leaves lo..hi, in
+    """Every plan ``_GeneralSolver._plans`` yields for leaves lo..hi, in
     order."""
-    return [spans for _, plans in _GeneralSolver(ws)._choices(lo, hi) for _, spans in plans]
+    return [spans for _units, _k, spans in _GeneralSolver(ws)._plans(lo, hi)]
 
 
 class TestPlanOrder:
@@ -968,15 +1001,16 @@ class TestPlanSearchStop:
         checked = tight = 0
         for ws, lo, hi in spans:
             solver = _GeneralSolver(ws)
-            for units, plans in solver._choices(lo, hi):
-                if len(units) % 2 == 1:
+            bounded = None
+            for units, k, plan in solver._plans(lo, hi):
+                if k is None:
                     continue
-                bounds = solver._pair_bounds(units)
-                for k, plan in plans:
-                    cost = solver._run_plan(plan).cost
-                    assert cost >= bounds[k]
-                    checked += 1
-                    tight += cost == bounds[k]
+                if bounded is not units:
+                    bounded, bounds = units, solver._pair_bounds(units)
+                cost = solver._run_plan(plan).cost
+                assert cost >= bounds[k]
+                checked += 1
+                tight += cost == bounds[k]
         assert checked > 2000 and tight > 2000
 
     def test_position_bounds_are_the_merged_exact_ternary_optima(self):
@@ -991,8 +1025,8 @@ class TestPlanSearchStop:
                 ws = tuple(rng.randint(0, hi) for _ in range(rng.choice(range(2, 21, 2))))
                 cases.append((ws, [(i, i) for i in range(len(ws))]))
                 ws = tuple(rng.randint(0, hi) for _ in range(rng.randint(4, 20)))
-                for units, _plans in _GeneralSolver(ws)._choices(0, len(ws) - 1):
-                    if len(units) % 2 == 0:
+                for units, k, _plan in _GeneralSolver(ws)._plans(0, len(ws) - 1):
+                    if k is not None and cases[-1][1] is not units:  # once per choice
                         cases.append((ws, units))
         assert len(cases) > 300
         for ws, units in cases:
