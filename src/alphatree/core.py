@@ -8,7 +8,7 @@ float-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class StructureError(ValueError):
@@ -74,18 +74,6 @@ class AlphaTree:
         if len(self.roots) != 1:
             raise StructureError(f"expected a single root, found {len(self.roots)}")
         return self.roots[0]
-
-    def in_order_leaves(self) -> Iterator[int]:
-        """Yield leaf ids left to right."""
-        for r in self.roots:
-            stack = [r]
-            while stack:
-                nid = stack.pop()
-                nd = self.nodes[nid]
-                if nd.is_leaf:
-                    yield nid
-                else:
-                    stack.extend(reversed(nd.children))
 
     def internal_weights(self) -> tuple:
         return tuple(nd.weight for nd in self.nodes if not nd.is_leaf)
@@ -165,40 +153,54 @@ class TreeBuilder:
         return AlphaTree(tuple(self._nodes), tuple(roots))
 
 
-def leaf_levels(tree: AlphaTree) -> tuple:
-    """Root distance of every leaf, in leaf order.  Forest roots count as 0."""
-    levels = {}
-    for r in tree.roots:
-        stack = [(r, 0)]
-        while stack:
-            nid, d = stack.pop()
-            nd = tree.nodes[nid]
-            if nd.is_leaf:
-                levels[nd.leaf_index] = d
-            else:
-                stack.extend((c, d + 1) for c in nd.children)
-    n = len(levels)
-    if sorted(levels) != list(range(n)):
+def _leaves(tree: AlphaTree) -> list:
+    """Every leaf node with its root distance, left to right: one
+    explicit-stack pass over the roots in order.  Forest roots count as 0."""
+    nodes = tree.nodes
+    out = []
+    stack = [(r, 0) for r in reversed(tree.roots)]
+    while stack:
+        nid, d = stack.pop()
+        nd = nodes[nid]
+        if nd.children:
+            d += 1
+            stack.extend([(c, d) for c in reversed(nd.children)])
+        else:
+            out.append((nd, d))
+    return out
+
+
+def _levels(leaves: list) -> tuple:
+    """The depths of ``_leaves``' output in leaf-index order, refused unless
+    its leaf indexes are 0..n-1, each once."""
+    levels = {nd.leaf_index: d for nd, d in leaves}
+    n = len(leaves)
+    if sorted(levels) != list(range(n)):  # a repeated index leaves fewer keys
         raise StructureError("leaf indexes do not cover 0..n-1")
     return tuple(levels[i] for i in range(n))
 
 
+def leaf_levels(tree: AlphaTree) -> tuple:
+    """Root distance of every leaf, in leaf order.  Forest roots count as 0."""
+    return _levels(_leaves(tree))
+
+
 def is_alphabetic(tree: AlphaTree) -> bool:
     """True iff the in-order leaves carry leaf indexes 0..n-1 ascending."""
-    seen = [tree.nodes[lid].leaf_index for lid in tree.in_order_leaves()]
-    return seen == list(range(len(seen)))
+    leaves = _leaves(tree)
+    return [nd.leaf_index for nd, _d in leaves] == list(range(len(leaves)))
 
 
 def tree_cost(tree: AlphaTree, weights: Sequence[int]) -> int:
     """Total weighted path length, sum of w_i * level_i (exact)."""
     ws = validate_weights(weights)
-    levels = leaf_levels(tree)
+    leaves = _leaves(tree)
+    levels = _levels(leaves)
     if len(levels) != len(ws):
         raise StructureError(
             f"tree has {len(levels)} leaves but {len(ws)} weights were given"
         )
-    for lid in tree.in_order_leaves():
-        nd = tree.nodes[lid]
+    for nd, _d in leaves:
         if nd.weight != ws[nd.leaf_index]:
             raise StructureError(
                 f"leaf {nd.leaf_index} stores weight {nd.weight}, expected {ws[nd.leaf_index]}"
@@ -254,9 +256,6 @@ class CombinationStep:
         if len(self.participants) <= 3:
             return None
         return self.participants[1].ref, self.participants[-2].ref
-
-    def positive_refs(self) -> tuple:
-        return tuple(p.ref for p in self.participants if p.sign > 0)
 
 
 @dataclass(frozen=True)

@@ -167,22 +167,21 @@ def report_from_trace(
     """The ``SolveReport`` of a complete trace, by deterministic replay.
 
     Validates the trace, derives the signed levels (the reported levels),
-    then reconstructs the tree guided by the arities the trace recorded (its
-    binary steps pin down where pairs sit).  The tree is alphabetic, and a
-    TraceError is raised unless its cost equals the sum of the trace
-    increments.  ``hu_tucker``, ``solve_pure_ternary`` and ``general_solve``
+    then reconstructs the tree: in binary mode when every step has two
+    participants, else in mixed mode when the trace holds a two-leaf step
+    (``pair_steps`` pins down where the pairs sit), else in pure-ternary
+    mode.  The tree is alphabetic, and a TraceError is raised unless its
+    cost equals the sum of the trace increments.  ``hu_tucker``, ``solve_pure_ternary`` and ``general_solve``
     each build their report with this one call on their final trace."""
     ws = validate_weights(weights)
     trace.validate(ws)
     levels = signed_levels(trace)
-    arities = {s.arity for s in trace.steps}
     pairs = frozenset()
-    if arities <= {2}:
+    if all(s.arity == 2 for s in trace.steps):
         mode = MODE_BINARY
-    elif 2 in {len(s.positive_refs()) for s in trace.steps}:
-        mode, pairs = MODE_MIXED, frozenset(trace.pair_steps())
     else:
-        mode = MODE_PURE
+        pairs = frozenset(trace.pair_steps())
+        mode = MODE_MIXED if pairs else MODE_PURE
     tree = _reconstruct(levels, ws, mode, pairs)
     got = tree_cost(tree, ws)
     want = trace.total()

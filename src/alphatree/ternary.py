@@ -696,10 +696,13 @@ class _Sol:
 class _GeneralSolver:
     # Above this many single-vs-two-root choice vectors, try only the plans
     # that split at most one run (all single-root, or exactly one fix).  The
-    # cap is a heuristic, kept because the full product is out of reach:
+    # cap is a heuristic, kept because the full product is slow to search:
     # over the top-level runs it is 1 536, 18 432 and 768 on the first
     # three 100-leaf draws from random.Random(700) (weights 0..100), and
-    # 2 592, 82 944 and 36 864 at n=150 (random.Random(1050)).  The
+    # 2 592, 82 944 and 36 864 at n=150 (random.Random(1050)).  Lifted, the
+    # search reaches the DP optimum on each of those 100-leaf draws, but in
+    # 1.5 to 81 s, mostly in _pair_bounds fills; the cap, not the greedy,
+    # makes their gaps (README, "Plan search").  The
     # optimum stop in solve_tree never fires where the greedy misses the
     # optimum.  The pair-position skip is exact too (a pair plan's
     # completion is a pure-ternary tree over its choice's units with the

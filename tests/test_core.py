@@ -103,6 +103,25 @@ class TestTreeOps:
         with pytest.raises(StructureError, match=re.escape("leaf indexes do not cover 0..n-1")):
             leaf_levels(tree)
 
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            (Node((0, 1, 2), None, 5),),
+            (Node((1, 2), None, 4), Node((0, 3), None, 5)),
+        ],
+        ids=["one-triple", "nested-pair"],
+    )
+    def test_repeated_leaf_index_refused(self, inner):
+        # leaves 1 and 2 both carry index 1, so three leaves stand for two
+        # weights
+        leaves = (Node((), 0, 1), Node((), 1, 2), Node((), 1, 2))
+        tree = AlphaTree(leaves + inner, (len(leaves) + len(inner) - 1,))
+        message = re.escape("leaf indexes do not cover 0..n-1")
+        with pytest.raises(StructureError, match=message):
+            leaf_levels(tree)
+        with pytest.raises(StructureError, match=message):
+            tree_cost(tree, (1, 2))
+
     def test_cost_rejects_wrong_leaf_weight(self):
         tree = AlphaTree.from_nested([[4, 2], [3, 4]])
         with pytest.raises(StructureError, match="leaf 3 stores weight 4, expected 5"):

@@ -982,6 +982,30 @@ class TestPlanSearchStop:
             general_solve(ws)
         assert runs[0] == 257
 
+    def test_what_the_vector_cap_costs(self, monkeypatch):
+        # the 30-leaf CI input: six permanent runs, 3 024 whole-or-split
+        # choices; past the cap the search tries the plans that split at
+        # most one run and misses the optimum by 50, and with the cap raised
+        # to 3 024, where it no longer binds, by 15.  Replacing the cap with
+        # an exact search moves this test.
+        ws = (62, 0, 3, 4, 97, 3, 4, 3, 86, 3, 0, 3, 71, 3, 2, 1, 88, 3, 5, 87, 2, 5, 64, 4, 1, 0, 95, 3, 2, 4)
+        assert math.prod(b - a + 1 for a, b in detect_pcns(ws)) == 3024
+        assert dp_optimal(ws, (2, 3))[0] == 1819
+        runs = [0]
+        run = EngineState.run
+
+        def counted(state):
+            runs[0] += 1
+            run(state)
+
+        monkeypatch.setattr(EngineState, "run", counted)
+        assert general_solve(ws).cost == 1869
+        assert runs[0] == 10
+        monkeypatch.setattr(_GeneralSolver, "VECTOR_CAP", 3024)
+        runs[0] = 0
+        assert general_solve(ws).cost == 1834
+        assert runs[0] == 1534
+
     def test_pair_plans_cost_at_least_their_position_bound(self):
         # every even choice's pair plans, on seeded spans and on spans past
         # VECTOR_CAP: the past-cap inputs get a heavy first leaf, so leaves
