@@ -276,12 +276,23 @@ class CombinationTrace:
         return CombinationTrace(self.n_leaves, self.steps[:k])
 
     def pair_steps(self) -> tuple:
-        """Leaf spans of every two-participant (binary) step."""
-        pairs = []
-        for s in self.steps:
-            if s.arity == 2 and all(p.ref < self.n_leaves for p in s.participants):
-                pairs.append(tuple(sorted(p.ref for p in s.participants)))
-        return tuple(pairs)
+        """Leaf spans of every two-participant (binary) step.  Participants
+        are in sequence order, so a circle's first leaf is found by
+        following first participants down to a leaf, and its last leaf by
+        following last ones; a binary step's own two may come in either
+        order."""
+        n = self.n_leaves
+
+        def leaf(ref: int, side: int) -> int:
+            while ref >= n:
+                ref = self.steps[ref - n].participants[side].ref
+            return ref
+
+        return tuple(
+            (min(leaf(p.ref, 0) for p in s.participants), max(leaf(p.ref, -1) for p in s.participants))
+            for s in self.steps
+            if s.arity == 2
+        )
 
     def to_json_obj(self) -> list:
         out = []

@@ -67,11 +67,13 @@ def top_trees(levels: Sequence[int], start: int = 0, mode: str = MODE_PURE, pair
     Each leaf is placed on the stack, then merges with the items below it
     as long as they complete a group: in binary mode two items at one
     positive level, in the ternary modes three.  A binary node of a ternary
-    tree comes only from ``pairs``, the leaf spans of the trace's two-leaf
-    steps: it forms as its right leaf ``i`` is placed, if leaf ``i - 1`` is
-    the item below it, at the same positive level, and the pair starts its
-    run.  Merging as soon as a group appears is equivalent to repeatedly
-    combining the leftmost maximal run at the current maximum level.
+    tree comes only from ``pairs``, the leaf spans of the trace's
+    two-participant steps: a pair (lo, i) forms once the top item ends at
+    leaf ``i``, if the item below it starts at leaf ``lo``, both sit at the
+    same positive level, and the pair starts its run, so no three-item
+    merge could take its children.  Merging as soon as a group appears is
+    equivalent to repeatedly combining the leftmost maximal run at the
+    current maximum level.
 
     Yields ``(first, last, root, centre)`` for each tree as it closes at
     level 0, left to right: its leaf span, its root's node id, and the leaf
@@ -89,8 +91,10 @@ def top_trees(levels: Sequence[int], start: int = 0, mode: str = MODE_PURE, pair
     n = len(levels)
     below = -1 if mode == MODE_BINARY else -2  # a group's first item below a new one
     # node id and level of each stack item, over two sentinels at a level no
-    # item has, so a group check always has two items to read
-    ids, lv = [None, None], [-1, -1]
+    # item has, so a group check always has two items to read; with pairs,
+    # also the leaf after each, the second sentinel's the first leaf of the
+    # tree being parsed
+    ids, lv, after = [None, None], [-1, -1], [None, start]
     first = start
     stuck = 0
     for i in range(start, n):
@@ -98,25 +102,32 @@ def top_trees(levels: Sequence[int], start: int = 0, mode: str = MODE_PURE, pair
         if l < 0:
             raise InvalidLevelSequence(f"negative level in {tuple(levels)}")
         item, mid = i, n  # mid: the middle child of the last merge, n for none
-        if pairs and (i - 1, i) in pairs and ids[-1] == i - 1 and lv[-1] == l != lv[-2]:
-            item = join((i - 1, i)) if join else n  # a trace pair that starts its run
-            del ids[-1], lv[-1]
-            l -= 1
-        while lv[-1] == l == lv[below]:  # stack levels are positive
-            mid = ids[-1]
-            item = join((*ids[below:], item)) if join else n
-            del ids[below:], lv[below:]
+        while True:
+            while lv[-1] == l == lv[below]:  # stack levels are positive
+                mid = ids[-1]
+                item = join((*ids[below:], item)) if join else n
+                del ids[below:], lv[below:]
+                if pairs:
+                    del after[below:]
+                l -= 1
+            # a trace pair whose left child, the top item, starts its run
+            if not (pairs and lv[-1] == l != lv[-2] and (after[-2], i) in pairs):
+                break
+            item, mid = join((ids[-1], item)) if join else n, n
+            del ids[-1], lv[-1], after[-1]
             l -= 1
         if l:
             ids.append(item)
             lv.append(l)
+            if pairs:
+                after.append(i + 1)
             continue
         if len(lv) > 2:  # under a level-0 item, nothing merges again
             stuck += len(lv) - 2
-            del ids[2:], lv[2:]
+            del ids[2:], lv[2:], after[2:]
         elif not stuck:
             yield first, i, item, mid if below == -2 and mid < n else None
-        first = i + 1
+        first = after[1] = i + 1
     if stuck or len(lv) > 2:
         raise InvalidLevelSequence(
             f"cannot reduce levels {list(levels)} in {mode} mode; "
@@ -168,10 +179,10 @@ def report_from_trace(
 
     Validates the trace, derives the signed levels (the reported levels),
     then reconstructs the tree: in binary mode when every step has two
-    participants, else in mixed mode when the trace holds a two-leaf step
-    (``pair_steps`` pins down where the pairs sit), else in pure-ternary
-    mode.  The tree is alphabetic, and a TraceError is raised unless its
-    cost equals the sum of the trace increments.  ``hu_tucker``, ``solve_pure_ternary`` and ``general_solve``
+    participants, else in mixed mode when some step has two participants
+    (``pair_steps``' leaf spans pin down where the binary nodes sit), else
+    in pure-ternary mode.  The tree is alphabetic, and a TraceError is
+    raised unless its cost equals the sum of the trace increments.  ``hu_tucker``, ``solve_pure_ternary`` and ``general_solve``
     each build their report with this one call on their final trace."""
     ws = validate_weights(weights)
     trace.validate(ws)

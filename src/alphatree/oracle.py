@@ -5,7 +5,9 @@ search trees" (1971; TAOCP Vol. 3 section 6.2.2) over the allowed arities.
 A table of the cheapest two-tree forest over each span makes a ternary root
 one scan over its first split.  Knuth's root monotonicity bounds every scan
 for binary and for exact-ternary trees, which run in O(n^2); mixed arity
-stays O(n^3).
+stays O(n^3).  The tables hold costs only, each span once, in rows grown by
+the right end, so a scan adds one row to one reversed column with no copy;
+the splits of the returned tree are recovered from the costs along it.
 ``exhaustive_optimal`` literally enumerates every tree shape for tiny inputs,
 keeping the cost of each shape over each span below the full one, and is used
 to check the DP itself.  Both work in exact integers only.
@@ -14,8 +16,8 @@ to check the DP itself.  Both work in exact integers only.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from operator import add
+from itertools import accumulate, combinations
+from operator import add, indexOf
 from typing import Sequence, Tuple
 
 from .core import AlphaTree, Infeasible, TreeBuilder, validate_weights
@@ -42,10 +44,16 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     the leftmost split points, binary splits first, so the returned tree is
     deterministic; the cost never depends on that choice.
 
-    O(n^2) space.  Besides the optimal cost of each span it keeps the
-    cheapest forest of two trees over each span: a binary root costs that
-    forest, and a ternary root over i..j costs the tree over i..m1 plus the
-    forest over m1+1..j, so no root tries every (m1, m2) pair.
+    O(n^2) space: about 2n^2 table entries (n^2 / 2 for {3}), costs only.
+    Besides the optimal cost of each span it keeps the cheapest forest of
+    two trees over each span: a binary root costs that forest, and a
+    ternary root over i..j costs the tree over i..m1 plus the forest over
+    m1+1..j, so no root tries every (m1, m2) pair.  ``_fill_tables`` keeps
+    each table both as rows, by left end, and as columns, by right end.
+    No split is stored: ``_root_splits`` finds each node's splits again,
+    node by node down the returned tree, as the first splits whose costs
+    reach the node's optimum, so the tree costs O(n^2) at worst beyond
+    the fill.
 
     Time is O(n^2) for {2} and {3} and O(n^3) for {2, 3}.  For {2} and {3}
     each leftmost split lies between those of the two spans one step
@@ -98,27 +106,28 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     n = len(ws)
     if allowed == {3} and n % 2 == 0:
         raise Infeasible("exact-ternary trees need an odd number of leaves")
-    cost, choice, _ = _dp_tables(ws, allowed)
+    tables = _dp_tables(ws, allowed)
+    prefix = list(accumulate(ws, initial=0))
 
     # Build in post-order with an explicit stack, children left to right
     # before their parent, so node ids are those of the recursive build and
     # a deep tree needs no deep recursion.  built holds the finished
-    # subtrees whose parent is not built yet, left to right.
+    # subtrees whose parent is not built yet, left to right; a span's arity
+    # is 0 until its children are pushed.
     builder = TreeBuilder(ws)
     built = []
-    stack = [(0, n - 1, False)]
+    stack = [(0, n - 1, 0)]
     while stack:
-        i, j, children_built = stack.pop()
+        i, j, arity = stack.pop()
         if i == j:
             built.append(i)
-        elif children_built:
-            arity = len(choice[i][j]) + 1
+        elif arity:
             built[-arity:] = [builder.internal(built[-arity:])]
         else:
-            stack.append((i, j, True))
-            ends = (i - 1,) + choice[i][j] + (j,)
-            stack.extend((lo + 1, hi, False) for lo, hi in reversed(list(zip(ends, ends[1:]))))
-    return cost[0][n - 1], builder.finish(built)
+            ends = (i - 1, *_root_splits(tables, allowed, prefix[j + 1] - prefix[i], i, j), j)
+            stack.append((i, j, len(ends) - 1))
+            stack.extend((lo + 1, hi, 0) for lo, hi in reversed(list(zip(ends, ends[1:]))))
+    return tables[0][0][-1], builder.finish(built)
 
 
 @lru_cache(maxsize=1)
@@ -133,74 +142,97 @@ def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
 
 
 def _fill_tables(ws: tuple, allowed: frozenset) -> tuple:
-    """The DP tables over validated weights: ``cost[i][j]``, the optimal
-    cost of a tree over leaves i..j with internal arities in ``allowed``,
-    ``choice[i][j]``, the leftmost optimal split points of its root, and
-    ``pair[j][a]``, the cheapest two-tree forest over leaves a..j, indexed
-    by its right end.  With ``allowed == {3}`` only odd spans of ``cost``
-    and even spans of ``pair`` are filled.  Uncached: a caller that fills
+    """The DP's cost tables over validated weights, filled right end by
+    right end: ``(rows, cols, pair_rows, pair_cols)``.  With ``step`` 2 for
+    ``allowed == {3}`` and 1 otherwise, ``rows[i][k]`` is the optimal cost
+    of a tree over leaves i..i + step*k and ``cols[j][k]`` that over
+    j - step*k..j, with internal arities in ``allowed``; ``pair_rows[a][k]``
+    is the cheapest two-tree forest over a..a + 1 + step*k and
+    ``pair_cols[j][k]`` that over j - 1 - step*k..j.  So each table holds
+    each of its spans once, about n^2 / 2 entries (n^2 / 8 for {3}, where
+    trees span odd and forests even leaf counts), and no split is kept:
+    ``_root_splits`` recovers a root's splits from the costs.
+
+    For each right end j the left ends run right to left, and each span's
+    cost is appended to its left end's row and to j's column.  So when a
+    span i..j is filled, ``rows[i]`` holds the trees over i..m for every
+    split m, and ``cols[j]`` those over m+1..j, last first: the forest over
+    i..j is the least of ``map(add, rows[i], reversed(cols[j]))``, whose
+    two operands are exactly its split range, and a ternary root the least
+    of ``map(add, rows[i], reversed(pair_cols[j]))``, where the row is one
+    longer and ``map`` stops at the column's end.  {2} and {3} scan only
+    between the Knuth bounds (see ``dp_optimal``), which they read from
+    the leftmost split of each span with the same left end and the latest
+    right end, one entry per left end.  Uncached: a caller that fills
     tables over other weights (``_merged_pair_optima``, over a plan's unit
     weights) leaves ``_dp_tables``' cached set alone."""
     pure = allowed == {3}
-    n = len(ws)
-    prefix = [0]
-    for w in ws:
-        prefix.append(prefix[-1] + w)
-
-    # cost[i][j]: the optimal tree over leaves i..j.  pair[j][a]: the
-    # cheapest two-tree forest over leaves a..j, split after leaf
-    # pair_at[j][a], the leftmost such split.  The tables indexed by the
-    # right end j hold columns, so every scan below adds two list slices;
-    # cost_to[j][i] repeats cost[i][j] for the same reason.
-    cost = [[0] * n for _ in range(n)]
-    cost_to = [[0] * n for _ in range(n)]
-    pair = [[0] * n for _ in range(n)]
-    pair_at = [[0] * n for _ in range(n)]
-    choice = [[None] * n for _ in range(n)]
-    # Pure-ternary trees exist only over odd spans, and odd spans split only
-    # into odd spans, so a pure forest of two trees covers an even span:
-    # pair is filled only on even spans and cost only on odd ones, splits
-    # step by 2, and no other entry is ever read.
     step = 2 if pure else 1
-    # {2} and {3} scan only between the splits of the two spans one step
-    # shorter (see dp_optimal); those exist once the forest spans more than
-    # two leaves and the tree more than three
     bounded = allowed != {2, 3}
-    for length in range(2, n + 1):
-        if not pure or length % 2 == 0:
-            for a in range(n - length + 1):
-                j = a + length - 1
-                if bounded and length > 2:
-                    lo, hi = pair_at[j - step][a], pair_at[j][a + step] + 1
-                else:
-                    lo, hi = a, j
-                sums = list(map(add, cost[a][lo:hi:step], cost_to[j][lo + 1 : hi + 1 : step]))
-                best = min(sums)
-                pair[j][a] = best
-                pair_at[j][a] = lo + step * sums.index(best)
-        if not pure or length % 2 == 1:
-            for i in range(n - length + 1):
-                j = i + length - 1
-                best = pick = None
-                if 2 in allowed:
-                    best, pick = pair[j][i], (pair_at[j][i],)
-                if 3 in allowed and length >= 3:
-                    # a ternary root is a left tree and a two-tree forest;
-                    # the first minimum is the leftmost m1, and its forest's
-                    # split is the leftmost m2, so (m1, m2) is the
-                    # lexicographically first
-                    if bounded and length > 3:
-                        lo, hi = choice[i][j - 2][0], choice[i + 2][j][0] + 1
-                    else:
-                        lo, hi = i, j - 1
-                    sums = list(map(add, cost[i][lo:hi:step], pair[j][lo + 1 : hi + 1 : step]))
-                    c = min(sums)
-                    if best is None or c < best:
-                        m1 = lo + step * sums.index(c)
-                        best, pick = c, (m1, pair_at[j][m1 + 1])
-                cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
-                choice[i][j] = pick
-    return cost, choice, pair
+    n = len(ws)
+    prefix = list(accumulate(ws, initial=0))
+    rows = [[] for _ in range(n)]
+    pair_rows = [[] for _ in range(n)]
+    cols, pair_cols = [], []
+    # {2} and {3} only: forest_at[a] and first_at[a], the row index of the
+    # leftmost forest split and exact-ternary first split over a..j, for the
+    # last j filled with left end a, which is j - step while the span a..j
+    # is being filled, and j once it is
+    forest_at = [0] * n
+    first_at = [0] * n
+    for j in range(n):
+        rows[j].append(0)
+        col, pair_col = [0], []
+        cols.append(col)
+        pair_cols.append(pair_col)
+        total = prefix[j + 1]
+        for i in range(j - 1, -1, -1):
+            row = rows[i]
+            # exact-ternary trees span odd and forests even leaf counts
+            tree = not pure or (j - i) % 2 == 0
+            if bounded:
+                # one scan: a forest, which is also a {2} root, or a {3} root;
+                # the bounds exist once the span has over step + 1 leaves
+                other, at = (pair_col, first_at) if pure and tree else (col, forest_at)
+                top = len(other) - 1
+                k, hi = (at[i], at[i + step] + 1) if j - i > step else (0, 0)
+                best, at[i] = row[k] + other[top - k], k
+                while k < hi:
+                    k += 1
+                    c = row[k] + other[top - k]
+                    if c < best:
+                        best, at[i] = c, k
+                pair = best
+            else:
+                pair = min(map(add, row, reversed(col)))
+                best = min(pair, min(map(add, row, reversed(pair_col)), default=pair))
+            if tree:
+                best += total - prefix[i]
+                row.append(best)
+                col.append(best)
+            if not pure or not tree:
+                pair_col.append(pair)
+                pair_rows[i].append(pair)
+    return rows, cols, pair_rows, pair_cols
+
+
+def _root_splits(tables: tuple, allowed: frozenset, weight: int, i: int, j: int) -> tuple:
+    """The split points of the root of the optimal tree over leaves i..j,
+    whose weight is ``weight``, from ``_fill_tables``' costs: each child but
+    the last ends at one.  The tie rule is the fill's: a binary root when
+    its forest is no dearer than every ternary root, else the leftmost
+    optimal first split, each forest split leftmost.  A scan stops at the
+    first split that reaches the span's optimum, so the splits of every
+    node of one tree cost at most the sum of its spans' lengths, O(n^2)."""
+    rows, cols, _pair_rows, pair_cols = tables
+    step = 2 if allowed == {3} else 1
+    target = rows[i][(j - i) // step] - weight
+    if 2 in allowed and pair_cols[j][(j - 1 - i) // step] == target:
+        return (i + step * indexOf(map(add, rows[i], cols[j][(j - 1 - i) // step :: -1]), target),)
+    m1 = i + step * indexOf(map(add, rows[i], pair_cols[j][(j - 2 - i) // step :: -1]), target)
+    a = m1 + 1
+    forest = pair_cols[j][(j - 1 - a) // step]
+    return m1, a + step * indexOf(map(add, rows[a], cols[j][(j - 1 - a) // step :: -1]), forest)
 
 
 def _merged_pair_optima(ws: tuple) -> list:
@@ -225,16 +257,13 @@ def _merged_pair_optima(ws: tuple) -> list:
     Every parent is longer than its child, so the spans are filled longest
     first, from Out(0, m - 1) = 0, and Mid over odd spans of one length
     once the even spans one longer are.  ``_fill_tables(ws, {3})`` supplies
-    the trees (``cost``) and forests (``pair``); the tables indexed by the
-    right end hold columns, as there."""
+    the trees and forests: the row of a left end holds every span that
+    starts there, and the reversed column of a right end every span that
+    ends there, left end first, so each scan reads one whole row or
+    column."""
     m = len(ws)
-    cost, _, pair = _fill_tables(ws, frozenset((3,)))
-    prefix = [0]
-    for w in ws:
-        prefix.append(prefix[-1] + w)
-    # rows and columns of each table, so every scan adds two list slices
-    cost_to = [list(col) for col in zip(*cost)]
-    pair_from = [list(row) for row in zip(*pair)]
+    rows, cols, pair_rows, pair_cols = _fill_tables(ws, frozenset((3,)))
+    prefix = list(accumulate(ws, initial=0))
     up = [[0] * m for _ in range(m)]
     up_to = [[0] * m for _ in range(m)]
     mid_to = [[0] * m for _ in range(m)]
@@ -243,17 +272,17 @@ def _merged_pair_optima(ws: tuple) -> list:
         # odd spans p..b one longer, with a parent p..q, q - b odd
         for p in range(m - length - 1):
             b = p + length
-            mid_to[b][p] = min(map(add, up[p][b + 1 :: 2], cost[b + 1][b + 1 :: 2]))
+            mid_to[b][p] = min(map(add, up[p][b + 1 :: 2], rows[b + 1]))
         for a in range(m - length + 1):
             b = a + length - 1
             sums = [0] if length == m else []
             if b < m - 2:  # left child of a..q, q - b even
-                sums += map(add, up[a][b + 2 :: 2], pair_from[b + 1][b + 2 :: 2])
+                sums += map(add, up[a][b + 2 :: 2], pair_rows[b + 1])
             if a >= 2:  # right child of p..b, a - p even
-                sums += map(add, up_to[b][a % 2 : a - 1 : 2], pair[a - 1][a % 2 : a - 1 : 2])
+                sums += map(add, up_to[b][a % 2 : a - 1 : 2], reversed(pair_cols[a - 1]))
             if a and b < m - 1:  # middle child of p..q, a - p odd
                 p = (a - 1) % 2
-                sums += map(add, mid_to[b][p:a:2], cost_to[a - 1][p:a:2])
+                sums += map(add, mid_to[b][p:a:2], reversed(cols[a - 1]))
             best = min(sums)
             if length == 2:
                 out[a] = best

@@ -753,13 +753,14 @@ class _GeneralSolver:
         of every plan is a tree over those leaves with internal arities 2
         and 3, so none costs less; and a later plan wins only on a strictly
         lower cost.  Once the best completion reaches this value, no plan
-        left can replace it.  The table is fetched on the first read, so a
-        solve that tries one plan per span never builds it; ``_dp_tables``
+        left can replace it.  The cost rows are fetched on the first read
+        (row lo holds the tree over lo..hi at index hi - lo), so a
+        solve that tries one plan per span never builds them; ``_dp_tables``
         keeps its last table set, so a ``dp_optimal(ws, (2, 3))`` call on
         the same weights, before or after the solve, shares the build."""
         if self._optimum is None:
             self._optimum = _dp_tables(self.w, frozenset((2, 3)))[0]
-        return self._optimum[lo][hi]
+        return self._optimum[lo][hi - lo]
 
     def _pair_bounds(self, units) -> list:
         """Entry k bounds the cost of the pair plan of one even choice that

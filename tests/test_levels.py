@@ -107,6 +107,22 @@ def _trees_with_leaf_pairs(lo, hi):
     return out
 
 
+def _mixed_trees(lo, hi):
+    """Every tree over leaves lo..hi with internal arities 2 and 3, as
+    nested lists of leaf indexes."""
+    if lo == hi:
+        return [lo]
+    out = []
+    for m in range(lo, hi):
+        out.extend([a, b] for a in _mixed_trees(lo, m) for b in _mixed_trees(m + 1, hi))
+    for m1 in range(lo, hi - 1):
+        for m2 in range(m1 + 1, hi):
+            for a in _mixed_trees(lo, m1):
+                for b in _mixed_trees(m1 + 1, m2):
+                    out.extend([a, b, c] for c in _mixed_trees(m2 + 1, hi))
+    return out
+
+
 def _trace_of(nested, ws):
     """The trace that combines the children of each internal node of
     ``nested`` (leaf indexes), in post-order."""
@@ -143,6 +159,37 @@ class TestReconstructFromTrace:
                 assert report.cost == tree_cost(expected, ws)
                 count += 1
         assert count == 506
+
+    def test_binary_step_over_circles_replays(self):
+        # a binary step that joins a circle is placed by its leaf span, its
+        # two participants in either order: the circle (0, 1, 2) with leaf
+        # 3, and two circles side by side
+        ws = (1, 2, 3, 4)
+        triple = CombinationStep(4, 6, (Participant(0, 1), Participant(1, 1), Participant(2, 1)))
+        for refs in ((4, 3), (3, 4)):
+            pair = CombinationStep(5, 10, tuple(Participant(r, 1) for r in refs))
+            report = report_from_trace("replay", CombinationTrace(4, (triple, pair)), ws)
+            assert report.tree.to_nested() == [[1, 2, 3], 4]
+            assert (report.levels, report.cost) == ((2, 2, 2, 1), 16)
+        ws = (1, 2, 3, 4, 5, 6)
+        report = report_from_trace("replay", _trace_of([[0, 1, 2], [3, 4, 5]], ws), ws)
+        assert report.tree.to_nested() == [[1, 2, 3], [4, 5, 6]]
+        assert (report.levels, report.cost) == ((2,) * 6, 42)
+
+    def test_every_mixed_tree_replays(self):
+        # binary nodes anywhere, over leaves or circles: every tree with
+        # internal arities 2 and 3 (the dissection counts of
+        # TestExhaustiveOptimal) rebuilds from its post-order trace
+        count = 0
+        for n in range(1, 9):
+            ws = tuple(range(n))
+            for nested in _mixed_trees(0, n - 1):
+                expected = AlphaTree.from_nested(nested)
+                report = report_from_trace("replay", _trace_of(nested, ws), ws)
+                assert report.tree.to_nested() == nested
+                assert report.levels == leaf_levels(expected)
+                count += 1
+        assert count == 1 + 1 + 3 + 10 + 38 + 154 + 654 + 2871
 
     def test_general_solve_pairs_beside_each_other(self):
         # a run of four leaves at level 2 holds two pairs; the levels alone

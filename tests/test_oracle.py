@@ -18,6 +18,7 @@ from alphatree.oracle import (
     RefusedSize,
     _arity_set,
     _dp_tables,
+    _root_splits,
     dp_optimal,
     exhaustive_optimal,
 )
@@ -73,9 +74,10 @@ def reference_dp(ws, arities):
 
 def cubic_tables(ws, allowed):
     """The DP tables with every split scanned, O(n^3): the loop
-    ``_dp_tables`` ran before its scans were bounded.  Returns the same
-    ``(cost, choice, pair)`` tables, so the bounded ones can be compared
-    whole."""
+    ``_dp_tables`` ran before its scans were bounded, on full n-by-n tables.
+    Returns ``(cost, choice, pair)``: ``cost[i][j]`` and its leftmost
+    splits ``choice[i][j]`` for the tree over leaves i..j, and
+    ``pair[j][a]`` for the forest over a..j."""
     pure = allowed == {3}
     n = len(ws)
     prefix = [0]
@@ -213,11 +215,13 @@ class TestDpOptimal:
     @pytest.mark.parametrize("arities", ARITY_SETS)
     def test_tables_match_the_cubic_reference(self, arities):
         # {2} and {3} scan only between the Knuth bounds, {2, 3} every split;
-        # all three must give the cubic loop's tables, every span's cost and
-        # leftmost split included; zeros, small ranges and equal weights tie
-        # splits everywhere, which is where a bound could cut off the
-        # leftmost minimum
+        # all three must give the cubic loop's tree and forest cost on every
+        # span, each table holding each span once, and the splits recovered
+        # from the costs must be the cubic loop's leftmost ones; zeros, small
+        # ranges and equal weights tie splits everywhere, which is where a
+        # bound could cut off the leftmost minimum
         allowed = frozenset(arities)
+        step = 2 if allowed == {3} else 1
         rng = random.Random(45)
         for n in range(1, 46):
             if allowed == {3} and n % 2 == 0:
@@ -225,16 +229,30 @@ class TestDpOptimal:
             inputs = [(0,) * n, (7,) * n]
             inputs += [tuple(rng.randint(0, hi) for _ in range(n)) for hi in (1, 3, 100, 10**6)]
             for ws in inputs:
-                assert _dp_tables(ws, allowed) == cubic_tables(ws, allowed), (ws, arities)
+                cost, choice, pair = cubic_tables(ws, allowed)
+                expected = (
+                    [[cost[i][j] for j in range(i, n, step)] for i in range(n)],
+                    [[cost[i][j] for i in range(j, -1, -step)] for j in range(n)],
+                    [[pair[j][a] for j in range(a + 1, n, step)] for a in range(n)],
+                    [[pair[j][a] for a in range(j - 1, -1, -step)] for j in range(n)],
+                )
+                tables = _dp_tables(ws, allowed)
+                assert tables == expected, (ws, arities)
+                for i in range(n):
+                    for j in range(i + step, n, step):
+                        splits = _root_splits(tables, allowed, sum(ws[i : j + 1]), i, j)
+                        assert splits == choice[i][j], (ws, arities, i, j)
 
     def test_deep_tree_needs_no_deep_recursion(self):
-        # zeros tie everywhere and ties take the leftmost split, so the
-        # binary tree over 400 zeros is a caterpillar 399 levels deep; the
-        # recursion limit leaves room for a few frames, not one per level
-        with shallow_recursion():
-            cost, tree = dp_optimal([0] * 400, (2,))
-        assert cost == 0
-        assert max(leaf_levels(tree)) == 399
+        # zeros tie everywhere and ties take the leftmost split, binary
+        # first, so the tree over 401 zeros is a caterpillar: 400 levels
+        # deep where binary nodes are allowed, 200 in exact-ternary trees;
+        # the recursion limit leaves room for a few frames, not one per level
+        for arities, depth in (((2,), 400), ((3,), 200), ((2, 3), 400)):
+            with shallow_recursion():
+                cost, tree = dp_optimal([0] * 401, arities)
+            assert cost == 0
+            assert max(leaf_levels(tree)) == depth, arities
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -23,7 +23,7 @@ from alphatree.levels import (
     signed_levels,
     top_trees,
 )
-from alphatree.oracle import _fill_tables, dp_optimal
+from alphatree.oracle import dp_optimal
 from alphatree.ternary import (
     EngineError,
     EngineState,
@@ -1061,7 +1061,7 @@ class TestPlanSearchStop:
             bounds = solver._pair_bounds(units)
             for k in range(len(units) - 1):
                 merged = weights[:k] + (weights[k] + weights[k + 1],) + weights[k + 2 :]
-                optimum = _fill_tables(merged, frozenset((3,)))[0][0][-1]
+                optimum = dp_optimal(merged, (3,))[0]
                 assert bounds[k] == costs + weights[k] + weights[k + 1] + optimum, (ws, units, k)
 
     def test_single_plan_inputs_build_no_table(self, monkeypatch):
