@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 
 from .binary import hu_tucker
 from .core import (
+    ROLE_ACCORDION,
     AlphaTree,
     CombinationTrace,
     Infeasible,
@@ -108,7 +109,7 @@ def trace_to_pretty(report: SolveReport) -> str:
         acc = []
         for p, role in zip(step.participants, step.roles):
             label = names.get(p.ref, f"c{p.ref}")
-            if role == "accordion-element":
+            if role == ROLE_ACCORDION:
                 acc.append(f"{'+' if p.sign > 0 else '-'} {label}")
             else:
                 if acc:

@@ -5,9 +5,12 @@ search trees" (1971; TAOCP Vol. 3 section 6.2.2) over the allowed arities.
 A table of the cheapest two-tree forest over each span makes a ternary root
 one scan over its first split.  Knuth's root monotonicity bounds every scan
 for binary and for exact-ternary trees, which run in O(n^2); mixed arity
-stays O(n^3).  The tables hold costs only, each span once, in rows grown by
-the right end, so a scan adds one row to one reversed column with no copy;
-the splits of the returned tree are recovered from the costs along it.
+stays O(n^3).  Three tables hold costs only, each span once: trees by left
+end and by right end, forests by right end, all grown span by span as the
+right end advances, so a scan adds one row to one reversed column with no
+copy; the splits of the returned tree are recovered from the costs along
+it.  ``_merged_pair_optima``, the plan search's pair bound, runs an outside
+pass over the exact-ternary tables in lists grown the same way.
 ``exhaustive_optimal`` literally enumerates every tree shape for tiny inputs,
 keeping the cost of each shape over each span below the full one, and is used
 to check the DP itself.  Both work in exact integers only.
@@ -44,12 +47,13 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     the leftmost split points, binary splits first, so the returned tree is
     deterministic; the cost never depends on that choice.
 
-    O(n^2) space: about 2n^2 table entries (n^2 / 2 for {3}), costs only.
-    Besides the optimal cost of each span it keeps the cheapest forest of
-    two trees over each span: a binary root costs that forest, and a
-    ternary root over i..j costs the tree over i..m1 plus the forest over
-    m1+1..j, so no root tries every (m1, m2) pair.  ``_fill_tables`` keeps
-    each table both as rows, by left end, and as columns, by right end.
+    O(n^2) space: about 1.5n^2 table entries (3n^2 / 8 for {3}), costs
+    only.  Besides the optimal cost of each span it keeps the cheapest
+    forest of two trees over each span: a binary root costs that forest,
+    and a ternary root over i..j costs the tree over i..m1 plus the forest
+    over m1+1..j, so no root tries every (m1, m2) pair.  ``_fill_tables``
+    keeps the trees both as rows, by left end, and as columns, by right
+    end, and the forests as columns only, which is all a scan reads.
     No split is stored: ``_root_splits`` finds each node's splits again,
     node by node down the returned tree, as the first splits whose costs
     reach the node's optimum, so the tree costs O(n^2) at worst beyond
@@ -143,15 +147,16 @@ def _dp_tables(ws: tuple, allowed: frozenset) -> tuple:
 
 def _fill_tables(ws: tuple, allowed: frozenset) -> tuple:
     """The DP's cost tables over validated weights, filled right end by
-    right end: ``(rows, cols, pair_rows, pair_cols)``.  With ``step`` 2 for
+    right end: ``(rows, cols, pair_cols)``.  With ``step`` 2 for
     ``allowed == {3}`` and 1 otherwise, ``rows[i][k]`` is the optimal cost
     of a tree over leaves i..i + step*k and ``cols[j][k]`` that over
-    j - step*k..j, with internal arities in ``allowed``; ``pair_rows[a][k]``
-    is the cheapest two-tree forest over a..a + 1 + step*k and
-    ``pair_cols[j][k]`` that over j - 1 - step*k..j.  So each table holds
-    each of its spans once, about n^2 / 2 entries (n^2 / 8 for {3}, where
-    trees span odd and forests even leaf counts), and no split is kept:
-    ``_root_splits`` recovers a root's splits from the costs.
+    j - step*k..j, with internal arities in ``allowed``; ``pair_cols[j][k]``
+    is the cheapest two-tree forest over j - 1 - step*k..j.  So each table
+    holds each of its spans once, about n^2 / 2 entries (n^2 / 8 for {3},
+    where trees span odd and forests even leaf counts), 1.5n^2 in all
+    (3n^2 / 8), and no split is kept: ``_root_splits`` recovers a root's
+    splits from the costs.  No scan reads forests by left end, so no table
+    keeps them.
 
     For each right end j the left ends run right to left, and each span's
     cost is appended to its left end's row and to j's column.  So when a
@@ -172,7 +177,6 @@ def _fill_tables(ws: tuple, allowed: frozenset) -> tuple:
     n = len(ws)
     prefix = list(accumulate(ws, initial=0))
     rows = [[] for _ in range(n)]
-    pair_rows = [[] for _ in range(n)]
     cols, pair_cols = [], []
     # {2} and {3} only: forest_at[a] and first_at[a], the row index of the
     # leftmost forest split and exact-ternary first split over a..j, for the
@@ -212,8 +216,7 @@ def _fill_tables(ws: tuple, allowed: frozenset) -> tuple:
                 col.append(best)
             if not pure or not tree:
                 pair_col.append(pair)
-                pair_rows[i].append(pair)
-    return rows, cols, pair_rows, pair_cols
+    return rows, cols, pair_cols
 
 
 def _root_splits(tables: tuple, allowed: frozenset, weight: int, i: int, j: int) -> tuple:
@@ -224,7 +227,7 @@ def _root_splits(tables: tuple, allowed: frozenset, weight: int, i: int, j: int)
     optimal first split, each forest split leftmost.  A scan stops at the
     first split that reaches the span's optimum, so the splits of every
     node of one tree cost at most the sum of its spans' lengths, O(n^2)."""
-    rows, cols, _pair_rows, pair_cols = tables
+    rows, cols, pair_cols = tables
     step = 2 if allowed == {3} else 1
     target = rows[i][(j - i) // step] - weight
     if 2 in allowed and pair_cols[j][(j - 1 - i) // step] == target:
@@ -245,48 +248,54 @@ def _merged_pair_optima(ws: tuple) -> list:
     an even span a..b, is the optimal cost over ``ws`` with a..b merged
     into one leaf; entry i is Out(i, i + 1).  The merged leaf is one of the
     three children of a parent over an even span p..q, whose two other
-    children are trees over odd spans, and Up(p, q) (``up``) is Out(p, q)
-    plus the parent's own weight.  So Out(a, b) is the least of:
+    children are trees over odd spans, and Up(p, q) is Out(p, q) plus the
+    parent's own weight.  Mid(p, m2), for odd p..m2, is the least Up(p, q)
+    plus the tree over m2+1..q over every q.  So Out(a, b) is the least of:
 
-    - left child: Up(a, q) plus the forest over b+1..q;
+    - left child: Up(a, q) plus the forest over b+1..q, whose trees end at
+      some m2; over every q and m2 that is Mid(a, m2) plus the tree over
+      b+1..m2;
     - right child: Up(p, b) plus the forest over p..a-1;
-    - middle child: Up(p, q) plus the trees over p..a-1 and b+1..q.
-      Mid(p, b) (``mid_to``), for odd p..b, is the least Up(p, q) plus the
-      tree over b+1..q over every q, which leaves one scan over p per span.
+    - middle child: Mid(p, b) plus the tree over p..a-1.
 
     Every parent is longer than its child, so the spans are filled longest
     first, from Out(0, m - 1) = 0, and Mid over odd spans of one length
-    once the even spans one longer are.  ``_fill_tables(ws, {3})`` supplies
-    the trees and forests: the row of a left end holds every span that
-    starts there, and the reversed column of a right end every span that
-    ends there, left end first, so each scan reads one whole row or
-    column."""
+    once the even spans one longer are.  Up and Mid are grown as the fill's
+    tables are: each value is appended to its left end's row and its right
+    end's column, about m^2 / 2 entries in all beside the fill's 3m^2 / 8.
+    When a span is filled, the rows and columns of Up and Mid hold exactly
+    the spans longer than it, so a reversed row runs from the shortest span
+    that starts there, and a reversed column from the latest left end that
+    ends there.  Each scan adds one of them to one whole row or column of
+    ``_fill_tables(ws, {3})``: the trees that start at b + 1 or end at
+    a - 1, or the forests that end at a - 1, with no copy and no stepped
+    slice."""
     m = len(ws)
-    rows, cols, pair_rows, pair_cols = _fill_tables(ws, frozenset((3,)))
+    rows, cols, pair_cols = _fill_tables(ws, frozenset((3,)))
     prefix = list(accumulate(ws, initial=0))
-    up = [[0] * m for _ in range(m)]
-    up_to = [[0] * m for _ in range(m)]
-    mid_to = [[0] * m for _ in range(m)]
-    out = [0] * (m - 1)
+    up_rows, up_cols, mid_rows, mid_cols = ([[] for _ in range(m)] for _ in range(4))
+    out = []
     for length in range(m, 1, -2):
         # odd spans p..b one longer, with a parent p..q, q - b odd
         for p in range(m - length - 1):
             b = p + length
-            mid_to[b][p] = min(map(add, up[p][b + 1 :: 2], rows[b + 1]))
+            mid = min(map(add, reversed(up_rows[p]), rows[b + 1]))
+            mid_rows[p].append(mid)
+            mid_cols[b].append(mid)
         for a in range(m - length + 1):
             b = a + length - 1
             sums = [0] if length == m else []
-            if b < m - 2:  # left child of a..q, q - b even
-                sums += map(add, up[a][b + 2 :: 2], pair_rows[b + 1])
-            if a >= 2:  # right child of p..b, a - p even
-                sums += map(add, up_to[b][a % 2 : a - 1 : 2], reversed(pair_cols[a - 1]))
-            if a and b < m - 1:  # middle child of p..q, a - p odd
-                p = (a - 1) % 2
-                sums += map(add, mid_to[b][p:a:2], reversed(cols[a - 1]))
+            if b < m - 1:  # left child of a..q, through Mid(a, m2), m2 - b odd
+                sums += map(add, reversed(mid_rows[a]), rows[b + 1])
+            if a:  # right child of p..b, a - p even, and middle child of p..q
+                sums += map(add, reversed(up_cols[b]), pair_cols[a - 1])
+                sums += map(add, reversed(mid_cols[b]), cols[a - 1])
             best = min(sums)
             if length == 2:
-                out[a] = best
-            up[a][b] = up_to[b][a] = best + (prefix[b + 1] - prefix[a])
+                out.append(best)
+            best += prefix[b + 1] - prefix[a]
+            up_rows[a].append(best)
+            up_cols[b].append(best)
     return out
 
 

@@ -233,7 +233,6 @@ class TestDpOptimal:
                 expected = (
                     [[cost[i][j] for j in range(i, n, step)] for i in range(n)],
                     [[cost[i][j] for i in range(j, -1, -step)] for j in range(n)],
-                    [[pair[j][a] for j in range(a + 1, n, step)] for a in range(n)],
                     [[pair[j][a] for a in range(j - 1, -1, -step)] for j in range(n)],
                 )
                 tables = _dp_tables(ws, allowed)

@@ -1040,10 +1040,17 @@ class TestPlanSearchStop:
     def test_position_bounds_are_the_merged_exact_ternary_optima(self):
         # each bound is the units' costs, the pair's weight and the
         # exact-ternary DP optimum over the unit weights with the pair
-        # merged: on raw leaves (units that cost nothing), zeros and m = 2
-        # included, and on the units of every even choice of seeded spans
+        # merged: on raw leaves (units that cost nothing), every sequence of
+        # weights 0..2 over 2, 4 and 6 leaves, ten zeros, seeded sequences of
+        # 22 to 40 leaves, and on the units of every even choice of seeded
+        # spans
         rng = random.Random(1105)
-        cases = [((0,) * m, [(i, i) for i in range(m)]) for m in (2, 4, 10)]
+        cases = [
+            (ws, [(i, i) for i in range(m)])
+            for m in (2, 4, 6)
+            for ws in itertools.product(range(3), repeat=m)
+        ]
+        cases.append(((0,) * 10, [(i, i) for i in range(10)]))
         for hi in (3, 10, 100):
             for _ in range(40):
                 ws = tuple(rng.randint(0, hi) for _ in range(rng.choice(range(2, 21, 2))))
@@ -1052,7 +1059,10 @@ class TestPlanSearchStop:
                 for units, k, _plan in _GeneralSolver(ws)._plans(0, len(ws) - 1):
                     if k is not None and cases[-1][1] is not units:  # once per choice
                         cases.append((ws, units))
-        assert len(cases) > 300
+        for hi in (1, 3, 10, 100, 1000) * 2:
+            ws = tuple(rng.randint(0, hi) for _ in range(rng.choice(range(22, 41, 2))))
+            cases.append((ws, [(i, i) for i in range(len(ws))]))
+        assert len(cases) > 1100
         for ws, units in cases:
             solver = _GeneralSolver(ws)
             subs = [solver.solve_tree(a, b) for a, b in units]
