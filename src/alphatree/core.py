@@ -185,16 +185,20 @@ def leaf_levels(tree: AlphaTree) -> tuple:
     return _levels(_leaves(tree))
 
 
-def is_alphabetic(tree: AlphaTree) -> bool:
-    """True iff the in-order leaves carry leaf indexes 0..n-1 ascending."""
-    leaves = _leaves(tree)
+def _alphabetic(leaves: list) -> bool:
+    """True iff ``_leaves``' output carries leaf indexes 0..n-1 ascending."""
     return [nd.leaf_index for nd, _d in leaves] == list(range(len(leaves)))
 
 
-def tree_cost(tree: AlphaTree, weights: Sequence[int]) -> int:
-    """Total weighted path length, sum of w_i * level_i (exact)."""
-    ws = validate_weights(weights)
-    leaves = _leaves(tree)
+def is_alphabetic(tree: AlphaTree) -> bool:
+    """True iff the in-order leaves carry leaf indexes 0..n-1 ascending."""
+    return _alphabetic(_leaves(tree))
+
+
+def _levels_and_cost(leaves: list, ws: tuple) -> tuple:
+    """``(levels, cost)``: ``_levels`` of ``_leaves``' output, and the
+    weighted path length over the validated weights ``ws``; refused unless
+    the leaves are one per weight and each stores its weight."""
     levels = _levels(leaves)
     if len(levels) != len(ws):
         raise StructureError(
@@ -205,7 +209,13 @@ def tree_cost(tree: AlphaTree, weights: Sequence[int]) -> int:
             raise StructureError(
                 f"leaf {nd.leaf_index} stores weight {nd.weight}, expected {ws[nd.leaf_index]}"
             )
-    return sum(w * l for w, l in zip(ws, levels))
+    return levels, sum(w * l for w, l in zip(ws, levels))
+
+
+def tree_cost(tree: AlphaTree, weights: Sequence[int]) -> int:
+    """Total weighted path length, sum of w_i * level_i (exact)."""
+    ws = validate_weights(weights)
+    return _levels_and_cost(_leaves(tree), ws)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from .binary import _combine as _combine_binary
-from .core import is_alphabetic, leaf_levels, tree_cost, validate_weights
+from .core import _alphabetic, _leaves, _levels_and_cost, validate_weights
 from .levels import report_from_trace
 from .oracle import dp_optimal
 from .ternary import _solve_pure_ternary, general_solve, is_interior_pair_pcn_free
@@ -146,17 +146,20 @@ def _trace_digest(report) -> str:
 
 
 def check_report(report) -> List[str]:
-    """Structural checks every engine output must satisfy; returns violations."""
+    """Structural checks every engine output must satisfy; returns violations.
+    One walk over the tree's leaves serves the order, weight, cost and level
+    checks."""
     problems = []
-    if not is_alphabetic(report.tree):
+    leaves = _leaves(report.tree)
+    if not _alphabetic(leaves):
         problems.append("tree is not alphabetic")
-    cost = tree_cost(report.tree, report.weights)
+    levels, cost = _levels_and_cost(leaves, validate_weights(report.weights))
     internal = sum(report.tree.internal_weights())
     if cost != internal:
         problems.append(f"weighted path length {cost} != internal weight sum {internal}")
     if cost != report.trace.total():
         problems.append(f"cost {cost} != trace increments {report.trace.total()}")
-    if leaf_levels(report.tree) != report.levels:
+    if levels != report.levels:
         problems.append("levels do not match the tree")
     binary_nodes = sum(1 for a in report.tree.arities() if a == 2)
     if binary_nodes % 2 != (len(report.weights) - 1) % 2:

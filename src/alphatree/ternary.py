@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter, itemgetter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 from .core import (
@@ -35,7 +36,7 @@ from .levels import (
     report_from_trace,
     top_trees,
 )
-from .oracle import _dp_tables, _merged_pair_optima
+from .oracle import _dp_tables, _fill_tables, _merged_pair_optima
 
 
 class EngineError(RuntimeError):
@@ -700,15 +701,13 @@ class _GeneralSolver:
     # over the top-level runs it is 1 536, 18 432 and 768 on the first
     # three 100-leaf draws from random.Random(700) (weights 0..100), and
     # 2 592, 82 944 and 36 864 at n=150 (random.Random(1050)).  Lifted, the
-    # search reaches the DP optimum on each of those 100-leaf draws, but in
-    # 1.5 to 81 s, mostly in _pair_bounds fills; the cap, not the greedy,
-    # makes their gaps (README, "Plan search").  The
-    # optimum stop in solve_tree never fires where the greedy misses the
-    # optimum.  The pair-position skip is exact too (a pair plan's
-    # completion is a pure-ternary tree over its choice's units with the
-    # pair as one leaf, so none costs less than its position's bound), but
-    # it skips only even vectors: an exact search would still run one
-    # engine per odd vector there.
+    # search reaches the DP optimum on each of those 100-leaf draws in two
+    # or three engine runs, but in 0.6 to 37 s, nearly all of it in the pair
+    # positions' inside-outside passes; the cap, not the greedy, makes their
+    # gaps (README, "Plan search").  Where the capped search misses the
+    # optimum, its target loop finds no plan that reaches it, and the
+    # fallback loop picks the first cheapest completion.  Both bounds are
+    # exact, so the skips do not change that choice.
     # No benchmark workload reaches it: on fuzz-general (n 13..20, weights
     # 0..100) the largest product is 48, over 1 279 span solves at seed 1
     # and 1 369 at seed 2.  test_general_solve_past_vector_cap pins its
@@ -721,6 +720,9 @@ class _GeneralSolver:
         self._optimum = None  # the (2, 3) DP cost table, built when first read
 
     def solve_tree(self, lo: int, hi: int) -> _Sol:
+        """The first cheapest completion, in plan order, over leaves lo..hi,
+        memoised.  A span with one plan runs it and reads no DP table; any
+        other span is searched by ``_search``."""
         key = (lo, hi)
         if key in self._memo:
             return self._memo[key]
@@ -732,57 +734,105 @@ class _GeneralSolver:
             pair = (Participant(0, 1), Participant(1, 1))
             sol = _Sol(w, w, ((lo, lo), (hi, hi)), (CombinationStep(2, w, pair),))
         else:
-            sol = bounded = None  # bounded: the units the bounds are of
-            for units, k, spans in self._plans(lo, hi):
-                if sol is not None:
-                    if sol.cost == self._optimum_of(lo, hi):
-                        break
-                    if k is not None:
-                        if bounded is not units:
-                            bounded, bounds = units, self._pair_bounds(units)
-                        if bounds[k] >= sol.cost:
-                            continue  # this pair position cannot win
-                cand = self._run_plan(spans)
-                if sol is None or cand.cost < sol.cost:
-                    sol = cand
+            plans = self._plans(lo, hi)
+            first, second = next(plans), next(plans, None)
+            if second is None:
+                sol = self._run_plan(first[2])
+            else:
+                sol = self._search(lo, hi, chain((first, second), plans))
         self._memo[key] = sol
+        return sol
+
+    def _search(self, lo: int, hi: int, plans) -> _Sol:
+        """The plan search of a span with more than one plan, aimed at the
+        span's mixed-arity DP optimum; ``plans`` yields the span's
+        ``_plans`` from the first.  No completion costs less than that
+        optimum, and a plan's completion costs no less than its bound
+        (``_choice_bounds``), so a plan whose bound is no lower than the
+        best completion so far cannot replace it, as a later plan wins
+        only on a strictly lower cost.
+
+        The target loop goes through the plans in order, runs only those
+        whose bound is no higher than the optimum, and returns the first
+        completion that costs the optimum: the first plan in order that
+        reaches it, which is the plan the full search returns.  When none
+        reaches it, the fallback loop generates the plans again and keeps
+        the first cheapest completion, running each plan whose bound is
+        below the best completion so far and no higher than the target
+        loop's best cost, and reusing the target loop's runs.  Each
+        choice's bounds are computed once per search.  The search, its
+        bounds and its order are this solver's engineering, not the
+        paper's: they decide only which plans run, never which plan wins."""
+        optimum = self._optimum_of(lo, hi)
+        bounds, runs = {}, {}  # by a choice's units, and by a plan's index
+
+        def first_cheapest(plans, ceiling):
+            sol = seen = None
+            for i, (units, k, spans) in enumerate(plans):
+                if units is not seen:  # a choice's plans share one units list
+                    seen, key = units, tuple(units)
+                    if key not in bounds:
+                        bounds[key] = self._choice_bounds(units)
+                    choice = bounds[key]
+                bound = choice[k or 0]  # an odd choice's one plan has k None
+                if bound >= ceiling or sol is not None and bound >= sol.cost:
+                    continue
+                if i not in runs:
+                    runs[i] = self._run_plan(spans)
+                if sol is None or runs[i].cost < sol.cost:
+                    sol = runs[i]
+                    if sol.cost == optimum:
+                        break
+            return sol
+
+        sol = first_cheapest(plans, optimum + 1)
+        if sol is None or sol.cost > optimum:
+            ceiling = math.inf if sol is None else sol.cost + 1
+            sol = first_cheapest(self._plans(lo, hi), ceiling)
         return sol
 
     def _optimum_of(self, lo: int, hi: int) -> int:
         """The mixed-arity DP optimum over leaves lo..hi.  Every completion
         of every plan is a tree over those leaves with internal arities 2
-        and 3, so none costs less; and a later plan wins only on a strictly
-        lower cost.  Once the best completion reaches this value, no plan
-        left can replace it.  The cost rows are fetched on the first read
-        (row lo holds the tree over lo..hi at index hi - lo), so a
-        solve that tries one plan per span never builds them; ``_dp_tables``
-        keeps its last table set, so a ``dp_optimal(ws, (2, 3))`` call on
-        the same weights, before or after the solve, shares the build."""
+        and 3, so none costs less.  The cost rows are fetched on the first
+        read (row lo holds the tree over lo..hi at index hi - lo), so a
+        solve whose spans each have one plan never builds them;
+        ``_dp_tables`` keeps its last table set, so a ``dp_optimal(ws, (2,
+        3))`` call on the same weights, before or after the solve, shares
+        the build."""
         if self._optimum is None:
             self._optimum = _dp_tables(self.w, frozenset((2, 3)))[0]
         return self._optimum[lo][hi - lo]
 
-    def _pair_bounds(self, units) -> list:
-        """Entry k bounds the cost of the pair plan of one even choice that
-        merges units k and k + 1, two leaves, into the binary pair: the
-        units' own costs, plus the pair's weight, which its binary node
-        costs, plus the exact-ternary optimum over the unit weights with
-        units k and k + 1 merged into one leaf.  That plan's completion is a
-        pure-ternary tree over those units with the pair as one leaf
-        (``EngineState.run`` checks it), so it costs at least this much.
-        Entries at other positions bound nothing and are never read.  The
-        units are solved left to right, as the choice's pair plans solve
-        them.  The fill is uncached, so the table that ``_optimum_of``
-        shares with ``dp_optimal`` stays cached."""
+    def _choice_bounds(self, units) -> list:
+        """Lower bounds on the completions of one whole-or-split choice's
+        plans, each exact for the plans it covers: the units' own costs,
+        plus an exact-ternary DP optimum.  The units are solved left to
+        right, as the choice's plans solve them.
+
+        An odd choice's one plan completes as a pure-ternary tree over its
+        units (``EngineState.run`` checks it), so its one entry adds the
+        exact-ternary optimum over the unit weights: one O(m^2) Knuth fill.
+        For an even choice, entry k bounds the pair plan that merges units k
+        and k + 1, two leaves, into the binary pair: it adds the pair's
+        weight, which its binary node costs, and the exact-ternary optimum
+        over the unit weights with units k and k + 1 merged into one leaf,
+        since that plan's completion is a pure-ternary tree over those
+        units with the pair as one leaf.  One O(m^3) inside-outside pass
+        gives every position; entries at positions that are no pair bound
+        nothing and are never read.  Both fills are uncached, so the table
+        that ``_optimum_of`` shares with ``dp_optimal`` stays cached."""
         subs = [self.solve_tree(a, b) for a, b in units]
         weights = tuple(sub.weight for sub in subs)
         costs = sum(sub.cost for sub in subs)
+        if len(weights) % 2:
+            return [costs + _fill_tables(weights, frozenset((3,)))[0][0][-1]]
         merged = _merged_pair_optima(weights)
         return [costs + weights[k] + weights[k + 1] + opt for k, opt in enumerate(merged)]
 
     def _plans(self, lo: int, hi: int):
         """The plans to try for leaves lo..hi (at least three), each made
-        only when reached, so none is built past the one ``solve_tree``
+        only when reached, so none is built past the one ``_search``
         stops at.  Each comes as ``(units, k, spans)``: the units of its
         whole-or-split choice, one list shared by the choice's plans; k, the
         index in it of the pair's first unit, or None in a plan with no
@@ -872,17 +922,20 @@ def general_solve(weights: Sequence[int]) -> SolveReport:
     subproblems, and, when parity needs it, one two-leaf binary pair.  Each
     span is solved once (memoised), then the greedy ternary combination
     runs over the units; the cheapest completion wins, the first in plan
-    order among equals.  A span stops trying plans once its best
-    completion costs its mixed-arity DP optimum, which no later plan can
-    beat.  A choice with an even unit count tries the binary pair at each
-    position; once a best completion exists, it bounds every position at
-    once: the units' own costs, plus the pair's weight, plus the
-    exact-ternary optimum over the unit weights with the pair's two units
-    merged into one leaf.  The pair plan's completion is a pure-ternary
-    tree over those units with the pair as one leaf, so it costs no less;
-    a position whose bound is no lower than the best completion cannot
-    replace it, as a later plan wins only on a strictly lower cost, and is
-    skipped.  The report is the replay of the final trace, which checks the
+    order among equals.
+
+    Which plans are run is a branch and bound of this solver's own, not
+    the paper's, and never changes the winner.  A span with more than one
+    plan takes its mixed-arity DP optimum as a target, which no completion
+    beats, and bounds each whole-or-split choice exactly: the units' own
+    costs plus the exact-ternary optimum over the unit weights (an odd
+    choice), or plus the pair's weight and the exact-ternary optimum with
+    the pair's two units merged into one leaf (each pair position of an
+    even choice).  The target loop runs, in order, only the plans whose
+    bound is no higher than the optimum, and returns the first that
+    reaches it; if none does, the fallback loop keeps the first cheapest
+    completion, skipping each plan whose bound is no lower than the best so
+    far or above the target loop's best.  The report is the replay of the final trace, which checks the
     replayed tree's cost against the trace's increments."""
     ws = validate_weights(weights)
     return report_from_trace("ternary", _GeneralSolver(ws).solve(), ws)

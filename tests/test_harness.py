@@ -149,6 +149,13 @@ class TestCheckReport:
         assert check_report(report) == []
         assert check_report(edit(report)) == [problem]
 
+    def test_one_leaf_walk(self, monkeypatch):
+        walks = []
+        leaves = harness._leaves
+        monkeypatch.setattr(harness, "_leaves", lambda tree: walks.append(tree) or leaves(tree))
+        report = hu_tucker((4, 2, 3, 4))
+        assert check_report(report) == [] and walks == [report.tree]
+
     def test_cost_below_the_optimum_is_a_violation(self, monkeypatch):
         dp_optimal = harness.dp_optimal
         monkeypatch.setattr(

@@ -45,6 +45,9 @@ from tests.test_levels import _past_cap_inputs
 # the class itself would collect its tests here a second time)
 CRASH_15, CRASH_13 = test_levels.TestPinnedSolverOutputs.KNOWN_FAILURES[:2]
 REPRODUCER = test_levels.TestPinnedSolverOutputs.REPRODUCER
+# a crash-hunt draw on which general_solve raised until its bounds skipped
+# the plan that raises
+CRASH_40 = (1, 0, 0, 1, 0, 2, 0, 0, 3, 0, 0, 0, 0, 1, 2, 0, 0, 3, 0, 0, 2, 1, 3, 3, 3, 1, 1, 3, 2, 1, 3, 1, 3, 1, 2, 2, 0, 3, 1, 1)
 
 
 def engine_for(weights, steps=0):
@@ -672,9 +675,9 @@ class TestKeptScanState:
             return step
 
         monkeypatch.setattr(EngineState, "advance", checked_advance)
-        # 90 draws: the pair-loop skip leaves fewer engine runs per input
+        # 300 draws: the plan search's bounds leave few engine runs per input
         rng = random.Random(79)
-        for _ in range(90):
+        for _ in range(300):
             ws = [rng.randint(0, rng.choice([3, 25, 100])) for _ in range(rng.randint(8, 20))]
             try:
                 general_solve(ws)
@@ -904,10 +907,47 @@ def solve_outcome(ws):
 
 
 def try_every_plan(monkeypatch):
-    """The plan search without its stop or its pair-position skip: no
-    span's best ever reaches -1, nor falls to it."""
+    """The plan search without its stop or any skip, pair or odd: no span's
+    best ever reaches -1, and no plan's bound rises above it, so the target
+    loop runs every plan in order."""
     monkeypatch.setattr(_GeneralSolver, "_optimum_of", lambda self, lo, hi: -1)
-    monkeypatch.setattr(_GeneralSolver, "_pair_bounds", lambda self, units: [-1] * len(units))
+    monkeypatch.setattr(_GeneralSolver, "_choice_bounds", lambda self, units: [-1] * len(units))
+
+
+def _missed_optimum_inputs(seed, count):
+    """``count`` seeded inputs, 12 to 24 leaves of weights 0..100, on which
+    ``general_solve`` returns a cost above the DP optimum: where the whole
+    span has more than one plan, its search takes the fallback loop."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ws = tuple(rng.randint(0, 100) for _ in range(rng.randint(12, 24)))
+        try:
+            missed = general_solve(ws).cost > dp_optimal(ws, (2, 3))[0]
+        except EngineError:
+            continue
+        if missed:
+            out.append(ws)
+    return out
+
+
+def _bounded_spans(seed):
+    """Spans whose choices the bound tests check, as (weights, lo, hi):
+    seeded spans, and whole inputs past ``VECTOR_CAP`` with a heavy first
+    leaf, so that leaves 0 and 1 lie outside every run and make a pair."""
+    rng = random.Random(seed)
+    spans = []
+    for hi in (3, 10, 100):
+        for _ in range(40):
+            ws = tuple(rng.randint(0, hi) for _ in range(rng.randint(4, 20)))
+            lo = rng.randrange(len(ws) - 2)
+            spans += [(ws, lo, rng.randrange(lo + 2, len(ws))), (ws, 0, len(ws) - 1)]
+    for ws in _past_cap_inputs(504, 10):
+        ws = (rng.randint(60, 100),) + ws
+        vectors = math.prod(b - a + 1 for a, b in detect_pcns(ws))
+        assert vectors > _GeneralSolver.VECTOR_CAP
+        spans.append((ws, 0, len(ws) - 1))
+    return spans
 
 
 def solver_plans(ws, lo, hi):
@@ -941,11 +981,12 @@ class TestPlanOrder:
 
 
 class TestPlanSearchStop:
-    """A span's plan search stops once its best completion costs the span's
-    mixed-arity DP optimum, and skips each pair plan of an even choice whose
-    position bound is no lower than the best completion; no skipped plan
-    can cost less, so no output changes, except that skipped plans no longer
-    get to raise."""
+    """A span with more than one plan searches them for its mixed-arity DP
+    optimum first: its target loop runs only the plans whose bound is no
+    higher than the optimum and returns the first that reaches it, and its
+    fallback loop, when none does, skips each plan whose bound is no lower
+    than the best completion so far.  No skipped plan can cost less, so no
+    output changes, except that skipped plans no longer get to raise."""
 
     def test_outputs_match_trying_every_plan(self, monkeypatch):
         rng = random.Random(1101)
@@ -955,14 +996,26 @@ class TestPlanSearchStop:
             for _ in range(100)
         ]
         inputs += _past_cap_inputs(504, 30)
+        inputs += _missed_optimum_inputs(1106, 40)
+        fallbacks = [0]
+        search = _GeneralSolver._search
+
+        def counted(solver, lo, hi, plans):
+            sol = search(solver, lo, hi, plans)
+            fallbacks[0] += sol.cost > solver._optimum_of(lo, hi)
+            return sol
+
+        monkeypatch.setattr(_GeneralSolver, "_search", counted)
         stopped = [solve_outcome(ws) for ws in inputs]
+        assert fallbacks[0] > 30  # 39: 36 whole spans of the missed inputs
         try_every_plan(monkeypatch)
         assert [solve_outcome(ws) for ws in inputs] == stopped
 
     def test_engine_runs(self, monkeypatch):
         # 257 engine runs when every plan is tried, as before the stop and
-        # the pair-position skip, and 62 with both (123 with the stop alone,
-        # 113 with the stop and a skip of whole pair loops only)
+        # the bounds, and 28 with the target and fallback loops (62 with the
+        # stop after a best completion and the pair-position skip, 123 with
+        # the stop alone, 113 with the stop and a skip of whole pair loops)
         rng = random.Random(1102)
         inputs = [tuple(rng.randint(0, 100) for _ in range(rng.randint(8, 16))) for _ in range(20)]
         runs = [0]
@@ -975,7 +1028,7 @@ class TestPlanSearchStop:
         monkeypatch.setattr(EngineState, "run", counted)
         for ws in inputs:
             general_solve(ws)
-        assert runs[0] == 62
+        assert runs[0] == 28
         try_every_plan(monkeypatch)
         runs[0] = 0
         for ws in inputs:
@@ -985,9 +1038,11 @@ class TestPlanSearchStop:
     def test_what_the_vector_cap_costs(self, monkeypatch):
         # the 30-leaf CI input: six permanent runs, 3 024 whole-or-split
         # choices; past the cap the search tries the plans that split at
-        # most one run and misses the optimum by 50, and with the cap raised
-        # to 3 024, where it no longer binds, by 15.  Replacing the cap with
-        # an exact search moves this test.
+        # most one run and misses the optimum by 50 in 9 engine runs, and with
+        # the cap raised to 3 024, where it no longer binds, by 15 in 24 (1 534
+        # before odd choices were bounded and the fallback loop capped by the
+        # target loop's best).  Replacing the cap with an exact search moves
+        # this test.
         ws = (62, 0, 3, 4, 97, 3, 4, 3, 86, 3, 0, 3, 71, 3, 2, 1, 88, 3, 5, 87, 2, 5, 64, 4, 1, 0, 95, 3, 2, 4)
         assert math.prod(b - a + 1 for a, b in detect_pcns(ws)) == 3024
         assert dp_optimal(ws, (2, 3))[0] == 1819
@@ -1000,42 +1055,50 @@ class TestPlanSearchStop:
 
         monkeypatch.setattr(EngineState, "run", counted)
         assert general_solve(ws).cost == 1869
-        assert runs[0] == 10
+        assert runs[0] == 9
         monkeypatch.setattr(_GeneralSolver, "VECTOR_CAP", 3024)
         runs[0] = 0
         assert general_solve(ws).cost == 1834
-        assert runs[0] == 1534
+        assert runs[0] == 24
 
     def test_pair_plans_cost_at_least_their_position_bound(self):
-        # every even choice's pair plans, on seeded spans and on spans past
-        # VECTOR_CAP: the past-cap inputs get a heavy first leaf, so leaves
-        # 0 and 1 lie outside every run and make a pair
-        rng = random.Random(1104)
-        spans = []
-        for hi in (3, 10, 100):
-            for _ in range(40):
-                ws = tuple(rng.randint(0, hi) for _ in range(rng.randint(4, 20)))
-                lo = rng.randrange(len(ws) - 2)
-                spans += [(ws, lo, rng.randrange(lo + 2, len(ws))), (ws, 0, len(ws) - 1)]
-        for ws in _past_cap_inputs(504, 10):
-            ws = (rng.randint(60, 100),) + ws
-            vectors = math.prod(b - a + 1 for a, b in detect_pcns(ws))
-            assert vectors > _GeneralSolver.VECTOR_CAP
-            spans.append((ws, 0, len(ws) - 1))
+        # every even choice's pair plans
         checked = tight = 0
-        for ws, lo, hi in spans:
+        for ws, lo, hi in _bounded_spans(1104):
             solver = _GeneralSolver(ws)
             bounded = None
             for units, k, plan in solver._plans(lo, hi):
                 if k is None:
                     continue
                 if bounded is not units:
-                    bounded, bounds = units, solver._pair_bounds(units)
+                    bounded, bounds = units, solver._choice_bounds(units)
                 cost = solver._run_plan(plan).cost
                 assert cost >= bounds[k]
                 checked += 1
                 tight += cost == bounds[k]
         assert checked > 2000 and tight > 2000
+
+    def test_odd_plans_cost_at_least_their_choice_bound(self):
+        # an odd choice's one bound is the units' costs plus the
+        # exact-ternary DP optimum over the unit weights
+        checked = tight = 0
+        for ws, lo, hi in _bounded_spans(1107):
+            solver = _GeneralSolver(ws)
+            for units, k, plan in solver._plans(lo, hi):
+                if k is not None:
+                    continue
+                subs = [solver.solve_tree(a, b) for a, b in units]
+                weights = tuple(sub.weight for sub in subs)
+                bound = sum(sub.cost for sub in subs) + dp_optimal(weights, (3,))[0]
+                assert solver._choice_bounds(units) == [bound], (ws, units)
+                try:
+                    cost = solver._run_plan(plan).cost
+                except EngineError:  # the crossing-circle crash: no completion
+                    continue
+                assert cost >= bound
+                checked += 1
+                tight += cost == bound
+        assert checked > 400 and tight > 400
 
     def test_position_bounds_are_the_merged_exact_ternary_optima(self):
         # each bound is the units' costs, the pair's weight and the
@@ -1068,7 +1131,7 @@ class TestPlanSearchStop:
             subs = [solver.solve_tree(a, b) for a, b in units]
             weights = tuple(sub.weight for sub in subs)
             costs = sum(sub.cost for sub in subs)
-            bounds = solver._pair_bounds(units)
+            bounds = solver._choice_bounds(units)
             for k in range(len(units) - 1):
                 merged = weights[:k] + (weights[k] + weights[k + 1],) + weights[k + 2 :]
                 optimum = dp_optimal(merged, (3,))[0]
@@ -1092,6 +1155,16 @@ class TestPlanSearchStop:
         try_every_plan(monkeypatch)
         with pytest.raises(EngineError, match="cannot realise forest"):
             general_solve(CRASH_13)
+
+    def test_forty_leaf_crash_input_reaches_the_optimum(self, monkeypatch):
+        # the bounds skip every plan that raises; trying every plan, a run
+        # still raises the crossing-circle crash
+        report = general_solve(CRASH_40)
+        assert report.cost == 157 == dp_optimal(CRASH_40, (2, 3))[0]
+        assert check_report(report) == []
+        try_every_plan(monkeypatch)
+        with pytest.raises(EngineError, match="cannot realise forest"):
+            general_solve(CRASH_40)
 
 
 CRASHES = [
