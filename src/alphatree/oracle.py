@@ -10,7 +10,9 @@ end and by right end, forests by right end, all grown span by span as the
 right end advances, so a scan adds one row to one reversed column with no
 copy; the splits of the returned tree are recovered from the costs along
 it.  ``_merged_pair_optima``, the plan search's pair bound, runs an outside
-pass over the exact-ternary tables in lists grown the same way.
+pass over the exact-ternary tables in lists grown the same way;
+``_ternary_firsts`` and ``_forest_splits`` list every optimal split of a span
+from the mixed tables, for the plan search's test of its plans.
 ``exhaustive_optimal`` literally enumerates every tree shape for tiny inputs,
 keeping the cost of each shape over each span below the full one, and is used
 to check the DP itself.  Both work in exact integers only.
@@ -19,8 +21,8 @@ to check the DP itself.  Both work in exact integers only.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations
-from operator import add, indexOf
+from itertools import accumulate, combinations, compress, repeat
+from operator import add, eq, indexOf
 from typing import Sequence, Tuple
 
 from .core import AlphaTree, Infeasible, TreeBuilder, validate_weights
@@ -236,6 +238,25 @@ def _root_splits(tables: tuple, allowed: frozenset, weight: int, i: int, j: int)
     a = m1 + 1
     forest = pair_cols[j][(j - 1 - a) // step]
     return m1, a + step * indexOf(map(add, rows[a], cols[j][(j - 1 - a) // step :: -1]), forest)
+
+
+def _ternary_firsts(tables: tuple, weight: int, i: int, j: int) -> list:
+    """Every first split of an optimal ternary root over leaves i..j (three
+    or more), whose weight is ``weight``, from the mixed ``_fill_tables``'
+    costs: each m1 with c(i..j) = weight + c(i..m1) + F(m1+1..j), where F
+    is the optimal two-tree forest, in increasing order."""
+    rows, _cols, pair_cols = tables
+    sums = map(add, rows[i], pair_cols[j][j - i - 2 :: -1])
+    return list(compress(range(i, j - 1), map(eq, sums, repeat(rows[i][j - i] - weight))))
+
+
+def _forest_splits(tables: tuple, i: int, j: int) -> list:
+    """Every split of an optimal two-tree forest over leaves i..j (two or
+    more), from the mixed ``_fill_tables``' costs: each m with F(i..j) =
+    c(i..m) + c(m+1..j), in increasing order."""
+    rows, cols, pair_cols = tables
+    sums = map(add, rows[i], cols[j][j - i - 1 :: -1])
+    return list(compress(range(i, j), map(eq, sums, repeat(pair_cols[j][j - 1 - i]))))
 
 
 def _merged_pair_optima(ws: tuple) -> list:

@@ -16,7 +16,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter, itemgetter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Dict, List, Sequence, Tuple
 
 from .core import (
@@ -36,7 +36,13 @@ from .levels import (
     report_from_trace,
     top_trees,
 )
-from .oracle import _dp_tables, _fill_tables, _merged_pair_optima
+from .oracle import (
+    _dp_tables,
+    _fill_tables,
+    _forest_splits,
+    _merged_pair_optima,
+    _ternary_firsts,
+)
 
 
 class EngineError(RuntimeError):
@@ -702,22 +708,27 @@ class _GeneralSolver:
     # three 100-leaf draws from random.Random(700) (weights 0..100), and
     # 2 592, 82 944 and 36 864 at n=150 (random.Random(1050)).  Lifted, the
     # search reaches the DP optimum on each of those 100-leaf draws in two
-    # or three engine runs, but in 0.6 to 37 s, nearly all of it in the pair
-    # positions' inside-outside passes; the cap, not the greedy, makes their
+    # or three engine runs, in 0.07 to 1.6 s, its target loop testing each
+    # plan on the DP tables with no bound fill (0.6 to 37 s when the target
+    # loop filled a bound per choice); the cap, not the greedy, makes their
     # gaps (README, "Plan search").  Where the capped search misses the
     # optimum, its target loop finds no plan that reaches it, and the
     # fallback loop picks the first cheapest completion.  Both bounds are
     # exact, so the skips do not change that choice.
     # No benchmark workload reaches it: on fuzz-general (n 13..20, weights
-    # 0..100) the largest product is 48, over 1 279 span solves at seed 1
-    # and 1 369 at seed 2.  test_general_solve_past_vector_cap pins its
-    # outputs.
+    # 0..100) the largest product is 48, over 556 solves of spans of three
+    # or more leaves at seed 1 and 569 at seed 2.
+    # test_general_solve_past_vector_cap pins its outputs.
     VECTOR_CAP = 512
 
     def __init__(self, weights):
         self.w = weights
         self._memo: Dict[tuple, _Sol] = {}
-        self._optimum = None  # the (2, 3) DP cost table, built when first read
+        self._tables = None  # the (2, 3) DP cost tables, built when first read
+        self._prefix = list(accumulate(weights, initial=0))
+        # the optimal splits by leaf span (see _optimal_shape)
+        self._firsts: Dict[tuple, list] = {}
+        self._seconds: Dict[tuple, list] = {}
 
     def solve_tree(self, lo: int, hi: int) -> _Sol:
         """The first cheapest completion, in plan order, over leaves lo..hi,
@@ -753,62 +764,169 @@ class _GeneralSolver:
         only on a strictly lower cost.
 
         The target loop goes through the plans in order, runs only those
-        whose bound is no higher than the optimum, and returns the first
-        completion that costs the optimum: the first plan in order that
-        reaches it, which is the plan the full search returns.  When none
-        reaches it, the fallback loop generates the plans again and keeps
-        the first cheapest completion, running each plan whose bound is
-        below the best completion so far and no higher than the target
-        loop's best cost, and reusing the target loop's runs.  Each
-        choice's bounds are computed once per search.  The search, its
-        bounds and its order are this solver's engineering, not the
-        paper's: they decide only which plans run, never which plan wins."""
+        whose bound equals the optimum, and returns the first completion
+        that costs the optimum: the first plan in order that reaches it,
+        which is the plan the full search returns.  It tells those plans
+        apart with ``_bound_is_optimum``, from the DP tables the optimum
+        came from, with no bound fill.  A plan's bound equals the optimum
+        exactly when (1) some optimal tree over the span has each of the
+        plan's units as a node, with only ternary nodes above them (the
+        pair, in a plan with one, is a unit: the one binary node, over its
+        two leaves), and (2) every unit's solved cost is its own DP
+        optimum.  Proof: write c(u) for a unit's DP optimum and T for the
+        exact-ternary optimum over the unit weights, with the pair as one
+        leaf, and count the pair's binary node in its c(u).  The bound is
+        the units' solved costs plus T, no less than the sum of the c(u)
+        plus T, which is the cost of one tree over the span, the units'
+        optimal trees under the best ternary tree over them, so no less
+        than the optimum.  If (1) and (2) hold, the tree of (1) costs the
+        sum of the c(u) plus its ternary top, no less than T, so the bound
+        is at most the optimum, hence equal.  If the bound equals the
+        optimum, both inequalities are equalities: every solved cost is
+        its c(u), and the tree above is an optimal tree of the form (1).
+
+        When none reaches the optimum, no completion costs it (a completion
+        that did would have a bound no higher, so the target loop ran it),
+        and the fallback loop generates the plans again and keeps the first
+        cheapest completion.  It runs each plan whose bound is below the
+        best completion so far and no higher than the target loop's best
+        cost, reusing the target loop's runs, and stops at the first
+        completion that costs one more than the optimum, which no later
+        plan beats.  Only this loop fills bounds, once per choice.  The
+        search, its tests and its order are this solver's engineering, not
+        the paper's: they decide only which plans run, never which plan
+        wins."""
         optimum = self._optimum_of(lo, hi)
-        bounds, runs = {}, {}  # by a choice's units, and by a plan's index
-
-        def first_cheapest(plans, ceiling):
-            sol = seen = None
-            for i, (units, k, spans) in enumerate(plans):
-                if units is not seen:  # a choice's plans share one units list
-                    seen, key = units, tuple(units)
-                    if key not in bounds:
-                        bounds[key] = self._choice_bounds(units)
-                    choice = bounds[key]
-                bound = choice[k or 0]  # an odd choice's one plan has k None
-                if bound >= ceiling or sol is not None and bound >= sol.cost:
-                    continue
-                if i not in runs:
-                    runs[i] = self._run_plan(spans)
-                if sol is None or runs[i].cost < sol.cost:
-                    sol = runs[i]
-                    if sol.cost == optimum:
-                        break
-            return sol
-
-        sol = first_cheapest(plans, optimum + 1)
-        if sol is None or sol.cost > optimum:
-            ceiling = math.inf if sol is None else sol.cost + 1
-            sol = first_cheapest(self._plans(lo, hi), ceiling)
+        runs = {}  # by a plan's index
+        sol = seen = None
+        for i, (units, k, spans) in enumerate(plans):
+            if units is not seen:  # a choice's plans share one units list
+                seen, shapes = units, {}
+            if not self._bound_is_optimum(spans, k, shapes):
+                continue
+            runs[i] = run = self._run_plan(spans)
+            if sol is None or run.cost < sol.cost:
+                sol = run
+                if sol.cost == optimum:
+                    return sol
+        ceiling = math.inf if sol is None else sol.cost + 1
+        sol = seen = None
+        for i, (units, k, spans) in enumerate(self._plans(lo, hi)):
+            if units is not seen:
+                seen, bounds = units, self._choice_bounds(units)
+            bound = bounds[k or 0]  # an odd choice's one plan has k None
+            if bound >= ceiling or sol is not None and bound >= sol.cost:
+                continue
+            if i not in runs:
+                runs[i] = self._run_plan(spans)
+            if sol is None or runs[i].cost < sol.cost:
+                sol = runs[i]
+                if sol.cost == optimum + 1:
+                    break
         return sol
 
     def _optimum_of(self, lo: int, hi: int) -> int:
         """The mixed-arity DP optimum over leaves lo..hi.  Every completion
         of every plan is a tree over those leaves with internal arities 2
-        and 3, so none costs less.  The cost rows are fetched on the first
-        read (row lo holds the tree over lo..hi at index hi - lo), so a
-        solve whose spans each have one plan never builds them;
+        and 3, so none costs less.  The cost tables are fetched on the
+        first read (row lo holds the tree over lo..hi at index hi - lo),
+        so a solve whose spans each have one plan never builds them;
         ``_dp_tables`` keeps its last table set, so a ``dp_optimal(ws, (2,
         3))`` call on the same weights, before or after the solve, shares
         the build."""
-        if self._optimum is None:
-            self._optimum = _dp_tables(self.w, frozenset((2, 3)))[0]
-        return self._optimum[lo][hi - lo]
+        if self._tables is None:
+            self._tables = _dp_tables(self.w, frozenset((2, 3)))
+        return self._tables[0][lo][hi - lo]
+
+    def _bound_is_optimum(self, spans, k, shapes: dict) -> bool:
+        """Whether the plan with unit spans ``spans`` and its pair at index k
+        (None for no pair) has a bound equal to the DP optimum over its
+        leaves: the two conditions of ``_search``.  Units are solved only
+        when (1) holds, left to right, up to the first whose cost is above
+        its DP optimum; a leaf and a two-leaf span always cost theirs.
+        ``shapes`` is the memo of ``_optimal_shape``."""
+        return self._optimal_shape(spans, k, shapes) and all(
+            self.solve_tree(a, b).cost == self._optimum_of(a, b) for a, b in spans if b - a > 1
+        )
+
+    def _optimal_shape(self, spans, k, shapes: dict) -> bool:
+        """Condition (1) of ``_search``: some optimal tree over the plan's
+        leaves has each of ``spans`` as a node, with only ternary nodes
+        above them.  A stretch of units a..b, over leaves x..y, passes if it
+        is one unit, or if unit ends m1 < m2 inside it cut it into three
+        stretches of odd unit counts that pass, with c(x..y) = W(x..y) +
+        c(x..m1) + F(m1+1..y) and F(m1+1..y) = c(m1+1..m2) + c(m2+1..y),
+        where c is the optimal tree cost and F the optimal two-tree forest
+        cost.  Every subtree of an optimal tree is optimal over its leaves,
+        so this is exactly a ternary root over optimal children whose own
+        trees have the form.
+
+        The splits that meet each equation depend only on the leaves, so
+        the solver keeps them by leaf span (``_ternary_firsts`` and
+        ``_forest_splits``), and a plan only looks up which of them are its
+        unit ends.  Each stretch is tested once per choice: ``shapes`` maps
+        its leaf span, with the pair's first leaf when it holds the pair
+        and -1 otherwise, to the result, since a stretch without the pair
+        holds the same units in every plan of a choice.  Depth-first,
+        stopping at the first cut that passes."""
+        tables, firsts, seconds = self._tables, self._firsts, self._seconds
+        prefix = self._prefix
+        pair = -1 if k is None else spans[k][0]
+
+        def unit_end(m: int, a: int, b: int):
+            """The index in a..b of the unit that ends at leaf m, or None."""
+            t = bisect_left(spans, (m + 1,), a, b + 1) - 1
+            return t if spans[t][1] == m else None
+
+        def cuts(a: int, b: int, x: int, y: int):
+            """Whether units a..b, two or more over leaves x..y, pass: yields
+            each stretch (a', b') a cut needs and is sent back whether it
+            passes, in order, until a cut passes."""
+            if (x, y) not in firsts:
+                firsts[x, y] = _ternary_firsts(tables, prefix[y + 1] - prefix[x], x, y)
+            for m1 in firsts[x, y]:
+                t1 = unit_end(m1, a, b)
+                if t1 is None or (t1 - a) % 2 or not (yield a, t1):
+                    continue
+                if (m1 + 1, y) not in seconds:
+                    seconds[m1 + 1, y] = _forest_splits(tables, m1 + 1, y)
+                for m2 in seconds[m1 + 1, y]:
+                    t2 = unit_end(m2, t1 + 1, b)
+                    if t2 is not None and (t2 - t1) % 2 and (yield t1 + 1, t2) and (yield t2 + 1, b):
+                        return True
+            return False
+
+        # depth-first on an explicit stack of (key, cuts) frames, so a deep
+        # tree needs no deep recursion
+        stack, need, passed = [], (0, len(spans) - 1), None
+        while True:
+            if need is not None:
+                a, b = need
+                x, y = spans[a][0], spans[b][1]
+                key = (x, y, pair if x <= pair <= y else -1)
+                if a == b:
+                    passed = True
+                elif key in shapes:
+                    passed = shapes[key]
+                else:
+                    stack.append((key, cuts(a, b, x, y)))
+                    passed = None  # starts the new frame
+            if not stack:
+                return passed
+            key, frame = stack[-1]
+            try:
+                need = frame.send(passed)
+            except StopIteration as done:
+                stack.pop()
+                passed = shapes[key] = done.value
+                need = None
 
     def _choice_bounds(self, units) -> list:
         """Lower bounds on the completions of one whole-or-split choice's
         plans, each exact for the plans it covers: the units' own costs,
-        plus an exact-ternary DP optimum.  The units are solved left to
-        right, as the choice's plans solve them.
+        plus an exact-ternary DP optimum.  Only ``_search``'s fallback loop
+        reads them.  The units are solved left to right, as the choice's
+        plans solve them.
 
         An odd choice's one plan completes as a pure-ternary tree over its
         units (``EngineState.run`` checks it), so its one entry adds the
@@ -927,15 +1045,18 @@ def general_solve(weights: Sequence[int]) -> SolveReport:
     Which plans are run is a branch and bound of this solver's own, not
     the paper's, and never changes the winner.  A span with more than one
     plan takes its mixed-arity DP optimum as a target, which no completion
-    beats, and bounds each whole-or-split choice exactly: the units' own
-    costs plus the exact-ternary optimum over the unit weights (an odd
-    choice), or plus the pair's weight and the exact-ternary optimum with
-    the pair's two units merged into one leaf (each pair position of an
-    even choice).  The target loop runs, in order, only the plans whose
-    bound is no higher than the optimum, and returns the first that
-    reaches it; if none does, the fallback loop keeps the first cheapest
-    completion, skipping each plan whose bound is no lower than the best so
-    far or above the target loop's best.  The report is the replay of the final trace, which checks the
-    replayed tree's cost against the trace's increments."""
+    beats.  Each plan has an exact bound: the units' own costs plus the
+    exact-ternary optimum over the unit weights (an odd choice), or plus
+    the pair's weight and the exact-ternary optimum with the pair's two
+    units merged into one leaf (each pair position of an even choice).
+    The target loop runs, in order, only the plans whose bound equals the
+    optimum, which it tells from the DP's cost tables and the units'
+    costs without computing the bound, and returns the first that reaches
+    it; if none does, the fallback loop computes the bounds and keeps the
+    first cheapest completion, skipping each plan whose bound is no lower
+    than the best so far or above the target loop's best, and stopping at
+    a completion one above the optimum.  The report is
+    the replay of the final trace, which checks the replayed tree's cost
+    against the trace's increments."""
     ws = validate_weights(weights)
     return report_from_trace("ternary", _GeneralSolver(ws).solve(), ws)

@@ -18,7 +18,9 @@ from alphatree.oracle import (
     RefusedSize,
     _arity_set,
     _dp_tables,
+    _forest_splits,
     _root_splits,
+    _ternary_firsts,
     dp_optimal,
     exhaustive_optimal,
 )
@@ -241,6 +243,26 @@ class TestDpOptimal:
                     for j in range(i + step, n, step):
                         splits = _root_splits(tables, allowed, sum(ws[i : j + 1]), i, j)
                         assert splits == choice[i][j], (ws, arities, i, j)
+
+    def test_every_optimal_split_matches_the_cubic_reference(self):
+        # the first splits of every optimal ternary root and the splits of
+        # every optimal forest, ties included, on every span of the mixed
+        # tables
+        allowed = frozenset((2, 3))
+        rng = random.Random(46)
+        for n in range(2, 31):
+            for hi in (0, 1, 3, 100):
+                ws = tuple(rng.randint(0, hi) for _ in range(n))
+                cost, _choice, pair = cubic_tables(ws, allowed)
+                tables = _dp_tables(ws, allowed)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        forests = [m for m in range(i, j) if cost[i][m] + cost[m + 1][j] == pair[j][i]]
+                        assert _forest_splits(tables, i, j) == forests, (ws, i, j)
+                        if j > i + 1:
+                            root = cost[i][j] - sum(ws[i : j + 1])
+                            firsts = [m for m in range(i, j - 1) if cost[i][m] + pair[j][m + 1] == root]
+                            assert _ternary_firsts(tables, sum(ws[i : j + 1]), i, j) == firsts, (ws, i, j)
 
     def test_deep_tree_needs_no_deep_recursion(self):
         # zeros tie everywhere and ties take the leftmost split, binary

@@ -36,7 +36,7 @@ from alphatree.ternary import (
     is_interior_pair_pcn_free,
     solve_pure_ternary,
 )
-from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS
+from tests.conftest import FIFTEEN_WEIGHTS, SEVEN_WEIGHTS, shallow_recursion
 from tests import test_levels
 from tests.test_levels import _past_cap_inputs
 
@@ -675,9 +675,10 @@ class TestKeptScanState:
             return step
 
         monkeypatch.setattr(EngineState, "advance", checked_advance)
-        # 300 draws: the plan search's bounds leave few engine runs per input
+        # 360 draws: the plan search leaves few engine runs per input (360
+        # give 2 070 scans, 1 654 over opaque units)
         rng = random.Random(79)
-        for _ in range(300):
+        for _ in range(360):
             ws = [rng.randint(0, rng.choice([3, 25, 100])) for _ in range(rng.randint(8, 20))]
             try:
                 general_solve(ws)
@@ -907,10 +908,12 @@ def solve_outcome(ws):
 
 
 def try_every_plan(monkeypatch):
-    """The plan search without its stop or any skip, pair or odd: no span's
-    best ever reaches -1, and no plan's bound rises above it, so the target
-    loop runs every plan in order."""
+    """The plan search without its stop or any skip: the target loop's test
+    passes every plan and no span's best ever reaches -1, so the target
+    loop runs every plan in order, and no bound rises above -1, so the
+    fallback loop runs none again."""
     monkeypatch.setattr(_GeneralSolver, "_optimum_of", lambda self, lo, hi: -1)
+    monkeypatch.setattr(_GeneralSolver, "_bound_is_optimum", lambda self, spans, k, shapes: True)
     monkeypatch.setattr(_GeneralSolver, "_choice_bounds", lambda self, units: [-1] * len(units))
 
 
@@ -982,10 +985,11 @@ class TestPlanOrder:
 
 class TestPlanSearchStop:
     """A span with more than one plan searches them for its mixed-arity DP
-    optimum first: its target loop runs only the plans whose bound is no
-    higher than the optimum and returns the first that reaches it, and its
-    fallback loop, when none does, skips each plan whose bound is no lower
-    than the best completion so far.  No skipped plan can cost less, so no
+    optimum first: its target loop runs only the plans whose bound equals
+    the optimum, told apart from the DP tables, and returns the first that
+    reaches it, and its fallback loop, when none does, skips each plan whose
+    bound is no lower than the best completion so far and stops at a
+    completion one above the optimum.  No skipped plan can cost less, so no
     output changes, except that skipped plans no longer get to raise."""
 
     def test_outputs_match_trying_every_plan(self, monkeypatch):
@@ -997,25 +1001,30 @@ class TestPlanSearchStop:
         ]
         inputs += _past_cap_inputs(504, 30)
         inputs += _missed_optimum_inputs(1106, 40)
-        fallbacks = [0]
+        gaps = []  # of each search that ends in the fallback loop
         search = _GeneralSolver._search
 
         def counted(solver, lo, hi, plans):
             sol = search(solver, lo, hi, plans)
-            fallbacks[0] += sol.cost > solver._optimum_of(lo, hi)
+            if sol.cost > solver._optimum_of(lo, hi):
+                gaps.append(sol.cost - solver._optimum_of(lo, hi))
             return sol
 
         monkeypatch.setattr(_GeneralSolver, "_search", counted)
         stopped = [solve_outcome(ws) for ws in inputs]
-        assert fallbacks[0] > 30  # 39: 36 whole spans of the missed inputs
+        # 39: 36 whole spans of the missed inputs; the 6 one above the
+        # optimum stop at the first completion that costs it
+        assert len(gaps) > 30 and gaps.count(1) > 3
         try_every_plan(monkeypatch)
         assert [solve_outcome(ws) for ws in inputs] == stopped
 
     def test_engine_runs(self, monkeypatch):
         # 257 engine runs when every plan is tried, as before the stop and
-        # the bounds, and 28 with the target and fallback loops (62 with the
-        # stop after a best completion and the pair-position skip, 123 with
-        # the stop alone, 113 with the stop and a skip of whole pair loops)
+        # the bounds, and 24 with the target and fallback loops (28 when the
+        # target loop's bounds solved every unit of every choice, 62 with
+        # the stop after a best completion and the pair-position skip, 123
+        # with the stop alone, 113 with the stop and a skip of whole pair
+        # loops)
         rng = random.Random(1102)
         inputs = [tuple(rng.randint(0, 100) for _ in range(rng.randint(8, 16))) for _ in range(20)]
         runs = [0]
@@ -1028,7 +1037,7 @@ class TestPlanSearchStop:
         monkeypatch.setattr(EngineState, "run", counted)
         for ws in inputs:
             general_solve(ws)
-        assert runs[0] == 28
+        assert runs[0] == 24
         try_every_plan(monkeypatch)
         runs[0] = 0
         for ws in inputs:
@@ -1137,6 +1146,58 @@ class TestPlanSearchStop:
                 optimum = dp_optimal(merged, (3,))[0]
                 assert bounds[k] == costs + weights[k] + weights[k + 1] + optimum, (ws, units, k)
 
+    def test_target_test_is_the_bound_at_the_optimum(self, monkeypatch):
+        # on every plan of every searched span, the target loop's test passes
+        # exactly when the plan's bound equals the span's DP optimum, and
+        # its shape test gives the same with a memo shared by the choice's
+        # plans as with none.  The seeded spans hold no plan whose shape
+        # passes with a unit solved above its DP optimum; the last input
+        # has one: its run 1..11 (the 11-leaf gap input) costs 61 against
+        # an optimum of 60, in the first of its 21 plans
+        searched = []
+        search = _GeneralSolver._search
+
+        def recorded(solver, lo, hi, plans):
+            searched.append((solver, lo, hi))
+            return search(solver, lo, hi, plans)
+
+        monkeypatch.setattr(_GeneralSolver, "_search", recorded)
+        rng = random.Random(1108)
+        inputs = [
+            tuple(rng.randint(0, hi) for _ in range(rng.randint(6, 24)))
+            for hi in (2, 5, 100)
+            for _ in range(100)
+        ]
+        inputs.append((50, 1, 1, 1, 3, 1, 4, 1, 7, 1, 5, 4, 50, 50, 50))
+        for ws in inputs:
+            try:
+                general_solve(ws)
+            except EngineError:
+                pass
+        monkeypatch.undo()
+        plans = tight = unit_above = 0
+        for solver, lo, hi in searched:
+            optimum = solver._optimum_of(lo, hi)
+            seen = None
+            for units, k, spans in solver._plans(lo, hi):
+                if units is not seen:
+                    seen, shapes, bounds = units, {}, solver._choice_bounds(units)
+                shape = solver._optimal_shape(spans, k, shapes)
+                assert shape == solver._optimal_shape(spans, k, {}), (solver.w, spans)
+                passes = solver._bound_is_optimum(spans, k, shapes)
+                assert passes == (bounds[k or 0] == optimum), (solver.w, spans)
+                plans += 1
+                tight += passes
+                unit_above += shape and not passes
+        assert plans > 7000 and tight > 600 and unit_above == 1
+
+    def test_deep_shape_needs_no_deep_recursion(self):
+        # zeros tie every split, and the shape test of the first pair plan
+        # follows the first ones: ternary stretches nested about a hundred
+        # deep over 200 zeros, with room for a few frames only
+        with shallow_recursion():
+            assert general_solve([0] * 200).cost == 0
+
     def test_single_plan_inputs_build_no_table(self, monkeypatch):
         def no_table(ws, allowed):
             raise AssertionError("the DP table was built for a one-plan solve")
@@ -1179,6 +1240,56 @@ CRASHES = [
 @pytest.mark.parametrize("solver, ws", CRASHES)
 def test_crossing_circle_inputs_solve(solver, ws):
     assert check_report(solver(ws)) == []
+
+
+def _stuck(levels, above):
+    """The text of the crossing-circle ``EngineError`` at unit levels
+    ``levels`` (a digit string), with ``above`` nodes left above level 0."""
+    levels = list(map(int, levels))
+    return (
+        f"cannot realise forest for unit levels {levels}: cannot reduce levels {levels} "
+        f"in pure-ternary mode; stuck with {above} node(s) above level 0"
+    )
+
+
+# the general_solve outcome of every crossing-circle witness it meets: its
+# cost, or its EngineError text.  The 31- and 40-leaf inputs solve because
+# the plan search skips the plans that raise; the target loop now solves only
+# the units of plans whose bound is the optimum, which changes none of them.
+WITNESS_OUTCOMES = [
+    (CRASH_15, _stuck("211122110111111", 5)),
+    (REPRODUCER, _stuck("2111221101111111110", 5)),
+    (
+        (5, 0, 8, 6, 5, 4, 5, 0, 5, 2, 4, 1, 7, 1, 9, 1, 10, 5, 0, 8, 5, 0, 1, 4, 9, 3, 5, 5, 5),
+        _stuck("111112210122110111011101110", 10),
+    ),
+    (
+        (30, 30, 86, 58, 86, 51, 58, 13, 40, 29, 6, 44, 13, 50, 2, 72, 14, 95, 33, 45, 70, 30, 43,
+         54, 29, 5, 17, 21, 16, 93, 21),
+        3861,
+    ),
+    (
+        (7, 9, 1, 9, 1, 10, 8, 8, 10, 7, 6, 5, 10, 1, 10, 3, 3, 2, 4, 0, 2, 7, 1, 2, 5, 9, 5, 4, 8, 5,
+         8, 1),
+        _stuck("0011100001110112211121110111111", 5),
+    ),
+    (
+        (0, 2, 0, 2, 0, 0, 0, 2, 1, 2, 0, 1, 1, 1, 2, 1, 1, 2, 2, 1, 0, 1, 0, 1, 0, 0, 0, 2, 0, 2, 0,
+         1, 1),
+        _stuck("11101110111111000211122110111", 5),
+    ),
+    (CRASH_40, 157),
+]
+
+
+@pytest.mark.parametrize(
+    "ws, outcome", WITNESS_OUTCOMES, ids=[f"{len(ws)}-leaves" for ws, _ in WITNESS_OUTCOMES]
+)
+def test_crossing_circle_witness_outcomes(ws, outcome):
+    try:
+        assert general_solve(ws).cost == outcome
+    except EngineError as exc:
+        assert str(exc) == outcome
 
 
 class TestStepwiseForest:
