@@ -8,11 +8,11 @@ for binary and for exact-ternary trees, which run in O(n^2); mixed arity
 stays O(n^3).  Three tables hold costs only, each span once: trees by left
 end and by right end, forests by right end, all grown span by span as the
 right end advances, so a scan adds one row to one reversed column with no
-copy; the splits of the returned tree are recovered from the costs along
-it.  ``_merged_pair_optima``, the plan search's pair bound, runs an outside
-pass over the exact-ternary tables in lists grown the same way;
-``_ternary_firsts`` and ``_forest_splits`` list every optimal split of a span
-from the mixed tables, for the plan search's test of its plans.
+copy.  One reader, ``_splits``, lists a span's optimal splits from the
+costs, lazily and left to right: the returned tree takes the first of each
+node's, and the plan search's test of its plans reads them all.
+``_merged_pair_optima``, the plan search's pair bound, runs an outside pass
+over the exact-ternary tables in lists grown the same way.
 ``exhaustive_optimal`` literally enumerates every tree shape for tiny inputs,
 keeping the cost of each shape over each span below the full one, and is used
 to check the DP itself.  Both work in exact integers only.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, repeat
-from operator import add, eq, indexOf
+from operator import add, eq
 from typing import Sequence, Tuple
 
 from .core import AlphaTree, Infeasible, TreeBuilder, validate_weights
@@ -226,37 +226,31 @@ def _root_splits(tables: tuple, allowed: frozenset, weight: int, i: int, j: int)
     whose weight is ``weight``, from ``_fill_tables``' costs: each child but
     the last ends at one.  The tie rule is the fill's: a binary root when
     its forest is no dearer than every ternary root, else the leftmost
-    optimal first split, each forest split leftmost.  A scan stops at the
-    first split that reaches the span's optimum, so the splits of every
-    node of one tree cost at most the sum of its spans' lengths, O(n^2)."""
-    rows, cols, pair_cols = tables
-    step = 2 if allowed == {3} else 1
-    target = rows[i][(j - i) // step] - weight
-    if 2 in allowed and pair_cols[j][(j - 1 - i) // step] == target:
-        return (i + step * indexOf(map(add, rows[i], cols[j][(j - 1 - i) // step :: -1]), target),)
-    m1 = i + step * indexOf(map(add, rows[i], pair_cols[j][(j - 2 - i) // step :: -1]), target)
-    a = m1 + 1
-    forest = pair_cols[j][(j - 1 - a) // step]
-    return m1, a + step * indexOf(map(add, rows[a], cols[j][(j - 1 - a) // step :: -1]), forest)
-
-
-def _ternary_firsts(tables: tuple, weight: int, i: int, j: int) -> list:
-    """Every first split of an optimal ternary root over leaves i..j (three
-    or more), whose weight is ``weight``, from the mixed ``_fill_tables``'
-    costs: each m1 with c(i..j) = weight + c(i..m1) + F(m1+1..j), where F
-    is the optimal two-tree forest, in increasing order."""
+    optimal first split, each forest split leftmost.  Each split is the
+    first that ``_splits`` yields, so the splits of every node of one tree
+    cost at most the sum of its spans' lengths, O(n^2)."""
     rows, _cols, pair_cols = tables
-    sums = map(add, rows[i], pair_cols[j][j - i - 2 :: -1])
-    return list(compress(range(i, j - 1), map(eq, sums, repeat(rows[i][j - i] - weight))))
+    step = 2 if allowed == {3} else 1
+    if 2 in allowed and pair_cols[j][(j - 1 - i) // step] == rows[i][(j - i) // step] - weight:
+        return (next(_splits(tables, step, i, j)),)
+    m1 = next(_splits(tables, step, i, j, weight))
+    return m1, next(_splits(tables, step, m1 + 1, j))
 
 
-def _forest_splits(tables: tuple, i: int, j: int) -> list:
-    """Every split of an optimal two-tree forest over leaves i..j (two or
-    more), from the mixed ``_fill_tables``' costs: each m with F(i..j) =
-    c(i..m) + c(m+1..j), in increasing order."""
+def _splits(tables: tuple, step: int, i: int, j: int, weight=None):
+    """Every split of an optimal two-tree forest over leaves i..j, each m
+    with F(i..j) = c(i..m) + c(m+1..j), where c is the optimal tree and F
+    the optimal two-tree forest cost; or, given the span's weight, every
+    first split of an optimal ternary root over i..j, each m1 with c(i..j)
+    = weight + c(i..m1) + F(m1+1..j).  Lazily, in increasing order, from
+    ``_fill_tables``' costs with their ``step``: one row added to one
+    reversed column, compared with the span's optimum as it goes."""
     rows, cols, pair_cols = tables
-    sums = map(add, rows[i], cols[j][j - i - 1 :: -1])
-    return list(compress(range(i, j), map(eq, sums, repeat(pair_cols[j][j - 1 - i]))))
+    if weight is None:
+        target, other = pair_cols[j][(j - 1 - i) // step], cols[j][(j - 1 - i) // step :: -1]
+    else:
+        target, other = rows[i][(j - i) // step] - weight, pair_cols[j][(j - 2 - i) // step :: -1]
+    return compress(range(i, j, step), map(eq, map(add, rows[i], other), repeat(target)))
 
 
 def _merged_pair_optima(ws: tuple) -> list:

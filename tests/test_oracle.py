@@ -18,9 +18,8 @@ from alphatree.oracle import (
     RefusedSize,
     _arity_set,
     _dp_tables,
-    _forest_splits,
     _root_splits,
-    _ternary_firsts,
+    _splits,
     dp_optimal,
     exhaustive_optimal,
 )
@@ -114,6 +113,32 @@ def cubic_tables(ws, allowed):
                 cost[i][j] = cost_to[j][i] = best + (prefix[j + 1] - prefix[i])
                 choice[i][j] = pick
     return cost, choice, pair
+
+
+def bottom_pair_dp(ws):
+    """The mixed-arity optimum in the bottom-pair normal form (README,
+    "Oracles"): some optimal tree with arities {2, 3} has every binary node
+    over two leaves, so a span of two leaves is one binary node and every
+    longer span has a ternary root, a tree over i..m1 and the cheapest
+    two-tree forest over m1+1..j.  O(n^3), on full n-by-n tables, with no
+    binary root above two leaves, no tie rule and no table shared with
+    ``dp_optimal``."""
+    n = len(ws)
+    prefix = [0]
+    for w in ws:
+        prefix.append(prefix[-1] + w)
+    cost = [[0] * n for _ in range(n)]
+    forest = [[0] * n for _ in range(n)]
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            forest[i][j] = min(cost[i][m] + cost[m + 1][j] for m in range(i, j))
+            if length == 2:
+                cost[i][j] = ws[i] + ws[j]
+            else:
+                root = min(cost[i][m1] + forest[m1 + 1][j] for m1 in range(i, j - 1))
+                cost[i][j] = prefix[j + 1] - prefix[i] + root
+    return cost[0][n - 1]
 
 
 def concatenated_exhaustive(weights, arities=(2, 3)):
@@ -214,6 +239,20 @@ class TestDpOptimal:
                     ref_cost, ref_tree = reference_dp(ws, arities)
                     assert (cost, repr(tree)) == (ref_cost, repr(ref_tree)), (ws, arities)
 
+    def test_matches_the_bottom_pair_reference(self):
+        # the mixed-arity cost against the normal form's DP, ties and zeros
+        # included, and at sizes the quartic reference (n <= 40) and the
+        # enumeration (n <= 11) do not reach
+        rng = random.Random(47)
+        inputs = [
+            tuple(rng.randint(0, hi) for _ in range(rng.randint(1, 40)))
+            for hi in (0, 1, 2, 3, 10, 100, 10**6)
+            for _ in range(86)
+        ]
+        inputs += [tuple(rng.randint(0, 100) for _ in range(n)) for n in (100, 150, 200)]
+        for ws in inputs:
+            assert dp_optimal(ws, (2, 3))[0] == bottom_pair_dp(ws), ws
+
     @pytest.mark.parametrize("arities", ARITY_SETS)
     def test_tables_match_the_cubic_reference(self, arities):
         # {2} and {3} scan only between the Knuth bounds, {2, 3} every split;
@@ -258,11 +297,11 @@ class TestDpOptimal:
                 for i in range(n):
                     for j in range(i + 1, n):
                         forests = [m for m in range(i, j) if cost[i][m] + cost[m + 1][j] == pair[j][i]]
-                        assert _forest_splits(tables, i, j) == forests, (ws, i, j)
+                        assert list(_splits(tables, 1, i, j)) == forests, (ws, i, j)
                         if j > i + 1:
                             root = cost[i][j] - sum(ws[i : j + 1])
                             firsts = [m for m in range(i, j - 1) if cost[i][m] + pair[j][m + 1] == root]
-                            assert _ternary_firsts(tables, sum(ws[i : j + 1]), i, j) == firsts, (ws, i, j)
+                            assert list(_splits(tables, 1, i, j, sum(ws[i : j + 1]))) == firsts, (ws, i, j)
 
     def test_deep_tree_needs_no_deep_recursion(self):
         # zeros tie everywhere and ties take the leftmost split, binary

@@ -913,7 +913,7 @@ def try_every_plan(monkeypatch):
     loop runs every plan in order, and no bound rises above -1, so the
     fallback loop runs none again."""
     monkeypatch.setattr(_GeneralSolver, "_optimum_of", lambda self, lo, hi: -1)
-    monkeypatch.setattr(_GeneralSolver, "_bound_is_optimum", lambda self, spans, k, shapes: True)
+    monkeypatch.setattr(_GeneralSolver, "_optimal_shape", lambda self, spans, k, shapes: True)
     monkeypatch.setattr(_GeneralSolver, "_choice_bounds", lambda self, units: [-1] * len(units))
 
 
@@ -985,12 +985,13 @@ class TestPlanOrder:
 
 class TestPlanSearchStop:
     """A span with more than one plan searches them for its mixed-arity DP
-    optimum first: its target loop runs only the plans whose bound equals
-    the optimum, told apart from the DP tables, and returns the first that
-    reaches it, and its fallback loop, when none does, skips each plan whose
-    bound is no lower than the best completion so far and stops at a
-    completion one above the optimum.  No skipped plan can cost less, so no
-    output changes, except that skipped plans no longer get to raise."""
+    optimum first: its target loop runs only the plans whose units are nodes
+    of an optimal tree under ternary nodes only, told apart from the DP
+    tables, and returns the first that reaches it, and its fallback loop,
+    when none does, skips each plan whose bound is no lower than the best
+    completion so far and stops at a completion one above the optimum.  No
+    skipped plan can cost less, so no output changes, except that skipped
+    plans no longer get to raise."""
 
     def test_outputs_match_trying_every_plan(self, monkeypatch):
         rng = random.Random(1101)
@@ -1148,12 +1149,13 @@ class TestPlanSearchStop:
 
     def test_target_test_is_the_bound_at_the_optimum(self, monkeypatch):
         # on every plan of every searched span, the target loop's test passes
-        # exactly when the plan's bound equals the span's DP optimum, and
-        # its shape test gives the same with a memo shared by the choice's
-        # plans as with none.  The seeded spans hold no plan whose shape
-        # passes with a unit solved above its DP optimum; the last input
-        # has one: its run 1..11 (the 11-leaf gap input) costs 61 against
-        # an optimum of 60, in the first of its 21 plans
+        # exactly when the plan's bound, less its units' excess over their
+        # own DP optima, equals the span's DP optimum, and it gives the same
+        # with a memo shared by the choice's plans as with none.  So every
+        # plan whose bound equals the optimum passes.  The seeded spans hold
+        # no plan that passes with a unit solved above its DP optimum; the
+        # last input has one: its run 1..11 (the 11-leaf gap input) costs 61
+        # against an optimum of 60, in the first of its 21 plans
         searched = []
         search = _GeneralSolver._search
 
@@ -1182,13 +1184,13 @@ class TestPlanSearchStop:
             for units, k, spans in solver._plans(lo, hi):
                 if units is not seen:
                     seen, shapes, bounds = units, {}, solver._choice_bounds(units)
+                    excess = sum(solver.solve_tree(a, b).cost - solver._optimum_of(a, b) for a, b in units)
                 shape = solver._optimal_shape(spans, k, shapes)
                 assert shape == solver._optimal_shape(spans, k, {}), (solver.w, spans)
-                passes = solver._bound_is_optimum(spans, k, shapes)
-                assert passes == (bounds[k or 0] == optimum), (solver.w, spans)
+                assert shape == (bounds[k or 0] - excess == optimum), (solver.w, spans)
                 plans += 1
-                tight += passes
-                unit_above += shape and not passes
+                tight += bounds[k or 0] == optimum
+                unit_above += shape and bounds[k or 0] != optimum
         assert plans > 7000 and tight > 600 and unit_above == 1
 
     def test_deep_shape_needs_no_deep_recursion(self):
@@ -1242,6 +1244,29 @@ def test_crossing_circle_inputs_solve(solver, ws):
     assert check_report(solver(ws)) == []
 
 
+def _nested_runs(levels):
+    """Leaves 1, 1 wrapped ``levels`` times in a leaf on each side one
+    heavier than everything inside, so each span between two such leaves
+    has one plan: the run inside it kept whole (split, it leaves an even
+    unit count with no two adjacent leaves to pair)."""
+    ws = [1, 1]
+    for _ in range(levels):
+        s = sum(ws) + 1
+        ws = [s, *ws, s]
+    return ws
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="solve_tree recurses per nested run")
+def test_nested_runs_need_no_deep_recursion():
+    # general_solve spends three frames (solve_tree, _run_plan and its list
+    # comprehension) on each level of nested permanent runs: 360 levels, 722
+    # leaves, raise at the default recursion limit, and 15 already do here
+    ws = _nested_runs(40)
+    with shallow_recursion():
+        report = general_solve(ws)
+    assert report.cost == dp_optimal(ws, (2, 3))[0]
+
+
 def _stuck(levels, above):
     """The text of the crossing-circle ``EngineError`` at unit levels
     ``levels`` (a digit string), with ``above`` nodes left above level 0."""
@@ -1254,8 +1279,8 @@ def _stuck(levels, above):
 
 # the general_solve outcome of every crossing-circle witness it meets: its
 # cost, or its EngineError text.  The 31- and 40-leaf inputs solve because
-# the plan search skips the plans that raise; the target loop now solves only
-# the units of plans whose bound is the optimum, which changes none of them.
+# the plan search skips the plans that raise; neither the target loop's test
+# on the DP tables nor the units it solves changes any of them.
 WITNESS_OUTCOMES = [
     (CRASH_15, _stuck("211122110111111", 5)),
     (REPRODUCER, _stuck("2111221101111111110", 5)),
