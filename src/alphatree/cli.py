@@ -43,6 +43,7 @@ from .core import (
     Infeasible,
     SolveReport,
     StructureError,
+    _walk,
     leaf_levels,
     validate_weights,
 )
@@ -116,30 +117,33 @@ def trace_to_pretty(report: SolveReport) -> str:
                     bits.append("[" + " ".join(acc) + "]")
                     acc = []
                 bits.append(f"[+ {label}]")
-        if acc:
-            bits.append("[" + " ".join(acc) + "]")
         lines.append(f"step {k + 1}: {' '.join(bits)} -> c{step.circle} weight {step.weight}")
     return "\n".join(lines)
 
 
 def _tree_json(nested) -> str:
-    """``json.dumps`` of a tree's nested form, built with an explicit stack.
-    The C encoder spends one level of the recursion limit on each level of
-    nesting, and a tree over n leaves can nest n - 1 levels.  The stack
-    holds lists, int weights and punctuation strings."""
+    """``json.dumps`` of a tree's nested form.  The C encoder spends one
+    level of the recursion limit on each level of nesting, and a tree over
+    n leaves can nest n - 1 levels, so each list is a frame of ``_walk``
+    that writes its punctuation and weights to one output list and yields
+    each child list.  The walk starts at a one-element list around the
+    tree, whose brackets are then dropped, so a one-leaf tree needs no
+    case of its own.  Its memo is keyed by the list object, which stays
+    alive for the whole walk (a weight is never a need: equal small ints
+    are one object)."""
     out = []
-    stack = [nested]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, list):
-            out.append("[")
-            stack.append("]")
-            for k in range(len(x) - 1, 0, -1):
-                stack.extend((x[k], ", "))
-            stack.append(x[0])
-        else:
-            out.append(str(x))
-    return "".join(out)
+
+    def dump(x: list):
+        for k, child in enumerate(x):
+            out.append(", " if k else "[")
+            if isinstance(child, list):
+                yield (child,)
+            else:
+                out.append(str(child))
+        out.append("]")
+
+    _walk(([nested],), dump, {}, lambda need: id(need[0]))
+    return "".join(out[1:-1])
 
 
 def _report_json(report: SolveReport) -> str:

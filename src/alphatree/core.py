@@ -41,6 +41,40 @@ def validate_weights(weights: Iterable[int]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Deep walks
+
+
+def _walk(need: tuple, frame, memo: dict, key=None):
+    """The value of ``frame(*need)``, run depth-first on an explicit stack
+    of generator frames, so a walk as deep as its input needs no deep
+    recursion.  A frame is written as the recursion it replaces, with
+    ``yield`` in place of each recursive call: it yields each need it waits
+    on, a tuple of ``frame``'s arguments, is sent that need's value, and
+    returns its own.  Values are memoised in ``memo`` by ``key(need)``, or
+    by the need itself; a need already there is answered without a frame.
+    A key must name its need for the whole walk (an ``id`` of an object the
+    walk keeps alive, never of a fresh tuple)."""
+    stack, value = [], None
+    while True:
+        if need is not None:
+            k = need if key is None else key(need)
+            if k in memo:
+                value = memo[k]
+            else:
+                stack.append((k, frame(*need)))
+                value = None  # starts the new frame
+        if not stack:
+            return value
+        k, gen = stack[-1]
+        try:
+            need = gen.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[k] = done.value
+            need = None
+
+
+# ---------------------------------------------------------------------------
 # Trees
 
 
@@ -84,23 +118,19 @@ class AlphaTree:
     def to_nested(self):
         """Nested-array form: a leaf is its weight, an internal node a list.
 
-        Built in post-order with an explicit stack, so a deep tree needs no
-        deep recursion: done holds the finished values whose parent is not
-        built yet, left to right."""
-        done = []
-        stack = [(self.root, False)]
-        while stack:
-            nid, children_done = stack.pop()
+        Each node is a frame of ``_walk``, so a deep tree needs no deep
+        recursion."""
+
+        def nest(nid: int):
             nd = self.nodes[nid]
             if nd.is_leaf:
-                done.append(nd.weight)
-            elif children_done:
-                k = len(nd.children)
-                done[-k:] = [done[-k:]]
-            else:
-                stack.append((nid, True))
-                stack.extend((c, False) for c in reversed(nd.children))
-        return done[0]
+                return nd.weight
+            out = []
+            for c in nd.children:
+                out.append((yield (c,)))
+            return out
+
+        return _walk((self.root,), nest, {})
 
     @classmethod
     def from_nested(cls, nested) -> "AlphaTree":

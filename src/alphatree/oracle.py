@@ -25,7 +25,7 @@ from itertools import accumulate, combinations, compress, repeat
 from operator import add, eq
 from typing import Sequence, Tuple
 
-from .core import AlphaTree, Infeasible, TreeBuilder, validate_weights
+from .core import AlphaTree, Infeasible, TreeBuilder, _walk, validate_weights
 
 EXHAUSTIVE_MAX_N = 11
 
@@ -115,25 +115,22 @@ def dp_optimal(weights: Sequence[int], arities=(2, 3)) -> Tuple[int, AlphaTree]:
     tables = _dp_tables(ws, allowed)
     prefix = list(accumulate(ws, initial=0))
 
-    # Build in post-order with an explicit stack, children left to right
-    # before their parent, so node ids are those of the recursive build and
-    # a deep tree needs no deep recursion.  built holds the finished
-    # subtrees whose parent is not built yet, left to right; a span's arity
-    # is 0 until its children are pushed.
     builder = TreeBuilder(ws)
-    built = []
-    stack = [(0, n - 1, 0)]
-    while stack:
-        i, j, arity = stack.pop()
+
+    def build(i: int, j: int):
+        """The node id of the optimal tree over leaves i..j: a frame of
+        ``_walk``, so the tree is built in post-order, children left to
+        right before their parent, and a deep tree needs no deep recursion.
+        A leaf child is its own id, with no frame."""
         if i == j:
-            built.append(i)
-        elif arity:
-            built[-arity:] = [builder.internal(built[-arity:])]
-        else:
-            ends = (i - 1, *_root_splits(tables, allowed, prefix[j + 1] - prefix[i], i, j), j)
-            stack.append((i, j, len(ends) - 1))
-            stack.extend((lo + 1, hi, 0) for lo, hi in reversed(list(zip(ends, ends[1:]))))
-    return tables[0][0][-1], builder.finish(built)
+            return i
+        ends = (i - 1, *_root_splits(tables, allowed, prefix[j + 1] - prefix[i], i, j), j)
+        children = []
+        for lo, hi in zip(ends, ends[1:]):
+            children.append(hi if lo + 1 == hi else (yield lo + 1, hi))
+        return builder.internal(children)
+
+    return tables[0][0][-1], builder.finish((_walk((0, n - 1), build, {}),))
 
 
 @lru_cache(maxsize=1)

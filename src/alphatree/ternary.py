@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter, itemgetter
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain
 from typing import Dict, List, Sequence, Tuple
 
@@ -26,6 +27,7 @@ from .core import (
     Participant,
     SolveReport,
     StructureError,
+    _walk,
     validate_weights,
 )
 from .levels import (
@@ -717,7 +719,8 @@ class _GeneralSolver:
 
     def __init__(self, weights):
         self.w = weights
-        self._memo: Dict[tuple, _Sol] = {}
+        # each span's solution, a bare leaf's from the start
+        self._memo: Dict[tuple, _Sol] = {(i, i): _Sol(w, 0, (), ()) for i, w in enumerate(weights)}
         self._tables = None  # the (2, 3) DP cost tables, built when first read
         self._prefix = list(accumulate(weights, initial=0))
         # the optimal splits by leaf span (see _optimal_shape)
@@ -726,29 +729,27 @@ class _GeneralSolver:
 
     def solve_tree(self, lo: int, hi: int) -> _Sol:
         """The first cheapest completion, in plan order, over leaves lo..hi,
-        memoised.  A span with one plan runs it and reads no DP table; any
-        other span is searched by ``_search``."""
-        key = (lo, hi)
-        if key in self._memo:
-            return self._memo[key]
-        if lo == hi:
-            sol = _Sol(self.w[lo], 0, (), ())
-        elif hi == lo + 1:  # the binary pair, or a two-leaf run or run half
+        memoised.  Each span is a frame of ``_walk``, ``_solve``, which
+        yields each unit span it waits on, so spans are solved depth-first,
+        units left to right, and nested permanent runs need no deep
+        recursion."""
+        return _walk((lo, hi), self._solve, self._memo)
+
+    def _solve(self, lo: int, hi: int):
+        """``solve_tree``'s frame.  A span with one plan runs it and reads
+        no DP table; any other span is searched by ``_search``."""
+        if hi == lo + 1:  # the binary pair, or a two-leaf run or run half
             # two square units, 0 and 1, combined into circle 2
             w = self.w[lo] + self.w[hi]
             pair = (Participant(0, 1), Participant(1, 1))
-            sol = _Sol(w, w, ((lo, lo), (hi, hi)), (CombinationStep(2, w, pair),))
-        else:
-            plans = self._plans(lo, hi)
-            first, second = next(plans), next(plans, None)
-            if second is None:
-                sol = self._run_plan(first[2])
-            else:
-                sol = self._search(lo, hi, chain((first, second), plans))
-        self._memo[key] = sol
-        return sol
+            return _Sol(w, w, ((lo, lo), (hi, hi)), (CombinationStep(2, w, pair),))
+        plans = self._plans(lo, hi)
+        first, second = next(plans), next(plans, None)
+        if second is None:
+            return (yield from self._run_plan(first[2]))
+        return (yield from self._search(lo, hi, chain((first, second), plans)))
 
-    def _search(self, lo: int, hi: int, plans) -> _Sol:
+    def _search(self, lo: int, hi: int, plans):
         """The plan search of a span with more than one plan, aimed at the
         span's mixed-arity DP optimum; ``plans`` yields the span's
         ``_plans`` from the first.  No completion costs less than that
@@ -789,7 +790,9 @@ class _GeneralSolver:
         529 with both, 632 without the ceiling and 538 without the reuse.
         The search, its tests and its order are this solver's engineering,
         not the paper's: they decide only which plans run, never which plan
-        wins."""
+        wins.  Part of ``_solve``'s frame: it returns the span's solution
+        and yields, through ``_run_plan`` and ``_choice_bounds``, each unit
+        span it waits on."""
         optimum = self._optimum_of(lo, hi)
         runs = {}  # by a plan's index
         sol = seen = None
@@ -798,7 +801,7 @@ class _GeneralSolver:
                 seen, shapes = units, {}
             if not self._optimal_shape(spans, k, shapes):
                 continue
-            runs[i] = run = self._run_plan(spans)
+            runs[i] = run = yield from self._run_plan(spans)
             if sol is None or run.cost < sol.cost:
                 sol = run
                 if sol.cost == optimum:
@@ -807,12 +810,12 @@ class _GeneralSolver:
         sol = seen = None
         for i, (units, k, spans) in enumerate(self._plans(lo, hi)):
             if units is not seen:
-                seen, bounds = units, self._choice_bounds(units)
+                seen, bounds = units, (yield from self._choice_bounds(units))
             bound = bounds[k or 0]  # an odd choice's one plan has k None
             if bound >= ceiling or sol is not None and bound >= sol.cost:
                 continue
             if i not in runs:
-                runs[i] = self._run_plan(spans)
+                runs[i] = yield from self._run_plan(spans)
             if sol is None or runs[i].cost < sol.cost:
                 sol = runs[i]
                 if sol.cost == optimum + 1:
@@ -852,7 +855,9 @@ class _GeneralSolver:
         ``shapes`` maps its leaf span, with the pair's first leaf when it
         holds the pair and -1 otherwise, to the result, since a stretch
         without the pair holds the same units in every plan of a choice.
-        Depth-first, stopping at the first cut that passes."""
+        Depth-first on ``_walk``, so a deep tree needs no deep recursion,
+        stopping at the first cut that passes; a single unit passes with no
+        frame."""
         tables, firsts, seconds = self._tables, self._firsts, self._seconds
         prefix = self._prefix
         pair = -1 if k is None else spans[k][0]
@@ -862,48 +867,31 @@ class _GeneralSolver:
             t = bisect_left(spans, (m + 1,), a, b + 1) - 1
             return t if spans[t][1] == m else None
 
-        def cuts(a: int, b: int, x: int, y: int):
-            """Whether units a..b, two or more over leaves x..y, pass: yields
-            each stretch (a', b') a cut needs and is sent back whether it
-            passes, in order, until a cut passes."""
+        def key(need: tuple) -> tuple:
+            x, y = spans[need[0]][0], spans[need[1]][1]
+            return x, y, pair if x <= pair <= y else -1
+
+        def cuts(a: int, b: int):
+            """Whether units a..b, three or more, pass: yields each stretch
+            (a', b') of two or more units that a cut needs and is sent back
+            whether it passes, in order, until a cut passes."""
+            x, y = spans[a][0], spans[b][1]
             if (x, y) not in firsts:
                 firsts[x, y] = list(_splits(tables, 1, x, y, prefix[y + 1] - prefix[x]))
             for m1 in firsts[x, y]:
                 t1 = unit_end(m1, a, b)
-                if t1 is None or (t1 - a) % 2 or not (yield a, t1):
+                if t1 is None or (t1 - a) % 2 or t1 > a and not (yield a, t1):
                     continue
                 if (m1 + 1, y) not in seconds:
                     seconds[m1 + 1, y] = list(_splits(tables, 1, m1 + 1, y))
                 for m2 in seconds[m1 + 1, y]:
                     t2 = unit_end(m2, t1 + 1, b)
-                    if t2 is not None and (t2 - t1) % 2 and (yield t1 + 1, t2) and (yield t2 + 1, b):
-                        return True
+                    if t2 is not None and (t2 - t1) % 2 and (t2 == t1 + 1 or (yield t1 + 1, t2)):
+                        if t2 + 1 == b or (yield t2 + 1, b):
+                            return True
             return False
 
-        # depth-first on an explicit stack of (key, cuts) frames, so a deep
-        # tree needs no deep recursion
-        stack, need, passed = [], (0, len(spans) - 1), None
-        while True:
-            if need is not None:
-                a, b = need
-                x, y = spans[a][0], spans[b][1]
-                key = (x, y, pair if x <= pair <= y else -1)
-                if a == b:
-                    passed = True
-                elif key in shapes:
-                    passed = shapes[key]
-                else:
-                    stack.append((key, cuts(a, b, x, y)))
-                    passed = None  # starts the new frame
-            if not stack:
-                return passed
-            key, frame = stack[-1]
-            try:
-                need = frame.send(passed)
-            except StopIteration as done:
-                stack.pop()
-                passed = shapes[key] = done.value
-                need = None
+        return _walk((0, len(spans) - 1), cuts, shapes, key)
 
     def _choice_bounds(self, units) -> list:
         """Lower bounds on the completions of one whole-or-split choice's
@@ -923,8 +911,11 @@ class _GeneralSolver:
         units with the pair as one leaf.  One O(m^3) inside-outside pass
         gives every position; entries at positions that are no pair bound
         nothing and are never read.  Both fills are uncached, so the table
-        that ``_optimum_of`` shares with ``dp_optimal`` stays cached."""
-        subs = [self.solve_tree(a, b) for a, b in units]
+        that ``_optimum_of`` shares with ``dp_optimal`` stays cached.  Part
+        of ``_solve``'s frame, as ``_search`` is."""
+        subs = []
+        for span in units:
+            subs.append((yield span))
         weights = tuple(sub.weight for sub in subs)
         costs = sum(sub.cost for sub in subs)
         if len(weights) % 2:
@@ -964,20 +955,24 @@ class _GeneralSolver:
         leaves = [(i, i) for i in range(lo, hi + 1) if i not in inside]
         pairs = [i for i in range(lo, hi) if i not in inside and i + 1 not in inside]
 
-        def split(k: int, count: int):
-            """The spans of runs k.. with ``count`` of them cut once, in the
-            order of their (run, cut) lists."""
-            if not count:
-                yield runs[k:]
-                return
-            for r in range(k, len(runs) - count + 1):
-                a, b = runs[r]
-                for cut in range(a, b):
-                    for rest in split(r + 1, count - 1):
-                        yield [*runs[k:r], (a, cut), (cut + 1, b), *rest]
+        def split(count: int):
+            """The spans of the runs with ``count`` of them cut once, in the
+            order of their (run, cut) lists: depth-first on a stack of (the
+            spans of runs ..k-1, k, cuts left), each entry's successors
+            pushed last first."""
+            stack = [([], 0, count)]
+            while stack:
+                part, k, left = stack.pop()
+                if not left:
+                    yield part + runs[k:]
+                    continue
+                for r in reversed(range(k, len(runs) - left + 1)):
+                    a, b = runs[r]
+                    for cut in reversed(range(a, b)):
+                        stack.append(([*part, *runs[k:r], (a, cut), (cut + 1, b)], r + 1, left - 1))
 
         for count in range(most + 1):
-            for part in split(0, count):
+            for part in split(count):
                 units = sorted(leaves + part)
                 if len(units) % 2 == 1:
                     yield units, None, units
@@ -986,10 +981,13 @@ class _GeneralSolver:
                     k = units.index((i, i))  # (i + 1, i + 1) follows it
                     yield units, k, units[:k] + [(i, i + 1)] + units[k + 2 :]
 
-    def _run_plan(self, spans) -> _Sol:
-        """Solve each unit's span with ``solve_tree``, left to right, then
-        combine the units with the ternary engine."""
-        subs = [self.solve_tree(lo, hi) for lo, hi in spans]
+    def _run_plan(self, spans):
+        """Wait on each unit's span, left to right, then combine the units
+        with the ternary engine: part of ``_solve``'s frame, as
+        ``_search`` is."""
+        subs = []
+        for span in spans:
+            subs.append((yield span))
         state = EngineState([Unit(sub.weight, not sub.spans) for sub in subs])
         state.run()
         return _Sol(
@@ -999,13 +997,17 @@ class _GeneralSolver:
             tuple(state.steps),
         )
 
-    def _number(self, lo: int, hi: int, steps: list) -> int:
-        """Append the steps of the tree over leaves lo..hi to ``steps``,
-        named as trace ids: each unit's tree first, left to right, then
-        the span's own steps.  Returns the tree's root id."""
-        sol = self.solve_tree(lo, hi)
+    def _number(self, steps: list, lo: int, hi: int):
+        """Append the steps of the solved tree over leaves lo..hi to
+        ``steps``, named as trace ids: each unit's tree first, left to
+        right, then the span's own steps.  Returns the tree's root id.  A
+        frame of ``_walk``, which yields each unit's span of two or more
+        leaves (a leaf's id is its index)."""
+        sol = self._memo[lo, hi]
         # trace id by local id: the units' roots, then each circle once numbered
-        ids = [self._number(a, b, steps) for a, b in sol.spans]
+        ids = []
+        for a, b in sol.spans:
+            ids.append(a if a == b else (yield a, b))
         for s in sol.steps:
             ids.append(len(self.w) + len(steps))
             parts = tuple(Participant(ids[p.ref], p.sign) for p in s.participants)
@@ -1013,9 +1015,10 @@ class _GeneralSolver:
         return ids[-1] if ids else lo
 
     def solve(self) -> CombinationTrace:
-        steps = []
-        self._number(0, len(self.w) - 1, steps)
-        return CombinationTrace(len(self.w), tuple(steps))
+        n, steps = len(self.w), []
+        self.solve_tree(0, n - 1)
+        _walk((0, n - 1), partial(self._number, steps), {})
+        return CombinationTrace(n, tuple(steps))
 
 
 def general_solve(weights: Sequence[int]) -> SolveReport:

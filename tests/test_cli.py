@@ -12,7 +12,8 @@ import pytest
 
 from alphatree import cli
 from alphatree.cli import EXIT_DIVERGENCE, EXIT_ENGINE, EXIT_FUZZ_ERRORS, EXIT_INPUT, main
-from alphatree.ternary import general_solve
+from alphatree.core import Infeasible
+from alphatree.ternary import EngineError, general_solve
 from tests.conftest import shallow_recursion
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -168,6 +169,24 @@ class TestSolve:
         trace = CombinationTrace.from_json_obj(obj["trace"])
         assert trace.to_json_obj() == obj["trace"]
         assert obj["levels"] == [2, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3, 2, 2]
+
+    def test_report_json_is_json_dumps(self):
+        # the JSON writer, whose tree walk spares the recursion limit, writes
+        # json.dumps's bytes on seeded reports of all four solver paths, at
+        # sizes whose trees json.dumps itself can still nest
+        rng = random.Random(3401)
+        paths = [("ternary", None), ("hu-tucker", None), ("ternary", "pure-ternary")]
+        reports = 0
+        for k in range(120):
+            ws = tuple(rng.randint(0, (3, 10, 100)[k % 3]) for _ in range(rng.randint(1, 60)))
+            for algo, arity in paths + [("dp", ("binary", "ternary", "pure-ternary")[k % 3])]:
+                try:
+                    report = cli._solve(ws, algo, arity)
+                except (Infeasible, EngineError):  # an even exact-ternary size, or the crash
+                    continue
+                assert cli._report_json(report) == json.dumps(report.to_json_obj()), (ws, algo, arity)
+                reports += 1
+        assert reports > 350
 
     @pytest.mark.parametrize("emit", ("json", "pretty"))
     def test_deep_tree_needs_no_deep_recursion(self, capsys, emit):

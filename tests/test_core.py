@@ -11,6 +11,7 @@ from alphatree.core import (
     TraceError,
     Node,
     TreeBuilder,
+    _walk,
     is_alphabetic,
     leaf_levels,
     tree_cost,
@@ -126,6 +127,47 @@ class TestTreeOps:
         tree = AlphaTree.from_nested([[4, 2], [3, 4]])
         with pytest.raises(StructureError, match="leaf 3 stores weight 4, expected 5"):
             tree_cost(tree, (4, 2, 3, 5))
+
+
+class TestWalk:
+    def test_deep_chain_needs_no_deep_recursion(self):
+        # a chain of 5 000 frames, each waiting on the next, with room for a
+        # few interpreter frames only
+        def depth(k):
+            return 0 if k == 5000 else 1 + (yield (k + 1,))
+
+        with shallow_recursion():
+            assert _walk((0,), depth, {}) == 5000
+
+    def test_memo_hits_get_no_frame(self):
+        # Fibonacci: each need is waited on once or twice, and a need in the
+        # memo, given or filled by the walk, is answered from it
+        made = []
+
+        def fib(k):
+            made.append(k)
+            return k if k < 2 else (yield (k - 1,)) + (yield (k - 2,))
+
+        memo = {(10,): 55, (9,): 34}
+        assert _walk((12,), fib, memo) == 144
+        assert made == [12, 11]
+        assert _walk((11,), fib, memo) == 89
+        assert made == [12, 11]
+        assert _walk((30,), fib, {}) == 832040
+        assert made[2:] == list(range(30, 0, -1)) + [0]  # one frame per need, depth-first
+
+    def test_key_names_each_need(self):
+        # needs keyed by key(need): two needs of one key share one frame
+        made = []
+
+        def count(k):
+            made.append(k)
+            if k == 0:
+                return 1
+            return (yield (k - 1,)) + (yield (-(k - 1),))
+
+        assert _walk((4,), count, {}, key=lambda need: abs(need[0])) == 16
+        assert made == [4, 3, 2, 1, 0]
 
 
 class TestJsonRoundTrip:
